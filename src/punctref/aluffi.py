@@ -11,11 +11,11 @@ backend.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 from .chowring import ChowClass, divisor_of_pl
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, pl_function, star_subdivide
+from .lattice import primitive
 from .puncture import MonomialIdealOnComplex, _power_series_part, _push_down
 
 __all__ = ["AluffiDomainError", "principalize_newton", "segre_newton"]
@@ -27,11 +27,6 @@ class AluffiDomainError(ValueError):
 
 def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
-
-
-def _primitive(v: tuple[int, int]) -> tuple[int, int]:
-    g = gcd(v[0], v[1])
-    return (v[0] // g, v[1] // g)
 
 
 def _staircase_vertices(pts: set[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -59,7 +54,7 @@ def _edge_normals(chain: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Primitive inward normals of the compact edges, in angle order."""
     normals = []
     for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
-        n = _primitive((y1 - y2, x2 - x1))
+        n = primitive((y1 - y2, x2 - x1))
         assert n[0] > 0 and n[1] > 0
         normals.append(n)
     normals.sort(key=lambda n: (n[1], n[0]))

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .chowring import pushforward as chow_pushforward, serialize
-from .conecx import ConeComplex, SubdivisionStep, _is_unimodular, star_subdivide
+from .conecx import ConeComplex, SubdivisionStep, star_subdivide
+from .lattice import is_unimodular, primitive
 from .puncture import PuncturingData, refined_class
 from .tropmaps import (
     EnumerationBoundError,
@@ -177,13 +177,6 @@ def stabilize_rank(nd: NumericalData) -> tuple[tuple[BlowupStep, ...], Numerical
         current = lifted.nd
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return tuple(x // g for x in vec) if g else tuple(vec)
-
-
 @dataclass(frozen=True)
 class Subdivision:
     """A simplicial fan refining the orthant, given by rays and ray-index cones."""
@@ -199,7 +192,7 @@ class Subdivision:
         for r in self.rays:
             support = {j + 1 for j, x in enumerate(r) if x}
             if support and support <= face:
-                out.add(_primitive([r[j - 1] for j in J]))
+                out.add(primitive([r[j - 1] for j in J]))
         return out
 
 
@@ -218,7 +211,7 @@ def subdivision(
         v = tuple(int(x) for x in r)
         if len(v) != k or any(x < 0 for x in v) or all(x == 0 for x in v):
             raise ValueError(f"ray {r} is not a nonzero nonnegative vector of length {k}")
-        prim.append(_primitive(v))
+        prim.append(primitive(v))
     if len(set(prim)) != len(prim):
         raise ValueError("duplicate rays after normalization")
     for j in range(k):
@@ -230,7 +223,7 @@ def subdivision(
         idx = tuple(sorted(set(int(i) for i in cone)))
         if any(i < 0 or i >= len(prim) for i in idx):
             raise ValueError(f"cone {cone} references a missing ray")
-        if not _is_unimodular([prim[i] for i in idx]):
+        if not is_unimodular([prim[i] for i in idx]):
             raise ValueError(f"cone {cone} is not unimodular")
         norm_cones.append(idx)
     return Subdivision(k, tuple(prim), tuple(sorted(set(norm_cones))))
@@ -315,7 +308,7 @@ def check_slope_sensitivity(
                     m = tuple(-x for x in m)
                 if any(x < 0 for x in m) or all(x == 0 for x in m):
                     continue
-                slopes.add(_primitive(m))
+                slopes.add(primitive(m))
         rays_J = subdiv.rays_in_face(J)
         missing = sorted(s for s in slopes if s not in rays_J)
         pairs.append(

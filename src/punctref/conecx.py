@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-import sympy
-import sympy.matrices.normalforms
+from .lattice import is_unimodular
 
 __all__ = [
     "Ray",
@@ -175,18 +174,6 @@ def build_complex(
     return ConeComplex(tuple(norm_rays), all_cones, norm_labels)
 
 
-def _is_unimodular(vectors: Sequence[tuple[int, ...]]) -> bool:
-    """True if the integer vectors span a unimodular simplicial cone."""
-    if not vectors:
-        return True
-    m = sympy.Matrix([list(v) for v in vectors])
-    if m.rank() != len(vectors):
-        return False
-    snf = sympy.matrices.normalforms.smith_normal_form(m.T)
-    divisors = [snf[i, i] for i in range(len(vectors))]
-    return all(abs(d) == 1 for d in divisors)
-
-
 def validate_complex(c: ConeComplex) -> dict:
     """Check the complex invariants; violations are data, not exceptions.
 
@@ -235,7 +222,7 @@ def validate_complex(c: ConeComplex) -> dict:
                 if len(cone) < 2:
                     continue
                 vecs = [prim[x] for x in cone]
-                if not _is_unimodular(vecs):  # type: ignore[arg-type]
+                if not is_unimodular(vecs):  # type: ignore[arg-type]
                     violations.append(f"cone {cone} not unimodular")
     return {"ok": not violations, "violations": violations}
 

@@ -3,8 +3,9 @@
 The pipeline: puncturing offsets define a monomial ideal on the cone complex;
 stellar subdivisions at two-ray centers make its total transform Cartier; the
 Segre class of the puncturing substack is the pushforward of E/(1+E); and the
-refined class is the degree-k_P part of the Chern/Segre product, computed
-upstairs and pushed down once.
+refined class is the degree-k_P part of the Chern/Segre product. Each D_p
+upstairs is pulled back from the base, so by the projection formula that
+product is formed on the base complex, against the pushed-down Segre class.
 """
 from __future__ import annotations
 
@@ -285,9 +286,7 @@ def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
         if power.is_zero():
             break
         acc = acc + power.scale(Fraction((-1) ** (j - 1)))
-    return ChowClass(
-        acc.complex, tuple((m, v) for m, v in acc.terms if sum(e for _, e in m) <= max_codim)
-    )
+    return acc
 
 
 def _push_down(
@@ -296,6 +295,29 @@ def _push_down(
     for step in reversed(trace):
         a = pushforward(a, step)
     return a
+
+
+def _segre(
+    c: ConeComplex,
+    ideal: MonomialIdealOnComplex,
+    max_codim: int,
+    backend: str,
+    choice_seed: Optional[int],
+) -> tuple[ChowClass, tuple[SubdivisionStep, ...]]:
+    """Segre class through max_codim and the principalization trace behind it."""
+    if backend not in ("resolution", "aluffi-crosscheck"):
+        raise ValueError(f"unknown backend {backend!r}")
+    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    E = divisor_of_pl(total, c2)
+    s = _push_down(_power_series_part(E, max_codim), trace)
+    if backend == "aluffi-crosscheck":
+        from .aluffi import segre_newton
+
+        if segre_newton(c, ideal, max_codim) != s:
+            raise ArithmeticError(
+                "backend disagreement: resolution and newton Segre classes differ"
+            )
+    return s, trace
 
 
 def segre_class(
@@ -315,21 +337,7 @@ def segre_class(
     """
     if max_codim is None:
         max_codim = c.dim()
-    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
-    E = divisor_of_pl(total, c2)
-    s = _push_down(_power_series_part(E, max_codim), trace)
-    if backend == "resolution":
-        return s
-    if backend == "aluffi-crosscheck":
-        from .aluffi import segre_newton
-
-        alt = segre_newton(c, ideal, max_codim)
-        if alt != s:
-            raise ArithmeticError(
-                "backend disagreement: resolution and newton Segre classes differ"
-            )
-        return s
-    raise ValueError(f"unknown backend {backend!r}")
+    return _segre(c, ideal, max_codim, backend, choice_seed)[0]
 
 
 @dataclass(frozen=True)
@@ -349,10 +357,10 @@ def refined_class(
 ) -> RefinedClassResult:
     """Refined virtual class of the puncturing substack.
 
-    Computes the degree-k_P part of prod_p (1 + D_p) * E/(1+E) on the
-    principalized complex, with D_p the divisor of the pulled-back raw offset
-    and E the exceptional total transform of the normalized offsets ideal,
-    then pushes down along the trace. Empty puncturing data yields the unit;
+    The degree-k_P part of prod_p (1 + D_p) * s(Z) on the base complex, with
+    D_p the divisor of the raw offset and s(Z) the Segre class of the
+    normalized offsets ideal (the projection formula moves the product down
+    from the principalized complex). Empty puncturing data yields the unit;
     an empty puncturing substack yields zero.
     """
     if pd.k_P == 0:
@@ -360,44 +368,10 @@ def refined_class(
     components = puncturing_components(c, pd)
     if not components:
         return RefinedClassResult(zero(c), (), ())
-    ideal = normalized_ideal(c, pd)
-    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
-    result = _refined_upstairs(c2, trace, total, pd)
-    if backend == "aluffi-crosscheck":
-        from .aluffi import principalize_newton
-
-        c2n, tracen, totaln = principalize_newton(c, ideal)
-        alt = _refined_upstairs(c2n, tracen, totaln, pd)
-        if alt != result:
-            raise ArithmeticError(
-                "backend disagreement: resolution and newton refined classes differ"
-            )
-    elif backend != "resolution":
-        raise ValueError(f"unknown backend {backend!r}")
-    return RefinedClassResult(result, trace, components)
-
-
-def _refined_upstairs(
-    c2: ConeComplex,
-    trace: Sequence[SubdivisionStep],
-    total: PLFunction,
-    pd: PuncturingData,
-) -> ChowClass:
-    k_P = pd.k_P
-    E = divisor_of_pl(total, c2)
-    series = _power_series_part(E, k_P)
-    prod = series
+    prod, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend, choice_seed)
     for _, f in pd.offsets:
-        lifted = f
-        for step in trace:
-            lifted = pl_pullback(lifted, step)
-        D = divisor_of_pl(lifted, c2)
-        prod = multiply(prod, unit(c2) + D)
-        prod = ChowClass(
-            prod.complex,
-            tuple((m, v) for m, v in prod.terms if sum(e for _, e in m) <= k_P),
-        )
-    return _push_down(truncate(prod, k_P), trace)
+        prod = multiply(prod, unit(c) + divisor_of_pl(f, c))
+    return RefinedClassResult(truncate(prod, pd.k_P), trace, components)
 
 
 def refined_class_excess(

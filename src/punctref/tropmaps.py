@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .conecx import ConeComplex, Ray, _is_unimodular, build_complex
+from .conecx import ConeComplex, Ray, build_complex
+from .lattice import is_unimodular, nullspace, primitive, rref
 from .puncture import PuncturingData, puncturing_data
 
 __all__ = [
@@ -91,6 +91,9 @@ class NumericalData:
         )
 
     def rank(self, i: int) -> int:
+        """Number of negative tangency coordinates of marking i (1-based)."""
+        if not 1 <= i <= len(self.markings):
+            raise ValueError(f"marking index {i} outside 1..{len(self.markings)}")
         return sum(1 for x in self.markings[i - 1] if x < 0)
 
     @property
@@ -294,58 +297,6 @@ def slopes_from_balancing(
     return TropicalType(nd.k, tuple(vertices), tuple(out_edges))
 
 
-# exact linear algebra over Fractions
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    if not rows:
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    red, pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _primitive_int(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints) if g else tuple(ints)
-
-
 @dataclass(frozen=True)
 class TypeCone:
     """The cone of a tropical type in root-position and edge-length coordinates."""
@@ -418,7 +369,7 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
         row = [0] * nv
         row[k + idx] = 1
         ineqs.append(tuple(row))
-    basis = _nullspace(eqs, nv)
+    basis = nullspace(eqs, nv)
     m = len(basis)
     rays: list[tuple[int, ...]] = []
     if m:
@@ -429,7 +380,7 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
         seen = set()
         for subset in itertools.combinations(range(len(proj)), m - 1):
             sub = [proj[i] for i in subset]
-            kern = _nullspace(sub, m)
+            kern = nullspace(sub, m)
             if len(kern) != 1:
                 continue
             z = [
@@ -444,13 +395,13 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
                 continue
             if all(x == 0 for x in z):
                 continue
-            prim = _primitive_int(z)
+            prim = primitive(z)
             if prim not in seen:
                 seen.add(prim)
                 rays.append(prim)
     rays.sort()
-    ray_rank = len(_rref([[Fraction(x) for x in r] for r in rays])[1]) if rays else 0
-    unimod = bool(rays) and len(rays) == ray_rank and _is_unimodular(rays)
+    ray_rank = len(rref([[Fraction(x) for x in r] for r in rays])[1]) if rays else 0
+    unimod = bool(rays) and is_unimodular(rays)
     variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
         f"l{i}" for i in range(len(t.edges))
     )

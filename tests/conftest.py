@@ -9,7 +9,7 @@ import pytest
 from punctref.chowring import reduce as chow_reduce
 from punctref.conecx import build_complex, star_subdivide, Ray
 from punctref.fixtureio import load_fixture_file
-from punctref.puncture import monomial_ideal
+from punctref.puncture import monomial_ideal, puncturing_data
 from punctref.tropmaps import numerical_data, target_model
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -119,14 +119,20 @@ def random_triple(rng):
     return c, a, post, step
 
 
-def random_wide_ideal(rng):
-    """A monomial ideal on a complex with a cone of up to four rays."""
+def random_wide_complex(rng):
+    """A complex with a cone of up to four rays, plus at most one 2-cone."""
     size = rng.randint(2, 4)
     ids = [f"r{i}" for i in range(size + rng.randint(0, 1))]
     cones = [ids[:size]]
     if len(ids) > size:
         cones.append([ids[0], ids[-1]])
-    c = build_complex(ids, cones)
+    return build_complex(ids, cones)
+
+
+def random_wide_ideal(rng):
+    """A monomial ideal on a complex with a cone of up to four rays."""
+    c = random_wide_complex(rng)
+    ids = list(c.ray_ids)
     gens = []
     for _ in range(rng.randint(2, 3)):
         g = {r: rng.randint(0, 2) for r in ids}
@@ -136,3 +142,13 @@ def random_wide_ideal(rng):
     if not gens:
         gens = [{ids[0]: 1}]
     return c, monomial_ideal(c, gens)
+
+
+def random_puncturing(rng, max_offsets=3, max_value=3):
+    """Puncturing data with one to max_offsets offsets on a wide complex."""
+    c = random_wide_complex(rng)
+    offsets = {}
+    for i in range(rng.randint(1, max_offsets)):
+        vals = {r: rng.randint(0, max_value) for r in c.ray_ids}
+        offsets[f"p{i + 1}.1"] = {r: v for r, v in vals.items() if v}
+    return c, puncturing_data(offsets)

@@ -224,7 +224,7 @@ def test_criterion_6_property_suites():
                     assert lifted.mult_after[0] < lifted.mult_before[0]
                 checked += 1
             steps, stable = stabilize_rank(nd)
-            assert all(stable.rank(i) <= 1 for i in range(len(stable.markings)))
+            assert all(stable.rank(i) <= 1 for i in range(1, len(stable.markings) + 1))
             again, fixed = stabilize_rank(stable)
             assert again == ()
             assert fixed == stable

@@ -6,13 +6,13 @@ import pytest
 from punctref.conecx import (
     ConeComplex,
     Ray,
-    _is_unimodular,
     build_complex,
     pl_function,
     pl_pullback,
     star_subdivide,
     validate_complex,
 )
+from punctref.lattice import is_unimodular as _is_unimodular
 
 
 def test_face_closure_and_lookup():

@@ -1,10 +1,21 @@
 """Offsets, principalization, Segre classes, and refined classes."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from punctref.chowring import multiply, ray_class, reduce, truncate, unit
-from punctref.conecx import PLFunction, build_complex, pl_function
+import punctref.aluffi
+from punctref.chowring import (
+    divisor_of_pl,
+    multiply,
+    pushforward,
+    ray_class,
+    reduce,
+    truncate,
+    unit,
+    zero,
+)
+from punctref.conecx import PLFunction, build_complex, pl_function, pl_pullback
 from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
@@ -17,6 +28,8 @@ from punctref.puncture import (
     refined_class_excess,
     segre_class,
 )
+
+from conftest import FIXTURE_NAMES, load, random_puncturing
 
 
 def test_puncturing_data_validation():
@@ -254,3 +267,55 @@ def test_excess_zero_excess_degree():
     pd = puncturing_data({"p1.1": {"a": 1}, "p1.2": {"b": 1}})
     cls = refined_class_excess(c, pd, [("a",), ("b",)])
     assert cls == multiply(ray_class(c, "a"), ray_class(c, "b"))
+
+
+def refined_upstairs(c, pd):
+    """The refined class formed upstairs: pull each offset back along the
+    trace, multiply on the principalized complex, truncate, push down."""
+    c2, trace, total = principalize(c, normalized_ideal(c, pd))
+    E = divisor_of_pl(total, c2)
+    prod, power = zero(c2), unit(c2)
+    for j in range(1, pd.k_P + 1):
+        power = multiply(power, E)
+        prod = prod + power.scale((-1) ** (j - 1))
+    for _, f in pd.offsets:
+        for step in trace:
+            f = pl_pullback(f, step)
+        prod = multiply(prod, unit(c2) + divisor_of_pl(f, c2))
+    prod = truncate(prod, pd.k_P)
+    for step in reversed(trace):
+        prod = pushforward(prod, step)
+    return prod, trace
+
+
+def test_refined_matches_upstairs_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        res = refined_class(fx.complex, fx.offsets)
+        assert (res.cls, res.trace) == refined_upstairs(fx.complex, fx.offsets), name
+
+
+def test_refined_matches_upstairs_on_random_charts():
+    compared = 0
+    for seed in range(120):
+        c, pd = random_puncturing(random.Random(seed))
+        res = refined_class(c, pd)
+        if not res.components:
+            assert res.cls.is_zero()
+            continue
+        assert (res.cls, res.trace) == refined_upstairs(c, pd), seed
+        compared += 1
+    assert compared >= 100
+
+
+def test_refined_crosscheck_catches_wrong_segre(p2, monkeypatch):
+    degrees = []
+
+    def wrong(c, ideal, max_codim):
+        degrees.append(max_codim)
+        return segre_class(c, ideal, max_codim) + unit(c)
+
+    monkeypatch.setattr(punctref.aluffi, "segre_newton", wrong)
+    with pytest.raises(ArithmeticError, match="backend disagreement"):
+        refined_class(p2.complex, p2.offsets, backend="aluffi-crosscheck")
+    assert degrees == [p2.offsets.k_P]

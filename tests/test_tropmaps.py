@@ -36,6 +36,14 @@ def test_numerical_data_partition():
     assert nd.k_P == 2
 
 
+def test_numerical_data_rank_is_one_based():
+    nd = numerical_data(2, (1, 1), [(2, 2), (-1, -1)])
+    assert nd.rank(1) == 0
+    for i in (0, -1, 3):
+        with pytest.raises(ValueError, match="marking index"):
+            nd.rank(i)
+
+
 def test_numerical_data_validation():
     with pytest.raises(ValueError, match="genus"):
         numerical_data(1, (1,), []).__class__(1, (1,), (), genus=1)
