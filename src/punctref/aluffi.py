@@ -84,7 +84,7 @@ def principalize_newton(
         if len(chart) != 2:
             continue
         r1, r2 = chart
-        pts = {(int(g.get(r1)), int(g.get(r2))) for g in gens}
+        pts = {(g.get(r1), g.get(r2)) for g in gens}
         required = _edge_normals(_staircase_vertices(pts))
         # ordered fan of the chart, from (1,0) to (0,1)
         fan: list[tuple[tuple[int, int], str]] = [((1, 0), r1), ((0, 1), r2)]
@@ -105,9 +105,9 @@ def principalize_newton(
     for rid in current.ray_ids:
         if rid in new_vecs:
             (r1, r2), v = new_vecs[rid]
-            val = min(v[0] * int(g.get(r1)) + v[1] * int(g.get(r2)) for g in gens)
+            val = min(v[0] * g.get(r1) + v[1] * g.get(r2) for g in gens)
         else:
-            val = min(int(g.get(rid)) for g in gens)
+            val = min(g.get(rid) for g in gens)
         if val:
             values[rid] = val
     return current, tuple(trace), pl_function(values)

@@ -22,7 +22,6 @@ from .tropmaps import (
     EnumerationBoundError,
     NumericalData,
     TargetModel,
-    TropicalType,
     enumerate_types,
     target_model,
 )

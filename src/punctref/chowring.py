@@ -2,8 +2,10 @@
 
 Classes are elements of the Stanley-Reisner presentation: rational linear
 combinations of monomials in the ray variables, with every monomial whose
-ray-support is not a cone reduced to zero. Pullback and pushforward along a
-stellar subdivision step implement the blowup formulas for a two-ray center.
+ray-support is not a cone reduced to zero. Coefficients are ints while they
+are integral and Fractions after a division; no float enters a class.
+Pullback and pushforward along a stellar subdivision step implement the
+blowup formulas for a two-ray center.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .conecx import ConeComplex, PLFunction, SubdivisionStep
+from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact
 
 __all__ = [
     "Monomial",
@@ -35,18 +37,8 @@ def _norm_monomial(exps: Mapping[str, int]) -> Monomial:
     return tuple(sorted((r, int(e)) for r, e in exps.items() if e))
 
 
-def _is_normal(m: tuple) -> bool:
-    # already sorted with positive int exponents, so normalization is a no-op
-    prev = ""
-    for r, e in m:
-        if type(e) is not int or e <= 0 or r <= prev:
-            return False
-        prev = r
-    return True
-
-
 def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return sum([e for _, e in m])
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -75,8 +67,9 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _mono_key(m: Monomial) -> tuple:
-    return (_mono_degree(m), m)
+def _term_key(t: tuple[Monomial, int | Fraction]) -> tuple:
+    # graded-lex: degree first, then the sorted exponent tuple
+    return (_mono_degree(t[0]), t[0])
 
 
 @dataclass(frozen=True)
@@ -84,14 +77,10 @@ class ChowClass:
     """A reduced Stanley-Reisner element attached to its complex."""
 
     complex: ConeComplex
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, int | Fraction], ...]
 
-    def coeff(self, exps: Mapping[str, int]) -> Fraction:
-        key = _norm_monomial(exps)
-        for m, c in self.terms:
-            if m == key:
-                return c
-        return Fraction(0)
+    def coeff(self, exps: Mapping[str, int]) -> int | Fraction:
+        return dict(self.terms).get(_norm_monomial(exps), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -101,20 +90,20 @@ class ChowClass:
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         _check_same_complex(self, other)
-        return reduce(list(self.terms) + list(other.terms), self.complex)
+        acc = dict(self.terms)
+        for m, v in other.terms:
+            acc[m] = acc.get(m, 0) + v
+        return _finish(acc, self.complex)
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         return multiply(self, other)
 
     def scale(self, factor: Fraction | int) -> "ChowClass":
-        f = Fraction(factor)
-        return ChowClass(
-            self.complex,
-            tuple((m, c * f) for m, c in self.terms if c * f != 0),
-        )
+        f = _exact(factor)
+        return _finish({m: c * f for m, c in self.terms}, self.complex)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowClass):
@@ -135,29 +124,22 @@ def reduce(
     c: ConeComplex,
 ) -> ChowClass:
     """Stanley-Reisner reduction: kill non-cone monomials, merge, drop zeros."""
-    cone_set = c._cone_set()
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     for mono, coeff in terms:
-        if type(mono) is tuple and _is_normal(mono):
-            m = mono
-        elif isinstance(mono, Mapping):
-            m = _norm_monomial(mono)
-        else:
-            m = _norm_monomial(dict(mono))
-        if tuple(r for r, _ in m) not in cone_set:
-            continue
-        prev = acc.get(m)
-        acc[m] = coeff if prev is None else prev + coeff
+        m = _norm_monomial(mono if isinstance(mono, Mapping) else dict(mono))
+        acc[m] = acc.get(m, 0) + _exact(coeff)
     return _finish(acc, c)
 
 
-def _finish(acc: Mapping[Monomial, Fraction], c: ConeComplex) -> ChowClass:
-    cleaned = tuple(
-        (m, v if type(v) is Fraction else Fraction(v))
-        for m, v in sorted(acc.items(), key=lambda kv: _mono_key(kv[0]))
-        if v
-    )
-    return ChowClass(c, cleaned)
+def _finish(acc: Mapping[Monomial, int | Fraction], c: ConeComplex) -> ChowClass:
+    """The class of normalized, merged terms: the one place that drops zero
+    and non-cone terms and sorts into graded-lex order."""
+    cone_set = c._cone_set()
+    kept = [
+        (m, v) for m, v in acc.items() if v and tuple([r for r, _ in m]) in cone_set
+    ]
+    kept.sort(key=_term_key)
+    return ChowClass(c, tuple(kept))
 
 
 def zero(c: ConeComplex) -> ChowClass:
@@ -165,16 +147,16 @@ def zero(c: ConeComplex) -> ChowClass:
 
 
 def unit(c: ConeComplex) -> ChowClass:
-    return reduce([((), 1)], c)
+    return _finish({(): 1}, c)
 
 
 def ray_class(c: ConeComplex, ray_id: str) -> ChowClass:
-    return reduce([({ray_id: 1}, 1)], c)
+    return _finish({((ray_id, 1),): 1}, c)
 
 
 def stratum_class(c: ConeComplex, cone: Iterable[str]) -> ChowClass:
     """Class of a stratum closure: the square-free monomial on the cone's rays."""
-    return reduce([({r: 1 for r in cone}, 1)], c)
+    return _finish({_norm_monomial(dict.fromkeys(cone, 1)): 1}, c)
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -182,7 +164,7 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     _check_same_complex(a, b)
     cones = a.complex._cone_supports()
     bt = [(m2, c2, frozenset(r for r, _ in m2)) for m2, c2 in b.terms]
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     for m1, c1 in a.terms:
         f1 = frozenset(r for r, _ in m1)
         for m2, c2, f2 in bt:
@@ -191,18 +173,22 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
             if f1 | f2 not in cones:
                 continue
             m = _mono_mul(m1, m2)
-            cf = c1 * c2
-            prev = acc.get(m)
-            acc[m] = cf if prev is None else prev + cf
+            acc[m] = acc.get(m, 0) + c1 * c2
     return _finish(acc, a.complex)
 
 
 def divisor_of_pl(f: PLFunction, c: ConeComplex) -> ChowClass:
     """Degree-1 class of a PL function: sum over rays of f(u_rho) x_rho."""
-    terms = []
-    for rid in c.ray_ids:
-        terms.append(({rid: 1}, f.get(rid)))
-    return reduce(terms, c)
+    return _finish({((rid, 1),): f.get(rid) for rid in c.ray_ids}, c)
+
+
+def _split_center(
+    mono: Monomial, r1: str, r2: str, e: str
+) -> tuple[Monomial, int, int, int]:
+    """The monomial without r1, r2 and e, and the exponents of those three."""
+    exps = dict(mono)
+    a1, a2, ae = exps.pop(r1, 0), exps.pop(r2, 0), exps.pop(e, 0)
+    return tuple(exps.items()), a1, a2, ae
 
 
 def pullback(a: ChowClass, step: SubdivisionStep) -> ChowClass:
@@ -215,44 +201,22 @@ def pullback(a: ChowClass, step: SubdivisionStep) -> ChowClass:
         raise ValueError("class does not live on the step's source complex")
     r1, r2 = step.center
     e = step.new_ray
-    out: list[tuple[Monomial, Fraction]] = []
+    center = {r1, r2}
+    acc: dict[Monomial, int | Fraction] = {}
     for mono, coeff in a.terms:
-        hit = False
-        for r, _ in mono:
-            if r == r1 or r == r2:
-                hit = True
-                break
-        if not hit:
-            # no center ray in sight: the morphism fixes every variable here,
-            # and the support is a surviving cone downstairs
-            out.append((mono, coeff))
+        if center.isdisjoint(r for r, _ in mono):
+            # the morphism fixes every variable here, and the support is a
+            # surviving cone; every expanded term below carries r1, r2 or e,
+            # so nothing else lands on this monomial
+            acc[mono] = coeff
             continue
-        expanded: list[tuple[dict[str, int], Fraction]] = [({}, coeff)]
-        for ray, exp in mono:
-            if ray in (r1, r2):
-                nxt: list[tuple[dict[str, int], Fraction]] = []
-                for base, cf in expanded:
-                    for i in range(exp + 1):
-                        exps = dict(base)
-                        if exp - i:
-                            exps[ray] = exps.get(ray, 0) + exp - i
-                        if i:
-                            exps[e] = exps.get(e, 0) + i
-                        nxt.append((exps, cf * comb(exp, i)))
-                expanded = nxt
-            else:
-                for base, _ in expanded:
-                    base[ray] = base.get(ray, 0) + exp
-        out.extend((_norm_monomial(exps), cf) for exps, cf in expanded)
-    return reduce(out, step.post)
-
-
-def _h_complete(deg: int, r1: str, r2: str) -> list[Monomial]:
-    """Monomials of the complete homogeneous symmetric polynomial h_deg(x_r1, x_r2)."""
-    return [
-        _norm_monomial({r1: t, r2: deg - t})
-        for t in range(deg + 1)
-    ]
+        base, a1, a2, _ = _split_center(mono, r1, r2, e)
+        for i1 in range(a1 + 1):
+            for i2 in range(a2 + 1):
+                split = _norm_monomial({r1: a1 - i1, r2: a2 - i2, e: i1 + i2})
+                m = _mono_mul(base, split)
+                acc[m] = acc.get(m, 0) + coeff * comb(a1, i1) * comb(a2, i2)
+    return _finish(acc, step.post)
 
 
 def pushforward(a: ChowClass, step: SubdivisionStep) -> ChowClass:
@@ -269,49 +233,29 @@ def pushforward(a: ChowClass, step: SubdivisionStep) -> ChowClass:
     r1, r2 = step.center
     e = step.new_ray
     affected = {r1, r2, e}
-    out: list[tuple[Monomial, Fraction]] = []
-    staged: dict[tuple[Monomial, int], Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     for mono, coeff in a.terms:
-        hit = False
-        for r, _ in mono:
-            if r in affected:
-                hit = True
-                break
-        if not hit:
-            # the monomial avoids the center and the exceptional ray, and its
-            # support survives the blowdown, so the term passes through as is
-            out.append((mono, coeff))
+        if affected.isdisjoint(r for r, _ in mono):
+            # the support survives the blowdown, and every pushed term below
+            # carries r1 or r2, so nothing else lands on this monomial
+            acc[mono] = coeff
             continue
-        exps = dict(mono)
-        a1 = exps.pop(r1, 0)
-        a2 = exps.pop(r2, 0)
-        ae = exps.pop(e, 0)
-        base = _norm_monomial(exps)
+        base, a1, a2, ae = _split_center(mono, r1, r2, e)
         for i1 in range(a1 + 1):
             for i2 in range(a2 + 1):
                 j = ae + i1 + i2
-                down = dict(base)
-                if a1 - i1:
-                    down[r1] = down.get(r1, 0) + a1 - i1
-                if a2 - i2:
-                    down[r2] = down.get(r2, 0) + a2 - i2
-                scale = comb(a1, i1) * comb(a2, i2) * (-1) ** (i1 + i2)
-                cf = coeff * scale
-                key = (_norm_monomial(down), j)
-                prev = staged.get(key)
-                staged[key] = cf if prev is None else prev + cf
-    for (down, j), cf in staged.items():
-        if cf == 0:
-            continue
-        if j == 0:
-            out.append((down, cf))
-        elif j == 1:
-            continue
-        else:
-            exc = _norm_monomial({r1: 1, r2: 1})
-            for hm in _h_complete(j - 2, r1, r2):
-                out.append((_mono_mul(down, _mono_mul(hm, exc)), -cf))
-    return reduce(out, step.pre)
+                if j == 1:
+                    continue
+                cf = coeff * comb(a1, i1) * comb(a2, i2) * (-1) ** (i1 + i2)
+                down = _mono_mul(base, _norm_monomial({r1: a1 - i1, r2: a2 - i2}))
+                if j == 0:
+                    acc[down] = acc.get(down, 0) + cf
+                    continue
+                # the monomials of h_(j-2)(x_r1, x_r2) x_r1 x_r2
+                for t in range(j - 1):
+                    m = _mono_mul(down, _norm_monomial({r1: t + 1, r2: j - 1 - t}))
+                    acc[m] = acc.get(m, 0) - cf
+    return _finish(acc, step.pre)
 
 
 def truncate(a: ChowClass, degree: int) -> ChowClass:

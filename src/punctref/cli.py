@@ -31,13 +31,7 @@ from .fixtureio import (
     types_to_json,
 )
 from .gerby import check_pushforward_identity_on_complex, rooting_data
-from .puncture import (
-    PrincipalizationError,
-    normalized_ideal,
-    principalize,
-    refined_class,
-    segre_class,
-)
+from .puncture import PrincipalizationError, _segre, normalized_ideal, refined_class
 from .tropmaps import (
     BalancingError,
     EnumerationBoundError,
@@ -139,14 +133,14 @@ def _cmd_refined_class(fixture: Fixture, args) -> tuple[dict, int]:
 def _cmd_segre(fixture: Fixture, args) -> tuple[dict, int]:
     c, pd = _complex_and_offsets(fixture)
     ideal = normalized_ideal(c, pd)
-    cls = segre_class(c, ideal, max_codim=args.max_codim, backend=args.backend)
-    generators = []
-    for (oid, _), gen in zip(pd.offsets, ideal.generators):
-        values = {r: int(v) for r, v in sorted(gen.as_dict().items())}
-        generators.append({"puncture": oid, "values": values})
+    max_codim = c.dim() if args.max_codim is None else args.max_codim
+    cls, trace = _segre(c, ideal, max_codim, args.backend, None)
+    generators = [
+        {"puncture": oid, "values": dict(sorted(gen.as_dict().items()))}
+        for (oid, _), gen in zip(pd.offsets, ideal.generators)
+    ]
     result = {"class": serialize(cls), "generators": generators}
     if args.trace:
-        _, trace, _ = principalize(c, ideal)
         result["trace"] = _trace_json(trace)
     return result, 0
 
@@ -254,15 +248,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --max-codim must be nonnegative", file=sys.stderr)
         return 2
     try:
+        # the handlers read --rooting and --subdivision files themselves
         fixture, raw = load_fixture_file(args.input)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
+        result, code = _HANDLERS[args.command](fixture, args)
+    except OSError as e:
         print(f"error: cannot read input: {e}", file=sys.stderr)
         return 2
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        result, code = _HANDLERS[args.command](fixture, args)
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -305,29 +305,41 @@ def star_subdivide(
     return post, step
 
 
+def _exact(v: int | Fraction | float | str) -> int | Fraction:
+    """v as an int when it is integral, else as the exact Fraction of v (0.5 is 1/2)."""
+    if type(v) is int:
+        return v
+    f = Fraction(v)
+    return f.numerator if f.denominator == 1 else f
+
+
 @dataclass(frozen=True)
 class PLFunction:
     """Integer-or-rational values on rays, one linear function per cone."""
 
-    values: tuple[tuple[str, Fraction], ...]
+    values: tuple[tuple[str, int | Fraction], ...]
 
-    def _map(self) -> dict[str, Fraction]:
+    def __post_init__(self) -> None:
+        # integral values are held as ints however the function is built
+        object.__setattr__(self, "values", tuple((k, _exact(v)) for k, v in self.values))
+
+    def _map(self) -> dict[str, int | Fraction]:
         m = self.__dict__.get("_map_cache")
         if m is None:
             m = dict(self.values)
             self.__dict__["_map_cache"] = m
         return m
 
-    def value(self, ray_id: str) -> Fraction:
+    def value(self, ray_id: str) -> int | Fraction:
         try:
             return self._map()[ray_id]
         except KeyError:
             raise KeyError(f"PL function has no value on ray {ray_id!r}") from None
 
-    def get(self, ray_id: str, default: Fraction = Fraction(0)) -> Fraction:
+    def get(self, ray_id: str, default: int | Fraction = 0) -> int | Fraction:
         return self._map().get(ray_id, default)
 
-    def as_dict(self) -> dict[str, Fraction]:
+    def as_dict(self) -> dict[str, int | Fraction]:
         return dict(self.values)
 
     @property
@@ -337,8 +349,7 @@ class PLFunction:
 
 def pl_function(values: Mapping[str, int | Fraction]) -> PLFunction:
     """Build a PL function from a ray-to-value mapping."""
-    items = tuple(sorted((k, Fraction(v)) for k, v in values.items()))
-    return PLFunction(items)
+    return PLFunction(tuple(sorted(values.items())))
 
 
 def pl_pullback(f: PLFunction, step: SubdivisionStep) -> PLFunction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .conecx import ConeComplex, Ray, build_complex
 from .puncture import PuncturingData, puncturing_data

@@ -166,14 +166,14 @@ def twist_complex(
             v = f.get(rid)
             if v:
                 r = roots[directions[oid] - 1]
-                m = lcm(m, r // gcd(r, int(v)))
+                m = lcm(m, r // gcd(r, v))
         scaling[rid] = m
     twisted: dict[str, dict[str, int]] = {}
     for oid, f in pd.offsets:
         r = roots[directions[oid] - 1]
         vals = {}
         for rid in c.ray_ids:
-            v = int(f.get(rid))
+            v = f.get(rid)
             if v:
                 num = scaling[rid] * v
                 assert num % r == 0
@@ -187,10 +187,10 @@ def root_pushforward(a: ChowClass, scaling: dict[str, int], target: ConeComplex)
     exponent contributes the inverse scaling c_rho^-e."""
     terms = []
     for mono, coeff in a.terms:
-        f = Fraction(coeff)
+        den = 1
         for rid, e in mono:
-            f /= Fraction(scaling[rid]) ** e
-        terms.append((dict(mono), f))
+            den *= scaling[rid] ** e
+        terms.append((mono, Fraction(coeff, den)))
     return chow_reduce(terms, target)
 
 
@@ -198,10 +198,9 @@ def root_pullback(a: ChowClass, scaling: dict[str, int], source: ConeComplex) ->
     """Pull a class back to the rooted complex: x_rho = c_rho * x~_rho."""
     terms = []
     for mono, coeff in a.terms:
-        f = Fraction(coeff)
         for rid, e in mono:
-            f *= Fraction(scaling[rid]) ** e
-        terms.append((dict(mono), f))
+            coeff *= scaling[rid] ** e
+        terms.append((mono, coeff))
     return chow_reduce(terms, source)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -20,7 +19,7 @@ from .chowring import (
     divisor_of_pl,
     multiply,
     pushforward,
-    reduce,
+    ray_class,
     stratum_class,
     truncate,
     unit,
@@ -134,11 +133,11 @@ def normalized_ideal(c: ConeComplex, pd: PuncturingData) -> MonomialIdealOnCompl
     for rid in c.ray_ids:
         g = 0
         for _, f in pd.offsets:
-            g = gcd(g, int(f.get(rid)))
+            g = gcd(g, f.get(rid))
         per_ray[rid] = g if g else 1
     gens = []
     for _, f in pd.offsets:
-        vals = {rid: int(f.get(rid)) // per_ray[rid] for rid in c.ray_ids if f.get(rid)}
+        vals = {rid: f.get(rid) // per_ray[rid] for rid in c.ray_ids if f.get(rid)}
         gens.append(pl_function(vals))
     return MonomialIdealOnComplex(c, tuple(gens))
 
@@ -167,7 +166,7 @@ def puncturing_components(
 
 
 def _restriction(gen: PLFunction, cone: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(int(gen.get(r)) for r in cone)
+    return tuple(gen.get(r) for r in cone)
 
 
 def _dividing_generator(
@@ -181,24 +180,6 @@ def _dividing_generator(
     return None
 
 
-def _crossing_pairs(
-    gens: Sequence[PLFunction], cone: tuple[str, ...]
-) -> list[tuple[str, str]]:
-    """Ray pairs of the cone where two generators cross strictly."""
-    vecs = [_restriction(g, cone) for g in gens]
-    pairs = set()
-    n = len(cone)
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            va, vb = vecs[a], vecs[b]
-            ups = [i for i in range(n) if va[i] > vb[i]]
-            downs = [i for i in range(n) if va[i] < vb[i]]
-            for i in ups:
-                for j in downs:
-                    pairs.add(tuple(sorted((cone[i], cone[j]))))
-    return sorted(pairs)
-
-
 def _crossing_faces_for_pair(
     ga: PLFunction, gb: PLFunction, c: ConeComplex
 ) -> dict[tuple[str, str], int]:
@@ -208,7 +189,7 @@ def _crossing_faces_for_pair(
     and d_j < 0 crosses in every maximal cone containing it; the excess
     d_i - d_j does not depend on the cone.
     """
-    d = {r: int(ga.get(r)) - int(gb.get(r)) for r in c.ray_ids}
+    d = {r: ga.get(r) - gb.get(r) for r in c.ray_ids}
     faces: dict[tuple[str, str], int] = {}
     for cone in c.maximal_cones():
         pos = [(r, d[r]) for r in cone if d[r] > 0]
@@ -267,7 +248,7 @@ def principalize(
                         f"non-principal cone {cone} without a crossing pair"
                     )
             ray_min = {
-                rid: min(int(g.get(rid)) for g in gens) for rid in current.ray_ids
+                rid: min(g.get(rid) for g in gens) for rid in current.ray_ids
             }
             total = pl_function({r: v for r, v in ray_min.items() if v})
             return current, tuple(trace), total
@@ -285,7 +266,7 @@ def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
         power = multiply(power, E)
         if power.is_zero():
             break
-        acc = acc + power.scale(Fraction((-1) ** (j - 1)))
+        acc = acc + power.scale((-1) ** (j - 1))
     return acc
 
 
@@ -406,8 +387,6 @@ def refined_class_excess(
     for _, f in pd.offsets:
         prod = multiply(prod, unit(c) + divisor_of_pl(f, c))
     for r in sigma:
-        inv = reduce(
-            [({r: j}, Fraction((-1) ** j)) for j in range(e + 1)], c
-        )
-        prod = multiply(prod, inv)
+        # 1 / (1 + x_r) = 1 - x_r / (1 + x_r), through degree e
+        prod = multiply(prod, unit(c) - _power_series_part(ray_class(c, r), e))
     return multiply(truncate(prod, e), stratum_class(c, sigma))

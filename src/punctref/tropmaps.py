@@ -10,6 +10,7 @@ generators.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -153,6 +154,8 @@ def target_model(
         fs = frozenset(int(j) for j in face)
         if any(j < 1 or j > k for j in fs):
             raise ValueError(f"face {sorted(fs)} outside 1..{k}")
+        if any(fs == f for f, _ in rows):
+            raise ValueError(f"face {sorted(fs)} listed twice")
         cl = tuple((tuple(int(x) for x in p), str(lab)) for p, lab in classes)
         for p, _ in cl:
             if len(p) != k:
@@ -448,8 +451,6 @@ def _prufer_trees(n: int) -> Iterable[tuple[tuple[int, int], ...]]:
             degree[leaf] -= 1
             degree[v] -= 1
             if degree[v] == 1:
-                import bisect
-
                 bisect.insort(avail, v)
         u, w = [i for i in range(n) if degree[i] == 1]
         edges.append((u, w))

@@ -282,6 +282,36 @@ def test_sensitivity_bad_subdivision_file(capsys, tmp_path):
     assert code == 2 and out == "" and "rays and cones" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sensitivity", fixture_path("p2-two-lines"), "--subdivision", "/no/fan.json"),
+        ("twisted-check", fixture_path("pr-hyperplane"), "--rooting", "/no/roots.json"),
+    ],
+)
+def test_missing_option_file_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read input:") and err.count("\n") == 1
+
+
+def test_repeated_stratum_face_exits_2(capsys, tmp_path):
+    path = write_fixture(
+        tmp_path,
+        {
+            "data": {"k": 1, "degrees": [1], "markings": [[2], [-1]]},
+            "strata": [
+                {"face": [], "classes": [{"pairing": [1], "label": "line"}]},
+                {"face": [1], "classes": []},
+                {"face": [1], "classes": [{"pairing": [1], "label": "line-in-H"}]},
+            ],
+        },
+    )
+    code, out, err = run_cli(capsys, "enumerate", path)
+    assert code == 2 and out == ""
+    assert err == "error: $.strata: face [1] listed twice\n"
+
+
 def test_enumeration_bound_maps_to_exit_1(capsys, tmp_path):
     path = write_fixture(
         tmp_path,
@@ -310,6 +340,10 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     path.write_text("{not json")
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 2 and out == "" and "invalid JSON" in err
+    # bytes that decode as no text at all
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_schema_error_carries_json_path(capsys, tmp_path):

@@ -86,6 +86,9 @@ def test_target_model_shape():
         target_model(1, [((2,), [])])
     with pytest.raises(ValueError, match="length"):
         target_model(1, [((), [((1, 2), "a")])])
+    # a second row for a face would be ignored by classes_at
+    with pytest.raises(ValueError, match=r"face \[1\] listed twice"):
+        target_model(1, [((), [((1,), "line")]), ((1,), []), ((1,), [((1,), "line-in-H")])])
 
 
 def p2_two_vertex_type():
