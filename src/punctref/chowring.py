@@ -126,7 +126,13 @@ def reduce(
     """Stanley-Reisner reduction: kill non-cone monomials, merge, drop zeros."""
     acc: dict[Monomial, int | Fraction] = {}
     for mono, coeff in terms:
-        m = _norm_monomial(mono if isinstance(mono, Mapping) else dict(mono))
+        if not isinstance(mono, Mapping):
+            # a pair tuple may repeat a ray; its exponents add up
+            exps: dict[str, int] = {}
+            for r, e in mono:
+                exps[r] = exps.get(r, 0) + e
+            mono = exps
+        m = _norm_monomial(mono)
         acc[m] = acc.get(m, 0) + _exact(coeff)
     return _finish(acc, c)
 

@@ -228,22 +228,23 @@ def load_fixture(doc: Any, path: str = "$") -> Fixture:
     return Fixture(data, model, cx, offsets, trace, lifted)
 
 
-def load_fixture_file(filename: str) -> tuple[Fixture, bytes]:
+def _read_json(filename: str) -> tuple[Any, bytes]:
+    """The parsed document and the raw bytes of a JSON file."""
     with open(filename, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw)
+        return json.loads(raw), raw
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"invalid JSON: {e}") from e
+
+
+def load_fixture_file(filename: str) -> tuple[Fixture, bytes]:
+    doc, raw = _read_json(filename)
     return load_fixture(doc), raw
 
 
 def load_rooting_file(filename: str) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
-    with open(filename, "rb") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError("$", f"invalid JSON: {e}") from e
+    doc, _ = _read_json(filename)
     _expect(doc, dict, "$", "a rooting object")
     if "r" not in doc:
         raise SchemaError("$.r", "missing")
@@ -260,11 +261,7 @@ def load_subdivision_arg(arg: str, k: int):
         return trivial_subdivision(k)
     if arg == "barycentric":
         return barycentric_subdivision(k)
-    with open(arg, "rb") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError("$", f"invalid JSON: {e}") from e
+    doc, _ = _read_json(arg)
     _expect(doc, dict, "$", "a subdivision object")
     if "rays" not in doc or "cones" not in doc:
         raise SchemaError("$", "needs rays and cones")

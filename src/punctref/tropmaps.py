@@ -10,11 +10,10 @@ generators.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .conecx import ConeComplex, Ray, build_complex
 from .lattice import is_unimodular, nullspace, primitive, rref
@@ -344,7 +343,8 @@ def _position_rows(t: TropicalType) -> list[list[list[int]]]:
                 rw[j][k + idx] += sign * slope[j]
             rows[w] = rw
             stack.append(w)
-    assert all(r is not None for r in rows)
+    if any(r is None for r in rows):
+        raise BalancingError("not a tree: graph is disconnected")
     return rows  # type: ignore[return-value]
 
 
@@ -431,37 +431,18 @@ def realizable(nd: NumericalData, t: TropicalType) -> bool:
     return all(sum(c * x for c, x in zip(row, z)) > 0 for row in cone.ineq_rows)
 
 
-def _prufer_trees(n: int) -> Iterable[tuple[tuple[int, int], ...]]:
-    if n == 1:
-        yield ()
-        return
-    if n == 2:
-        yield ((0, 1),)
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        avail = sorted(i for i in range(n) if degree[i] == 1)
-        seq_list = list(seq)
-        for v in seq_list:
-            leaf = avail.pop(0)
-            edges.append((min(leaf, v), max(leaf, v)))
-            degree[leaf] -= 1
-            degree[v] -= 1
-            if degree[v] == 1:
-                bisect.insort(avail, v)
-        u, w = [i for i in range(n) if degree[i] == 1]
-        edges.append((u, w))
-        yield tuple(edges)
+def _trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The (n-1)! trees on 0..n-1 where each i >= 1 hangs off a parent p < i;
+    breadth-first labeling puts every isomorphism class among them."""
+    for parents in itertools.product(*(range(i) for i in range(1, n))):
+        yield tuple((p, i) for i, p in enumerate(parents, 1))
 
 
 def _face_candidates(
     nd: NumericalData, tm: TargetModel
-) -> dict[frozenset, list[tuple[tuple[int, ...], str]]]:
-    """Per-face admissible classes: bounded nonnegative combinations of the
-    listed pairings, the zero class always included."""
+) -> list[tuple[frozenset, tuple[int, ...], str]]:
+    """Admissible (face, class, label) triples by face: bounded nonnegative
+    combinations of the listed pairings, the zero class always included."""
     for j in range(nd.k):
         signs = set()
         for _, classes in tm.strata:
@@ -476,11 +457,11 @@ def _face_candidates(
                 "both signs, so class splittings do not terminate"
             )
     cap = [abs(d) for d in nd.degrees]
-    out: dict[frozenset, list[tuple[tuple[int, ...], str]]] = {}
+    out: list[tuple[frozenset, tuple[int, ...], str]] = []
     faces = {frozenset(): None}
     for f, _ in tm.strata:
         faces[f] = None
-    for face in faces:
+    for face in sorted(faces, key=lambda f: (len(f), sorted(f))):
         listed = [
             (p, lab) for p, lab in tm.classes_at(face) if any(x != 0 for x in p)
         ]
@@ -502,8 +483,54 @@ def _face_candidates(
                     )
                     combos[nxt] = "+".join(names)
                 frontier.append((nxt, nused))
-        out[face] = sorted(combos.items())
+        out.extend((face, p, lab) for p, lab in sorted(combos.items()))
     return out
+
+
+def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[TropicalType]:
+    """Realizable types on the trees of _trees(n) whose zero-class vertices
+    keep at least three special points, save a lone vertex at the trivial face."""
+    n_marks = len(nd.markings)
+    for edges in _trees(n):
+        degree = [0] * n
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        for legassign in itertools.product(range(n), repeat=n_marks):
+            legs: list[tuple[int, ...]] = [
+                tuple(i + 1 for i in range(n_marks) if legassign[i] == v)
+                for v in range(n)
+            ]
+            specials = [degree[v] + len(legs[v]) for v in range(n)]
+            chosen: list[tuple[frozenset, tuple[int, ...], str]] = []
+
+            def assign(v: int, partial: tuple[int, ...]) -> Iterator[TropicalType]:
+                if v == n:
+                    if partial != nd.degrees:
+                        return
+                    verts = [
+                        VertexDecor(chosen[i][0], chosen[i][1], chosen[i][2], legs[i])
+                        for i in range(n)
+                    ]
+                    try:
+                        t = slopes_from_balancing(nd, verts, list(edges))
+                    except BalancingError:
+                        return
+                    if realizable(nd, t):
+                        yield t
+                    return
+                for face, pairing, label in candidates:
+                    zero = all(x == 0 for x in pairing)
+                    if zero and specials[v] < 3 and not (n == 1 and not face):
+                        continue
+                    nxt = tuple(a + b for a, b in zip(partial, pairing))
+                    if any(abs(x) > abs(d) for x, d in zip(nxt, nd.degrees)):
+                        continue
+                    chosen.append((face, pairing, label))
+                    yield from assign(v + 1, nxt)
+                    chosen.pop()
+
+            yield from assign(0, tuple([0] * nd.k))
 
 
 def enumerate_types(
@@ -514,71 +541,35 @@ def enumerate_types(
     """All isomorphism classes of realizable tropical types for the data.
 
     Vertices with zero class keep at least three special points (a stability
-    proxy) except the single-vertex type at the trivial face. The output is
-    closed under
-    specialization and sorted by canonical form. Incompleteness is never
-    silent: class splittings without a sign bound and witnesses at the vertex
-    bound both raise EnumerationBoundError.
+    proxy) except the single-vertex type at the trivial face. So no type has
+    more than B = max(1, 2N + m - 2) vertices, for m markings and
+    N = floor(sum_j |d_j| / w), w the least weight sum_j |p_j| of a nonzero
+    candidate class (N = 0 without one); the argument is beside the code.
+    The output is closed under specialization and sorted by canonical form.
+    Class splittings without a sign bound raise EnumerationBoundError. An
+    explicit ``bounds={"max_vertices": cap}`` stops at min(cap, B) vertices
+    and, unlike the default, raises it when types exist at cap.
     """
     report = validate_numerical_data(nd)
     if not report["ok"]:
         raise ValueError(f"unbalanced numerical data at j = {report['violations']}")
-    max_v = None
-    if bounds:
-        max_v = bounds.get("max_vertices")
-    if max_v is None:
-        max_v = max(2, len(nd.markings) + sum(abs(d) for d in nd.degrees) + 1)
     candidates = _face_candidates(nd, tm)
-    cand_list = [
-        (face, pairing, label)
-        for face in sorted(candidates, key=lambda f: (len(f), sorted(f)))
-        for pairing, label in candidates[face]
-    ]
+    # In a tree on n >= 2 vertices, valences plus legs add up to 2(n - 1) + m.
+    # A zero-class vertex has at least three special points (the stability
+    # rule of _level_types) and every other vertex at least one, so
+    # n <= 2N + m - 2 for N nonzero-class vertices. The pairings of each
+    # coordinate share a sign (_face_candidates checks it), so the weights of
+    # the vertex classes add up to sum_j |d_j|, and N <= sum_j |d_j| // w.
+    weights = [sum(map(abs, p)) for _, p, _ in candidates if any(p)]
+    n_classes = sum(map(abs, nd.degrees)) // min(weights) if weights else 0
+    max_v = max(1, 2 * n_classes + len(nd.markings) - 2)
+    cap = (bounds or {}).get("max_vertices")
+    if cap is not None:
+        max_v = min(cap, max_v)
     found: dict[tuple, TropicalType] = {}
-    n_marks = len(nd.markings)
     for n in range(1, max_v + 1):
-        for edges in _prufer_trees(n):
-            degree = [0] * n
-            for a, b in edges:
-                degree[a] += 1
-                degree[b] += 1
-            for legassign in itertools.product(range(n), repeat=n_marks):
-                legs: list[tuple[int, ...]] = [
-                    tuple(i + 1 for i in range(n_marks) if legassign[i] == v)
-                    for v in range(n)
-                ]
-                specials = [degree[v] + len(legs[v]) for v in range(n)]
-                chosen: list[tuple[frozenset, tuple[int, ...], str]] = []
-
-                def assign(v: int, partial: tuple[int, ...]) -> None:
-                    if v == n:
-                        if partial != nd.degrees:
-                            return
-                        verts = [
-                            VertexDecor(chosen[i][0], chosen[i][1], chosen[i][2], legs[i])
-                            for i in range(n)
-                        ]
-                        try:
-                            t = slopes_from_balancing(nd, verts, list(edges))
-                        except BalancingError:
-                            return
-                        if realizable(nd, t):
-                            key = canonical_key(t)
-                            if key not in found:
-                                found[key] = t
-                        return
-                    for face, pairing, label in cand_list:
-                        zero = all(x == 0 for x in pairing)
-                        if zero and specials[v] < 3 and not (n == 1 and not face):
-                            continue
-                        nxt = tuple(a + b for a, b in zip(partial, pairing))
-                        if any(abs(x) > abs(d) for x, d in zip(nxt, nd.degrees)):
-                            continue
-                        chosen.append((face, pairing, label))
-                        assign(v + 1, nxt)
-                        chosen.pop()
-
-                assign(0, tuple([0] * nd.k))
+        for t in _level_types(nd, candidates, n):
+            found.setdefault(canonical_key(t), t)
     # close under specialization
     queue = list(found.values())
     while queue:
@@ -588,9 +579,9 @@ def enumerate_types(
             if key not in found:
                 found[key] = s
                 queue.append(s)
-    if any(t.n_vertices == max_v for t in found.values()):
+    if cap is not None and any(t.n_vertices == cap for t in found.values()):
         raise EnumerationBoundError(
-            f"valid types exist at the vertex bound {max_v}; enumeration may be incomplete"
+            f"valid types exist at the vertex bound {cap}; enumeration may be incomplete"
         )
     return tuple(found[k] for k in sorted(found))
 
@@ -653,9 +644,8 @@ def _decode(
         )
         posvals = [cone.position(members[0], j, z) for j in range(1, k + 1)]
         for v in members[1:]:
-            assert all(
-                cone.position(v, j, z) == posvals[j - 1] for j in range(1, k + 1)
-            )
+            if any(cone.position(v, j, z) != posvals[j - 1] for j in range(1, k + 1)):
+                raise ArithmeticError("contracted vertices at distinct positions")
         face = frozenset(j for j in range(1, k + 1) if posvals[j - 1] > 0)
         legs = tuple(sorted(i for v in members for i in t.vertices[v].legs))
         if len(members) == 1:
@@ -753,7 +743,8 @@ def assemble_complex(
             for j in range(1, nd.k + 1):
                 if alpha[j - 1] < 0:
                     val = cone.position(vtx, j, z)
-                    assert val.denominator == 1 and val >= 0
+                    if val.denominator != 1 or val < 0:
+                        raise ArithmeticError(f"offset {val} is not a natural number")
                     if val:
                         offsets[f"p{i}.{j}"][ray_names[key]] = int(val)
     return complex_, puncturing_data(offsets)
@@ -791,5 +782,6 @@ def positivize_type(nd: NumericalData, t: TropicalType) -> TropicalType:
             )
         )
     result = slopes_from_balancing(nd_pos, verts, [e.ends for e in t.edges])
-    assert all(a.slope == b.slope for a, b in zip(result.edges, t.edges))
+    if any(a.slope != b.slope for a, b in zip(result.edges, t.edges)):
+        raise ArithmeticError("degree shift changed an edge slope")
     return result

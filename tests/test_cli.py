@@ -295,6 +295,21 @@ def test_missing_option_file_exits_2(capsys, argv):
     assert err.startswith("error: cannot read input:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sensitivity", fixture_path("p2-two-lines"), "--subdivision"),
+        ("twisted-check", fixture_path("pr-hyperplane"), "--rooting"),
+    ],
+)
+def test_invalid_option_file_json_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "option.json"
+    path.write_text("{not json")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: $: invalid JSON:") and err.count("\n") == 1
+
+
 def test_repeated_stratum_face_exits_2(capsys, tmp_path):
     path = write_fixture(
         tmp_path,

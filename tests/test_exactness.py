@@ -88,3 +88,7 @@ def test_reduce_accepts_every_monomial_form():
     assert coefficient_types(expected) == {int}
     # (a, c) is not a cone, so the monomial dies in any form
     assert reduce([((("c", 1), ("a", 1)), 4)], c).is_zero()
+    # a ray repeated in a pair tuple adds its exponents
+    assert reduce([((("a", 1), ("a", 1)), 1)], c) == reduce([({"a": 2}, 1)], c)
+    repeated = reduce([((("b", 1), ("a", 1), ("b", 2)), 3)], c)
+    assert repeated.terms == (((("a", 1), ("b", 3)), 3),)

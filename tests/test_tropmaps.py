@@ -1,9 +1,18 @@
 """Tropical type enumeration, cones, balancing, and complex assembly."""
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import punctref
 from punctref.tropmaps import (
+    _face_candidates,
+    _level_types,
+    _trees,
     BalancingError,
     EdgeDecor,
     EnumerationBoundError,
@@ -325,3 +334,110 @@ def test_positivize_type_shifts_classes_keeps_slopes():
         assert realizable(nd_pos, tp)
         images.append(canonical_key(tp))
     assert len(set(images)) == len(types)
+
+
+def test_trees_cover_every_shape_once_per_labeling():
+    def shape(adj, v, parent):
+        return tuple(sorted(shape(adj, w, v) for w in adj[v] if w != parent))
+
+    for n, shapes in zip(range(1, 7), (1, 1, 1, 2, 3, 6)):
+        trees = list(_trees(n))
+        assert len(trees) == math.factorial(n - 1) == len(set(trees))
+        seen = set()
+        for edges in trees:
+            assert len(edges) == n - 1
+            adj = {v: [] for v in range(n)}
+            for a, b in edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            reach, stack = {0}, [0]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in reach:
+                        reach.add(w)
+                        stack.append(w)
+            assert len(reach) == n
+            seen.add(min(shape(adj, r, None) for r in range(n)))
+        assert len(seen) == shapes
+
+
+def test_enumerate_degree_two_default_bound():
+    _, tm = p2_data_model()
+    nd = numerical_data(2, (2, 2), [(3, 3), (-1, -1)])
+    types = enumerate_types(nd, tm)
+    assert len(types) == 18
+    assert max(t.n_vertices for t in types) == 4 == vertex_bound(nd, tm)
+
+
+def vertex_bound(nd, tm):
+    """B = max(1, 2N + m - 2), N = floor(sum |d_j| / least nonzero class weight)."""
+    weights = [sum(map(abs, p)) for _, p, _ in _face_candidates(nd, tm) if any(p)]
+    n = sum(map(abs, nd.degrees)) // min(weights) if weights else 0
+    return max(1, 2 * n + len(nd.markings) - 2)
+
+
+def small_data(rng):
+    """A balanced datum with k <= 2, at most three markings and sum |d_j| <= 2."""
+    p1 = target_model(1, [((), [((1,), "line")]), ((1,), [((1,), "line-in-H")])])
+    rulings = target_model(2, [
+        ((), [((1, 0), "f"), ((0, 1), "g")]),
+        ((1,), [((0, 1), "g")]),
+        ((2,), [((1, 0), "f")]),
+        ((1, 2), []),
+    ])
+    k = rng.choice((1, 2))
+    if k == 1:
+        tm, degrees = p1, (rng.choice((0, 1, 2)),)
+    else:
+        tm, degrees = rulings, rng.choice(((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)))
+    marks = [tuple(rng.randint(-1, 2) for _ in range(k)) for _ in range(rng.randint(0, 2))]
+    marks.append(tuple(degrees[j] - sum(a[j] for a in marks) for j in range(k)))
+    return numerical_data(k, degrees, marks), tm
+
+
+def test_no_stable_type_beyond_the_vertex_bound():
+    assert vertex_bound(*pr_data_model()) == 2 == vertex_bound(*p2_data_model())
+    rng = random.Random(4)
+    data = [pr_data_model(), p2_data_model()]
+    while len(data) < 8:
+        nd, tm = small_data(rng)
+        # B = 5 levels take about a minute; B <= 4 keeps the check fast
+        if vertex_bound(nd, tm) <= 4:
+            data.append((nd, tm))
+    for nd, tm in data:
+        b = vertex_bound(nd, tm)
+        assert next(_level_types(nd, _face_candidates(nd, tm), b + 1), None) is None
+        types = enumerate_types(nd, tm)
+        assert enumerate_types(nd, tm, bounds={"max_vertices": b + 1}) == types
+
+
+def disconnected_type():
+    nd, verts = p2_two_vertex_type()
+    verts += (VertexDecor(frozenset(), (0, 0), "0", ()),)
+    edges = (EdgeDecor((0, 1), frozenset([1, 2]), (-1, -1)),) * 2
+    return nd, TropicalType(2, verts, edges)
+
+
+def test_cone_of_disconnected_type_raises():
+    nd, t = disconnected_type()
+    with pytest.raises(BalancingError, match="not a tree: graph is disconnected"):
+        cone_of_type(nd, t)
+
+
+def test_cone_of_disconnected_type_raises_under_optimize():
+    code = (
+        "from test_tropmaps import cone_of_type, disconnected_type\n"
+        "try:\n"
+        "    cone_of_type(*disconnected_type())\n"
+        "except Exception as e:\n"
+        "    print(type(e).__name__, e)\n"
+    )
+    tests = os.path.dirname(__file__)
+    src = os.path.dirname(os.path.dirname(punctref.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "BalancingError not a tree: graph is disconnected\n"
