@@ -55,7 +55,8 @@ def _edge_normals(chain: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     normals = []
     for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
         n = primitive((y1 - y2, x2 - x1))
-        assert n[0] > 0 and n[1] > 0
+        if n[0] <= 0 or n[1] <= 0:
+            raise ArithmeticError(f"edge normal {n} is not positive")
         normals.append(n)
     normals.sort(key=lambda n: (n[1], n[0]))
     return normals

@@ -133,10 +133,10 @@ def faithful_lift(
         rows.append(row)
     degrees = tuple(sum(r[j] for r in rows) for j in range(nd.k + 1))
     lifted = NumericalData(nd.k + 1, degrees, tuple(rows), nd.genus)
-    assert step.push_vector(degrees) == nd.degrees
-    assert all(
-        step.push_vector(r) == a for r, a in zip(rows, nd.markings)
-    )
+    if step.push_vector(degrees) != nd.degrees:
+        raise ArithmeticError("lifted degrees do not push forward to the degrees")
+    if any(step.push_vector(r) != a for r, a in zip(rows, nd.markings)):
+        raise ArithmeticError("a lifted marking does not push forward to its marking")
     return LiftedData(
         step=step,
         nd=lifted,

@@ -213,7 +213,6 @@ def validate_complex(c: ConeComplex) -> dict:
             violations.append("primitive vectors of mixed ambient dimension")
         else:
             for r in c.rays:
-                assert r.primitive is not None
                 g = gcd(*(abs(x) for x in r.primitive)) if any(r.primitive) else 0
                 if g != 1:
                     violations.append(f"ray {r.id} primitive {r.primitive} not primitive")
@@ -270,7 +269,6 @@ def star_subdivide(
     if c.mode == "embedded":
         p1 = c.ray(r1).primitive
         p2 = c.ray(r2).primitive
-        assert p1 is not None and p2 is not None
         prim = tuple(a + b for a, b in zip(p1, p2))
     new_rays = sorted(list(c.rays) + [Ray(new_ray, prim)], key=lambda r: r.id)
     # the closure transforms cone by cone, so no re-closing is needed: a cone

@@ -276,14 +276,10 @@ def load_subdivision_arg(arg: str, k: int):
 
 
 def offsets_to_json(pd: PuncturingData) -> list[dict]:
-    out = []
-    for oid, f in pd.offsets:
-        vals = {}
-        for ray, v in sorted(f.as_dict().items()):
-            assert v.denominator == 1
-            vals[ray] = int(v)
-        out.append({"puncture": oid, "values": vals})
-    return out
+    return [
+        {"puncture": oid, "values": dict(sorted(f.as_dict().items()))}
+        for oid, f in pd.offsets
+    ]
 
 
 def complex_to_json(c: ConeComplex, pd: Optional[PuncturingData] = None) -> dict:

@@ -176,7 +176,8 @@ def twist_complex(
             v = f.get(rid)
             if v:
                 num = scaling[rid] * v
-                assert num % r == 0
+                if num % r:
+                    raise ArithmeticError(f"twisted offset {num}/{r} is not integral")
                 vals[rid] = num // r
         twisted[oid] = vals
     return c, puncturing_data(twisted), scaling
@@ -217,12 +218,18 @@ def _identity_report(
     c: ConeComplex,
     pd: PuncturingData,
     rd: RootingData,
-    n_by_direction: dict[int, int],
     size_warnings: list,
     backend: str,
 ) -> dict:
+    """Both sides of the identity; the puncture count per direction is read
+    off the offset ids, so offsets must follow the p<marking>.<divisor>
+    naming convention."""
     from .chowring import serialize
 
+    n_by_direction: dict[int, int] = {}
+    for oid, _ in pd.offsets:
+        _, j = _offset_direction(oid)
+        n_by_direction[j] = n_by_direction.get(j, 0) + 1
     lhs = refined_class(c, pd, backend=backend).cls
     twisted_c, twisted_pd, scaling = twist_complex(c, pd, rd)
     upstairs = refined_class(twisted_c, twisted_pd, backend=backend).cls
@@ -250,11 +257,7 @@ def check_pushforward_identity_on_complex(
     The puncture count per direction is read off the offset ids, so offsets
     must follow the p<marking>.<divisor> naming convention.
     """
-    n_by_direction: dict[int, int] = {}
-    for oid, _ in pd.offsets:
-        _, j = _offset_direction(oid)
-        n_by_direction[j] = n_by_direction.get(j, 0) + 1
-    return _identity_report(c, pd, rd, n_by_direction, [], backend)
+    return _identity_report(c, pd, rd, [], backend)
 
 
 def check_pushforward_identity(
@@ -275,9 +278,4 @@ def check_pushforward_identity(
         raise ValueError(f"rooting data invalid: {hard}")
     types = enumerate_types(nd, tm)
     c, pd = assemble_complex(nd, types)
-    n_by_direction: dict[int, int] = {}
-    for i, alpha in enumerate(nd.markings, start=1):
-        for j in range(1, nd.k + 1):
-            if alpha[j - 1] < 0:
-                n_by_direction[j] = n_by_direction.get(j, 0) + 1
-    return _identity_report(c, pd, rd, n_by_direction, report["size_warnings"], backend)
+    return _identity_report(c, pd, rd, report["size_warnings"], backend)

@@ -1,99 +1,87 @@
-"""Exact integer and rational linear algebra: primitive vectors, row
-reduction, kernels, and the unimodularity test for simplicial cones."""
+"""Exact integer linear algebra: primitive vectors, rank, kernels, and the
+unimodularity test for simplicial cones, all over one fraction-free
+elimination routine."""
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-__all__ = ["primitive", "rref", "nullspace", "is_unimodular"]
+__all__ = ["primitive", "rank", "kernel", "is_unimodular"]
 
 
-def primitive(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a rational vector; the zero
+def primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of an integer vector; the zero
     vector maps to itself."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g else tuple(vec)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form without zero rows, and the pivot columns."""
+def _eliminate(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix
+    with n columns: the nonzero rows of d * RREF, d the last pivot, and the
+    pivot columns. Every entry is a minor of the input, so each division is
+    exact, and every pivot entry of the result equals d."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
-    r = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
+    d = 1
+    for c in range(n):
+        r = len(pivots)
         if r == len(mat):
             break
-    return mat[:r], pivots
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        top = mat[r]
+        piv = top[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(piv * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(c)
+        d = piv
+    return mat[: len(pivots)], pivots
 
 
-def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """A basis of the kernel of the matrix with n columns, one vector per free
-    column."""
-    if not rows:
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+def rank(rows: Sequence[Sequence[int]], n: int) -> int:
+    """Rank of an integer matrix with n columns."""
+    return len(_eliminate(rows, n)[1])
+
+
+def kernel(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """An integer basis of the kernel of the matrix with n columns, one vector
+    per free column: d there and minus the row's entry at each pivot column."""
+    red, pivots = _eliminate(rows, n)
+    d = red[0][pivots[0]] if pivots else 1
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [0] * n
+        vec[fc] = d
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so entries stay integers."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
 
 
 def is_unimodular(vectors: Sequence[Sequence[int]]) -> bool:
     """True if the integer vectors span a unimodular simplicial cone.
 
     That holds exactly when the gcd of the maximal minors is 1, which is the
-    product of the Smith invariants. A dependent set has only zero minors, and
+    product of the Smith invariants. Each nonzero minor is the last pivot of
+    its square block up to sign. A dependent set has only zero minors, and
     so fails too; the empty set spans the unimodular zero cone.
     """
     m = len(vectors)
-    n = len(vectors[0]) if m else 0
+    if not m:
+        return True
     g = 0
-    for cols in combinations(range(n), m):
-        g = gcd(g, _det([[v[j] for j in cols] for v in vectors]))
-        if g == 1:
-            return True
-    return g == 1
+    for cols in combinations(range(len(vectors[0])), m):
+        red, pivots = _eliminate([[v[j] for j in cols] for v in vectors], m)
+        if len(pivots) == m:
+            g = gcd(g, red[-1][-1])
+            if g == 1:
+                return True
+    return False

@@ -334,7 +334,6 @@ def refined_class(
     c: ConeComplex,
     pd: PuncturingData,
     backend: str = "resolution",
-    choice_seed: Optional[int] = None,
 ) -> RefinedClassResult:
     """Refined virtual class of the puncturing substack.
 
@@ -349,7 +348,7 @@ def refined_class(
     components = puncturing_components(c, pd)
     if not components:
         return RefinedClassResult(zero(c), (), ())
-    prod, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend, choice_seed)
+    prod, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend, None)
     for _, f in pd.offsets:
         prod = multiply(prod, unit(c) + divisor_of_pl(f, c))
     return RefinedClassResult(truncate(prod, pd.k_P), trace, components)

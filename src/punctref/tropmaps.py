@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .conecx import ConeComplex, Ray, build_complex
-from .lattice import is_unimodular, nullspace, primitive, rref
+from .lattice import is_unimodular, kernel, primitive, rank
 from .puncture import PuncturingData, puncturing_data
 
 __all__ = [
@@ -311,9 +310,9 @@ class TypeCone:
     ineq_rows: tuple[tuple[int, ...], ...] = field(repr=False)
     positions: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
 
-    def position(self, vertex: int, j: int, z: Sequence[int | Fraction]):
+    def position(self, vertex: int, j: int, z: Sequence[int]) -> int:
         row = self.positions[vertex][j - 1]
-        return sum(Fraction(c) * Fraction(x) for c, x in zip(row, z))
+        return sum(c * x for c, x in zip(row, z))
 
 
 def _position_rows(t: TropicalType) -> list[list[list[int]]]:
@@ -359,7 +358,7 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
     k = t.k
     nv = k + len(t.edges)
     pos = _position_rows(t)
-    eqs: list[list[Fraction]] = []
+    eqs: list[list[int]] = []
     ineqs: list[tuple[int, ...]] = []
     for v, vd in enumerate(t.vertices):
         for j in range(1, k + 1):
@@ -367,29 +366,26 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
             if j in vd.face:
                 ineqs.append(tuple(row))
             else:
-                eqs.append([Fraction(x) for x in row])
+                eqs.append(row)
     for idx in range(len(t.edges)):
         row = [0] * nv
         row[k + idx] = 1
         ineqs.append(tuple(row))
-    basis = nullspace(eqs, nv)
+    basis = kernel(eqs, nv)
     m = len(basis)
     rays: list[tuple[int, ...]] = []
     if m:
-        proj = [
-            [sum(Fraction(r[c]) * b[c] for c in range(nv)) for b in basis]
-            for r in ineqs
-        ]
+        proj = [[sum(a * b for a, b in zip(r, bv)) for bv in basis] for r in ineqs]
         seen = set()
         for subset in itertools.combinations(range(len(proj)), m - 1):
             sub = [proj[i] for i in subset]
-            kern = nullspace(sub, m)
+            kern = kernel(sub, m)
             if len(kern) != 1:
                 continue
             z = [
                 sum(kern[0][c] * basis[c][i] for c in range(m)) for i in range(nv)
             ]
-            signs = [sum(Fraction(r[i]) * z[i] for i in range(nv)) for r in ineqs]
+            signs = [sum(a * b for a, b in zip(r, z)) for r in ineqs]
             if all(s >= 0 for s in signs):
                 pass
             elif all(s <= 0 for s in signs):
@@ -403,7 +399,6 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
                 seen.add(prim)
                 rays.append(prim)
     rays.sort()
-    ray_rank = len(rref([[Fraction(x) for x in r] for r in rays])[1]) if rays else 0
     unimod = bool(rays) and is_unimodular(rays)
     variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
         f"l{i}" for i in range(len(t.edges))
@@ -412,7 +407,7 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
         type=t,
         variables=variables,
         rays=tuple(rays),
-        dim=ray_rank,
+        dim=rank(rays, nv),
         unimodular=unimod or not rays,
         ineq_rows=tuple(ineqs),
         positions=tuple(tuple(tuple(r) for r in pr) for pr in pos),
@@ -743,10 +738,10 @@ def assemble_complex(
             for j in range(1, nd.k + 1):
                 if alpha[j - 1] < 0:
                     val = cone.position(vtx, j, z)
-                    if val.denominator != 1 or val < 0:
+                    if val < 0:
                         raise ArithmeticError(f"offset {val} is not a natural number")
                     if val:
-                        offsets[f"p{i}.{j}"][ray_names[key]] = int(val)
+                        offsets[f"p{i}.{j}"][ray_names[key]] = val
     return complex_, puncturing_data(offsets)
 
 

@@ -28,6 +28,11 @@ def test_staircase_keeps_strict_vertices():
     assert _edge_normals(chain) == [(1, 1), (1, 2)]
 
 
+def test_edge_normals_reject_a_rising_chain():
+    with pytest.raises(ArithmeticError, match="not positive"):
+        _edge_normals([(0, 0), (1, 1)])
+
+
 def test_staircase_flattens_collinear_points():
     # (1, 1) lies on the segment from (0, 2) to (2, 0): one edge, one normal.
     chain = _staircase_vertices({(0, 2), (1, 1), (2, 0)})

@@ -100,6 +100,13 @@ def test_twist_rejects_nonconforming_offset_ids(p2):
         twist_complex(p2.complex, outside, rooting_data([5, 7]))
 
 
+def test_twist_checks_integrality_explicitly(p2, monkeypatch):
+    # with every scaling forced to 1, the offset 1 at Z1 cannot divide by 5
+    monkeypatch.setattr("punctref.gerby.lcm", lambda *args: 1)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        twist_complex(p2.complex, p2.offsets, rooting_data([5, 7]))
+
+
 def test_root_push_pull_roundtrip(p2):
     cls = reduce(
         [({"Z0": 2}, 1), ({"Z0": 1, "Z1": 1}, Fraction(3, 2)), ({}, -2)],

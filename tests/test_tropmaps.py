@@ -441,3 +441,17 @@ def test_cone_of_disconnected_type_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "BalancingError not a tree: graph is disconnected\n"
+
+
+def test_degree_two_cones_are_integral():
+    _, tm = p2_data_model()
+    nd = numerical_data(2, (2, 2), [(3, 3), (-1, -1)])
+    for t in enumerate_types(nd, tm):
+        cone = cone_of_type(nd, t)
+        assert all(type(x) is int for r in cone.rays for x in r)
+        z = [sum(col) for col in zip(*cone.rays)] or [0] * len(cone.variables)
+        for v in range(t.n_vertices):
+            for j in range(1, nd.k + 1):
+                assert type(cone.position(v, j, z)) is int
+                for r in cone.rays:
+                    assert type(cone.position(v, j, r)) is int
