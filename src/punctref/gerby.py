@@ -221,9 +221,8 @@ def _identity_report(
     size_warnings: list,
     backend: str,
 ) -> dict:
-    """Both sides of the identity; the puncture count per direction is read
-    off the offset ids, so offsets must follow the p<marking>.<divisor>
-    naming convention."""
+    """Both sides of the identity, with the puncture count per direction
+    read off the offset ids."""
     from .chowring import serialize
 
     n_by_direction: dict[int, int] = {}
