@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .chowring import ChowClass, divisor_of_pl
+from .chowring import ChowClass, divisor_of_pl, pushforward
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, pl_function, star_subdivide
 from .lattice import primitive
-from .puncture import MonomialIdealOnComplex, _power_series_part, _push_down
+from .puncture import MonomialIdealOnComplex, _power_series_part
 
 __all__ = ["AluffiDomainError", "principalize_newton", "segre_newton"]
 
@@ -120,4 +120,4 @@ def segre_newton(
     """Segre class via the Newton-region principalization."""
     c2, trace, total = principalize_newton(c, ideal)
     E = divisor_of_pl(total, c2)
-    return _push_down(_power_series_part(E, max_codim), trace)
+    return pushforward(_power_series_part(E, max_codim), *trace)

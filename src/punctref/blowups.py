@@ -352,9 +352,7 @@ def compare_under_subdivision(
     """
     upstairs_complex, steps = _replay_trace(c, trace)
     original = refined_class(c, pd).cls
-    pushed = refined_class(upstairs_complex, lifted_pd).cls
-    for step in reversed(steps):
-        pushed = chow_pushforward(pushed, step)
+    pushed = chow_pushforward(refined_class(upstairs_complex, lifted_pd).cls, *steps)
     difference = pushed - original
     return {
         "original": serialize(original),

@@ -4,14 +4,18 @@ Classes are elements of the Stanley-Reisner presentation: rational linear
 combinations of monomials in the ray variables, with every monomial whose
 ray-support is not a cone reduced to zero. Coefficients are ints while they
 are integral and Fractions after a division; no float enters a class.
-Pullback and pushforward along a stellar subdivision step implement the
-blowup formulas for a two-ray center.
+Pullback along a stellar subdivision step implements the blowup formula for
+a two-ray center. ``pushforward(a, *steps)`` pushes down a whole chain of
+steps in one dict: per step it rewrites only the terms that meet the center
+or the new ray, each through a cached blowdown kernel, a two-variable
+integer polynomial in the center rays, and it normalizes once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -225,43 +229,81 @@ def pullback(a: ChowClass, step: SubdivisionStep) -> ChowClass:
     return _finish(acc, step.post)
 
 
-def pushforward(a: ChowClass, step: SubdivisionStep) -> ChowClass:
-    """Push a class forward along a subdivision step.
+@lru_cache(maxsize=None)
+def _blowdown_kernel(a1: int, a2: int, ae: int) -> tuple[tuple[int, int, int], ...]:
+    """The pushforward of x_r1^a1 x_r2^a2 x_e^ae minus its ae = 0 self term,
+    as (p1, p2, coeff) for the monomials x_r1^p1 x_r2^p2, p1, p2 >= 1.
 
-    Rewrites the class as a polynomial in the exceptional variable with
+    The upstairs monomial is rewritten in the exceptional variable with
     pulled-back coefficients via x_rho = pullback(x_rho) - x_e on the center
-    rays, then applies the blowup pushforward of each exceptional power:
-    degree 0 is the identity, degree 1 dies, and degree j >= 2 contributes
-    -h_(j-2)(x_r1, x_r2) x_r1 x_r2.
+    rays; then x_e^j pushes forward to the identity for j = 0, to zero for
+    j = 1 and to -h_(j-2)(x_r1, x_r2) x_r1 x_r2 for j >= 2. Every monomial has
+    degree a1 + a2 + ae, coefficients are ints and zero ones are dropped.
+    The exponents are bounded by the degree of the class pushed down, so the
+    cache stays small.
     """
-    if a.complex != step.post:
+    acc: dict[tuple[int, int], int] = {}
+    for i1 in range(a1 + 1):
+        for i2 in range(a2 + 1):
+            j = ae + i1 + i2
+            if j < 2:
+                continue
+            cf = comb(a1, i1) * comb(a2, i2) * (-1) ** (i1 + i2)
+            for t in range(j - 1):
+                key = (a1 - i1 + t + 1, a2 - i2 + j - 1 - t)
+                acc[key] = acc.get(key, 0) - cf
+    return tuple((p1, p2, v) for (p1, p2), v in sorted(acc.items()) if v)
+
+
+def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
+    """Push a class forward along a chain of subdivision steps, last step first.
+
+    The class lives on the last step's refined complex, and each step's
+    refined complex is the next step's source. Per step, a term whose support
+    misses the center rays r1, r2 and the new ray e stays as it is: its
+    support is a cone of the refined complex without e, hence a cone of the
+    source. A touched term base x_r1^a1 x_r2^a2 x_e^ae keeps itself when
+    ae = 0 and gains base * _blowdown_kernel(a1, a2, ae), a block whose
+    monomials all have support supp(base) + {r1, r2}, so one cone check keeps
+    or drops the whole block. The terms are normalized once, at the end.
+    """
+    if not steps:
+        return a
+    if a.complex != steps[-1].post:
         raise ValueError("class does not live on the step's refined complex")
-    r1, r2 = step.center
-    e = step.new_ray
-    affected = {r1, r2, e}
-    acc: dict[Monomial, int | Fraction] = {}
-    for mono, coeff in a.terms:
-        if affected.isdisjoint(r for r, _ in mono):
-            # the support survives the blowdown, and every pushed term below
-            # carries r1 or r2, so nothing else lands on this monomial
-            acc[mono] = coeff
-            continue
-        base, a1, a2, ae = _split_center(mono, r1, r2, e)
-        for i1 in range(a1 + 1):
-            for i2 in range(a2 + 1):
-                j = ae + i1 + i2
-                if j == 1:
-                    continue
-                cf = coeff * comb(a1, i1) * comb(a2, i2) * (-1) ** (i1 + i2)
-                down = _mono_mul(base, _norm_monomial({r1: a1 - i1, r2: a2 - i2}))
-                if j == 0:
-                    acc[down] = acc.get(down, 0) + cf
-                    continue
-                # the monomials of h_(j-2)(x_r1, x_r2) x_r1 x_r2
-                for t in range(j - 1):
-                    m = _mono_mul(down, _norm_monomial({r1: t + 1, r2: j - 1 - t}))
-                    acc[m] = acc.get(m, 0) - cf
-    return _finish(acc, step.pre)
+    for s, t in zip(steps, steps[1:]):
+        if s.post != t.pre:
+            raise ValueError("steps do not form a chain")
+    acc: dict[Monomial, int | Fraction] = dict(a.terms)
+    for step in reversed(steps):
+        r1, r2 = step.center
+        e = step.new_ray
+        cone_set = step.pre._cone_set()
+        affected = {r1, r2, e}
+        touched = []
+        for m, v in acc.items():
+            for r, _ in m:
+                if r in affected:
+                    touched.append((m, v))
+                    break
+        for mono, coeff in touched:
+            base, a1, a2, ae = _split_center(mono, r1, r2, e)
+            if ae:
+                del acc[mono]
+            kernel = _blowdown_kernel(a1, a2, ae)
+            if not coeff or not kernel:
+                continue
+            support = tuple(sorted([r for r, _ in base] + [r1, r2]))
+            if support not in cone_set:
+                continue
+            # r1 < r2, so each block monomial is base with (r1, p1) and
+            # (r2, p2) slotted in where the support has them
+            i1, i2 = support.index(r1), support.index(r2) - 1
+            head, mid, tail = base[:i1], base[i1:i2], base[i2:]
+            for p1, p2, v in kernel:
+                m = head + ((r1, p1),) + mid + ((r2, p2),) + tail
+                acc[m] = acc.get(m, 0) + coeff * v
+    return _finish(acc, steps[0].pre)
 
 
 def truncate(a: ChowClass, degree: int) -> ChowClass:

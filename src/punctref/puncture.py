@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .chowring import (
     ChowClass,
+    _finish,
     divisor_of_pl,
     multiply,
     pushforward,
@@ -260,22 +261,16 @@ def principalize(
 
 def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
     """E/(1+E) truncated beyond max_codim: sum of (-1)^(j-1) E^j."""
-    acc = zero(E.complex)
+    acc: dict = {}
     power = unit(E.complex)
     for j in range(1, max_codim + 1):
         power = multiply(power, E)
         if power.is_zero():
             break
-        acc = acc + power.scale((-1) ** (j - 1))
-    return acc
-
-
-def _push_down(
-    a: ChowClass, trace: Sequence[SubdivisionStep]
-) -> ChowClass:
-    for step in reversed(trace):
-        a = pushforward(a, step)
-    return a
+        sign = (-1) ** (j - 1)
+        for m, v in power.terms:
+            acc[m] = acc.get(m, 0) + sign * v
+    return _finish(acc, E.complex)
 
 
 def _segre(
@@ -290,7 +285,7 @@ def _segre(
         raise ValueError(f"unknown backend {backend!r}")
     c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
     E = divisor_of_pl(total, c2)
-    s = _push_down(_power_series_part(E, max_codim), trace)
+    s = pushforward(_power_series_part(E, max_codim), *trace)
     if backend == "aluffi-crosscheck":
         from .aluffi import segre_newton
 

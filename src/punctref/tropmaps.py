@@ -687,14 +687,15 @@ def assemble_complex(
     is the set of rays its extreme rays decode to. Offsets record, per
     negative marking direction, the puncture vertex's position coordinate at
     each primitive ray generator. Non-simplicial or non-unimodular cones
-    raise NonSmoothConeError carrying the type.
+    raise NonSmoothConeError carrying the type; a type list that is not
+    closed under specialization raises ArithmeticError.
     """
     by_key = {canonical_key(t): t for t in types}
     cones_of: dict[tuple, TypeCone] = {k: cone_of_type(nd, t) for k, t in by_key.items()}
     for key, t in by_key.items():
         for s in specializations(nd, t):
             if canonical_key(s) not in by_key:
-                raise ValueError("types are not closed under specialization")
+                raise ArithmeticError("types are not closed under specialization")
     ray_keys = sorted(k for k, c in cones_of.items() if c.dim == 1)
     ray_names = {k: f"r{i + 1}" for i, k in enumerate(ray_keys)}
     cones = []
@@ -713,7 +714,7 @@ def assemble_complex(
             s = _decode(nd, t, cone, list(cone.rays[i]))
             skey = canonical_key(s)
             if skey not in ray_names:
-                raise ValueError("extreme ray decodes to a missing type")
+                raise ArithmeticError("extreme ray decodes to a missing type")
             names.add(ray_names[skey])
         if len(names) != cone.dim:
             raise NonSmoothConeError("cone rays decode to a repeated type", t)

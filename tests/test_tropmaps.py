@@ -295,8 +295,21 @@ def test_assemble_requires_specialization_closure():
     nd, tm = p2_data_model()
     types = enumerate_types(nd, tm)
     top = [t for t in types if cone_of_type(nd, t).dim == 2]
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(ArithmeticError, match="not closed"):
         assemble_complex(nd, top)
+
+
+def test_assemble_reports_a_dropped_specialization_as_an_inconsistency():
+    # an open type list is a broken invariant, not malformed input
+    nd, tm = pr_data_model()
+    types = enumerate_types(nd, tm)
+    keys = {canonical_key(s) for t in types for s in specializations(nd, t)}
+    dropped = [i for i, t in enumerate(types) if canonical_key(t) in keys]
+    assert len(dropped) == 3
+    for i in dropped:
+        with pytest.raises(ArithmeticError, match="not closed") as err:
+            assemble_complex(nd, types[:i] + types[i + 1:])
+        assert not isinstance(err.value, ValueError)
 
 
 def test_non_smooth_cone_error_carries_type():
