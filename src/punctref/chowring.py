@@ -144,9 +144,8 @@ def reduce(
 def _finish(acc: Mapping[Monomial, int | Fraction], c: ConeComplex) -> ChowClass:
     """The class of normalized, merged terms: the one place that drops zero
     and non-cone terms and sorts into graded-lex order."""
-    cone_set = c._cone_set()
     kept = [
-        (m, v) for m, v in acc.items() if v and tuple([r for r, _ in m]) in cone_set
+        (m, v) for m, v in acc.items() if v and tuple([r for r, _ in m]) in c.cones
     ]
     kept.sort(key=_term_key)
     return ChowClass(c, tuple(kept))
@@ -278,7 +277,7 @@ def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
     for step in reversed(steps):
         r1, r2 = step.center
         e = step.new_ray
-        cone_set = step.pre._cone_set()
+        cones = step.pre.cones
         affected = {r1, r2, e}
         touched = []
         for m, v in acc.items():
@@ -294,7 +293,7 @@ def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
             if not coeff or not kernel:
                 continue
             support = tuple(sorted([r for r, _ in base] + [r1, r2]))
-            if support not in cone_set:
+            if support not in cones:
                 continue
             # r1 < r2, so each block monomial is base with (r1, p1) and
             # (r2, p2) slotted in where the support has them

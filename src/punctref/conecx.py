@@ -4,6 +4,9 @@ subdivision at two-ray centers, and piecewise-linear functions on rays.
 A complex is either abstract-smooth (every cone declared unimodular on its
 rays) or embedded (rays carry primitive integer vectors and unimodularity is
 verified). All values are immutable; every operation is a pure function.
+The cones form a set: membership is the one cone test, and an order is
+imposed only where output needs one, by ``maximal_cones()`` and
+``validate_complex``.
 """
 
 from __future__ import annotations
@@ -50,14 +53,18 @@ def _sorted_cone(rays: Iterable[str]) -> tuple[str, ...]:
 class ConeComplex:
     """A face-closed simplicial cone complex on named rays.
 
-    ``cones`` holds every cone (including the empty cone and all faces) as a
-    sorted tuple of ray ids, ordered by (dimension, lex). ``labels`` maps a
-    cone to an optional display label such as "W12".
+    ``cones`` is the set of every cone (including the empty cone and all
+    faces), each a sorted tuple of ray ids; any iterable given is coerced to
+    a frozenset. ``labels`` maps a cone to an optional display label such as
+    "W12".
     """
 
     rays: tuple[Ray, ...]
-    cones: tuple[tuple[str, ...], ...]
+    cones: frozenset[tuple[str, ...]]
     labels: tuple[tuple[tuple[str, ...], str], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cones", frozenset(self.cones))
 
     @property
     def mode(self) -> str:
@@ -75,13 +82,6 @@ class ConeComplex:
                 return r
         raise KeyError(f"no ray {ray_id!r} in complex")
 
-    def _cone_set(self) -> frozenset:
-        cached = self.__dict__.get("_cone_set_cache")
-        if cached is None:
-            cached = frozenset(self.cones)
-            self.__dict__["_cone_set_cache"] = cached
-        return cached
-
     def _cone_supports(self) -> frozenset:
         cached = self.__dict__.get("_cone_supports_cache")
         if cached is None:
@@ -90,7 +90,7 @@ class ConeComplex:
         return cached
 
     def has_cone(self, support: Iterable[str]) -> bool:
-        return _sorted_cone(support) in self._cone_set()
+        return _sorted_cone(support) in self.cones
 
     def maximal_cones(self) -> tuple[tuple[str, ...], ...]:
         cached = self.__dict__.get("_maximal_cache")
@@ -120,7 +120,7 @@ class ConeComplex:
         return max((len(c) for c in self.cones), default=0)
 
 
-def _face_closure(cones: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
+def _face_closure(cones: Iterable[Iterable[str]]) -> frozenset[tuple[str, ...]]:
     closed: set[tuple[str, ...]] = {()}
     for cone in cones:
         base = _sorted_cone(cone)
@@ -128,7 +128,7 @@ def _face_closure(cones: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]
         for mask in range(1 << n):
             face = tuple(base[i] for i in range(n) if mask >> i & 1)
             closed.add(face)
-    return tuple(sorted(closed, key=lambda c: (len(c), c)))
+    return frozenset(closed)
 
 
 def build_complex(
@@ -184,10 +184,10 @@ def validate_complex(c: ConeComplex) -> dict:
     if len(set(ids)) != len(ids):
         violations.append("duplicate ray ids")
     id_set = set(ids)
-    cone_set = set(c.cones)
-    if () not in cone_set:
+    if () not in c.cones:
         violations.append("missing empty cone")
-    for cone in c.cones:
+    ordered = sorted(c.cones, key=lambda t: (len(t), t))
+    for cone in ordered:
         if tuple(sorted(cone)) != cone:
             violations.append(f"cone {cone} not canonically sorted")
         if len(set(cone)) != len(cone):
@@ -197,12 +197,10 @@ def validate_complex(c: ConeComplex) -> dict:
                 violations.append(f"cone {cone} uses unknown ray {x}")
         for i in range(len(cone)):
             face = cone[:i] + cone[i + 1 :]
-            if face not in cone_set:
+            if face not in c.cones:
                 violations.append(
                     f"not face-closed: cone {cone} lacks face {face}"
                 )
-    if len(cone_set) != len(c.cones):
-        violations.append("duplicate cones")
     with_prim = [r for r in c.rays if r.primitive is not None]
     if with_prim and len(with_prim) != len(c.rays):
         missing = [r.id for r in c.rays if r.primitive is None]
@@ -217,7 +215,7 @@ def validate_complex(c: ConeComplex) -> dict:
                 if g != 1:
                     violations.append(f"ray {r.id} primitive {r.primitive} not primitive")
             prim = {r.id: r.primitive for r in c.rays}
-            for cone in c.cones:
+            for cone in ordered:
                 if len(cone) < 2:
                     continue
                 vecs = [prim[x] for x in cone]
@@ -283,11 +281,7 @@ def star_subdivide(
             new_cones.add(_sorted_cone((s - {r1, r2}) | {new_ray}))
         else:
             new_cones.add(cone)
-    post = ConeComplex(
-        tuple(new_rays),
-        tuple(sorted(new_cones, key=lambda t: (len(t), t))),
-        c.labels,
-    )
+    post = ConeComplex(tuple(new_rays), frozenset(new_cones), c.labels)
     new_max: set[tuple[str, ...]] = set()
     for cone in c.maximal_cones():
         s = set(cone)

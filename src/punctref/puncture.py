@@ -9,6 +9,7 @@ product is formed on the base complex, against the pushed-down Segre class.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -52,7 +53,13 @@ __all__ = [
 
 
 class PrincipalizationError(RuntimeError):
-    """Raised when the step budget is exhausted; signals a bug, not an input error."""
+    """Raised when principalization exhausts its step budget or ends on a
+    non-principal cone.
+
+    The budget is not a proof of a bug: the greedy rule takes about N steps
+    on a 2-ray chart with offsets such as (a^N b, a^2 b^5), so a valid input
+    with offsets near 10^4 can exhaust the default 10000 steps.
+    """
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,11 @@ def puncturing_components(
     least one of its rays; the components are the minimal qualifying cones
     in the face order. With no offsets the zero cone qualifies vacuously.
     """
-    all_cones: list[tuple[str, ...]] = [()]
-    all_cones.extend(c.cones)
-    good = []
-    for cone in all_cones:
-        if all(any(f.get(r) > 0 for r in cone) for _, f in pd.offsets):
-            good.append(cone)
+    good = [
+        cone
+        for cone in c.cones
+        if all(any(f.get(r) > 0 for r in cone) for _, f in pd.offsets)
+    ]
     minimal = []
     for cone in good:
         s = set(cone)
@@ -181,24 +187,21 @@ def _dividing_generator(
     return None
 
 
-def _crossing_faces_for_pair(
+def _crossing_faces(
     ga: PLFunction, gb: PLFunction, c: ConeComplex
 ) -> dict[tuple[str, str], int]:
-    """Crossing two-faces of one generator pair, mapped to their excess.
+    """Crossing two-cones of one generator pair, mapped to their excess.
 
-    The difference d = ga - gb lives on rays, so a face (i, j) with d_i > 0
-    and d_j < 0 crosses in every maximal cone containing it; the excess
-    d_i - d_j does not depend on the cone.
+    The difference d = ga - gb lives on rays, so a two-cone (i, j) crosses
+    when d_i d_j < 0, and its excess |d_i - d_j| does not depend on any
+    cone around it.
     """
     d = {r: ga.get(r) - gb.get(r) for r in c.ray_ids}
-    faces: dict[tuple[str, str], int] = {}
-    for cone in c.maximal_cones():
-        pos = [(r, d[r]) for r in cone if d[r] > 0]
-        neg = [(r, d[r]) for r in cone if d[r] < 0]
-        for rp, vp in pos:
-            for rn, vn in neg:
-                faces[tuple(sorted((rp, rn)))] = vp - vn
-    return faces
+    return {
+        cone: abs(d[cone[0]] - d[cone[1]])
+        for cone in c.cones
+        if len(cone) == 2 and d[cone[0]] * d[cone[1]] < 0
+    }
 
 
 def principalize(
@@ -209,14 +212,17 @@ def principalize(
 ) -> tuple[ConeComplex, tuple[SubdivisionStep, ...], PLFunction]:
     """Subdivide until one generator divides all others on every maximal cone.
 
-    Generator pairs are settled one at a time, in index order: once a pair is
-    comparable on every maximal cone it stays comparable under any further
-    stellar subdivision, because the new ray's exponent is the sum of the two
-    center exponents. For the active pair the default rule blows up the
-    crossing face of maximal excess, ties to the lexicographically smallest
-    face; a seed replaces that rule by a seeded choice among all crossing
-    faces of the active pair. The resulting Segre class is independent of the
-    choice, which the property suite checks.
+    Generator pairs are settled one at a time, in index order. A pair is
+    settled when it is comparable on every two-cone: its difference d has
+    d_i d_j >= 0 there. It then stays settled under any further stellar
+    subdivision. The new ray gets d_i + d_j, which keeps the common sign of
+    the center, and every ray of the center's link agrees with both center
+    rays, hence with the new ray. For the active pair the default rule blows
+    up the crossing face of maximal excess, ties to the lexicographically
+    smallest face; a seed replaces that rule by a seeded choice among all
+    crossing faces of the active pair. The resulting Segre class is
+    independent of the choice, which the property suite checks. At most
+    max_steps subdivisions are made.
 
     Returns the refined complex, the subdivision trace, and the total
     transform as a PL function: the raywise minimum of the generators, which
@@ -228,35 +234,25 @@ def principalize(
     gens = list(ideal.generators)
     current = c
     trace: list[SubdivisionStep] = []
-    for _ in range(max_steps):
-        chosen: Optional[tuple[str, str]] = None
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                faces = _crossing_faces_for_pair(gens[a], gens[b], current)
-                if not faces:
-                    continue
-                if rng is None:
-                    chosen = min(faces, key=lambda f: (-faces[f], f))
-                else:
-                    chosen = rng.choice(sorted(faces))
-                break
-            if chosen is not None:
-                break
-        if chosen is None:
-            for cone in current.maximal_cones():
-                if _dividing_generator(gens, cone) is None:
-                    raise PrincipalizationError(
-                        f"non-principal cone {cone} without a crossing pair"
-                    )
-            ray_min = {
-                rid: min(g.get(rid) for g in gens) for rid in current.ray_ids
-            }
-            total = pl_function({r: v for r, v in ray_min.items() if v})
-            return current, tuple(trace), total
-        current, step = star_subdivide(current, chosen)
-        gens = [pl_pullback(g, step) for g in gens]
-        trace.append(step)
-    raise PrincipalizationError(f"step budget {max_steps} exhausted")
+    for a, b in itertools.combinations(range(len(gens)), 2):
+        while faces := _crossing_faces(gens[a], gens[b], current):
+            if len(trace) == max_steps:
+                raise PrincipalizationError(f"step budget {max_steps} exhausted")
+            if rng is None:
+                chosen = min(faces, key=lambda f: (-faces[f], f))
+            else:
+                chosen = rng.choice(sorted(faces))
+            current, step = star_subdivide(current, chosen)
+            gens = [pl_pullback(g, step) for g in gens]
+            trace.append(step)
+    for cone in current.maximal_cones():
+        if _dividing_generator(gens, cone) is None:
+            raise PrincipalizationError(
+                f"non-principal cone {cone} without a crossing pair"
+            )
+    ray_min = {rid: min(g.get(rid) for g in gens) for rid in current.ray_ids}
+    total = pl_function({r: v for r, v in ray_min.items() if v})
+    return current, tuple(trace), total
 
 
 def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:

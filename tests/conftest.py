@@ -152,3 +152,35 @@ def random_puncturing(rng, max_offsets=3, max_value=3):
         vals = {r: rng.randint(0, max_value) for r in c.ray_ids}
         offsets[f"p{i + 1}.1"] = {r: v for r, v in vals.items() if v}
     return c, puncturing_data(offsets)
+
+
+def orthant_chart(rng, k, n, v):
+    """The orthant on k rays with n offsets, each value drawn from [1, v]."""
+    rays = [f"z{j}" for j in range(k)]
+    offsets = {
+        f"p{i + 1}.1": {r: rng.randint(1, v) for r in rays} for i in range(n)
+    }
+    return build_complex(rays, [rays]), puncturing_data(offsets)
+
+
+# the benchmark's chart pool: (rays k, offsets n, values in [1, v]), four
+# charts a rung, drawn from random.Random(0); the anchor from random.Random(1)
+RUNGS = ((2, 4, 10), (3, 3, 6), (4, 3, 4), (4, 2, 6), (5, 2, 3), (5, 3, 2))
+LADDER_SIZE = 4 * len(RUNGS) + 1
+
+
+def ladder_chart(index):
+    """Chart `index` of the pool, the anchor last, as (complex, offsets)."""
+    rng = random.Random(0)
+    pool = [
+        [[rng.randint(1, v) for _ in range(k)] for _ in range(n)]
+        for k, n, v in RUNGS
+        for _ in range(4)
+    ]
+    rng = random.Random(1)
+    values = (pool + [[[rng.randint(1, 10) for _ in range(4)] for _ in range(3)]])[index]
+    rays = [f"z{j}" for j in range(len(values[0]))]
+    pd = puncturing_data(
+        {f"p{i + 1}.1": dict(zip(rays, row)) for i, row in enumerate(values)}
+    )
+    return build_complex(rays, [rays]), pd

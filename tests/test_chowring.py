@@ -29,12 +29,11 @@ from punctref.puncture import (
     _power_series_part,
     normalized_ideal,
     principalize,
-    puncturing_data,
     refined_class,
     segre_class,
 )
 
-from conftest import FIXTURE_NAMES, load
+from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart
 
 
 @pytest.fixture()
@@ -250,14 +249,6 @@ def upstairs_series(c, pd, max_codim, choice_seed=None):
     return _power_series_part(divisor_of_pl(total, c2), max_codim), trace
 
 
-def orthant_chart(rng, k, n, v):
-    rays = [f"z{j}" for j in range(k)]
-    offsets = {
-        f"p{i + 1}.1": {r: rng.randint(1, v) for r in rays} for i in range(n)
-    }
-    return build_complex(rays, [rays]), puncturing_data(offsets)
-
-
 def test_chain_pushforward_matches_steps_on_fixtures():
     for name in FIXTURE_NAMES:
         fx = load(name)
@@ -297,31 +288,10 @@ def test_chain_pushforward_checks_its_chain(blown):
         pushforward(ray_class(post, "e"), step, step2)
 
 
-# the benchmark's chart pool: (rays k, offsets n, values in [1, v]), four
-# charts a rung, drawn from random.Random(0); the anchor from random.Random(1)
-RUNGS = ((2, 4, 10), (3, 3, 6), (4, 3, 4), (4, 2, 6), (5, 2, 3), (5, 3, 2))
-
-
-def ladder_charts():
-    rng = random.Random(0)
-    pool = [
-        [[rng.randint(1, v) for _ in range(k)] for _ in range(n)]
-        for k, n, v in RUNGS
-        for _ in range(4)
-    ]
-    rng = random.Random(1)
-    return pool + [[[rng.randint(1, 10) for _ in range(4)] for _ in range(3)]]
-
-
 @pytest.mark.ladder
-@pytest.mark.parametrize("index", range(25))
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
 def test_chain_pushforward_matches_steps_on_ladder(index):
-    values = ladder_charts()[index]
-    rays = [f"z{j}" for j in range(len(values[0]))]
-    c = build_complex(rays, [rays])
-    pd = puncturing_data(
-        {f"p{i + 1}.1": dict(zip(rays, row)) for i, row in enumerate(values)}
-    )
+    c, pd = ladder_chart(index)
     ideal = normalized_ideal(c, pd)
     full = None
     for max_codim in (c.dim(), pd.k_P):

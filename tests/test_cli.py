@@ -1,5 +1,6 @@
 """Command-line interface: envelopes, exit codes, and determinism."""
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from punctref import __version__
 from punctref.cli import main
 
-from conftest import fixture_path
+from conftest import FIXTURE_NAMES, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -405,3 +406,44 @@ def test_subprocess_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["result"]["k_P"] == 2
+
+
+def run_under_hash_seed(seed, *argv):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "punctref.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # cones are a set of str tuples, whose iteration order follows the
+    # hash seed; four non-unimodular cones exercise validate's message order
+    square = {
+        "complex": {
+            "rays": [
+                {"id": "a", "primitive": [1, 0]},
+                {"id": "b", "primitive": [1, 2]},
+                {"id": "c", "primitive": [-1, 0]},
+                {"id": "d", "primitive": [-1, -2]},
+            ],
+            "cones": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+        }
+    }
+    runs = [
+        (cmd, fixture_path(name), "--trace")
+        for name in FIXTURE_NAMES
+        for cmd in ("refined-class", "segre")
+    ]
+    runs.append(("validate", write_fixture(tmp_path, square)))
+    for argv in runs:
+        assert run_under_hash_seed(0, *argv) == run_under_hash_seed(1, *argv), argv
+    code, out = run_under_hash_seed(0, *runs[-1])
+    assert code == 1
+    violations = json.loads(out)["result"]["complex"]["violations"]
+    assert len(violations) == 4

@@ -15,10 +15,17 @@ from punctref.chowring import (
     unit,
     zero,
 )
-from punctref.conecx import PLFunction, build_complex, pl_function, pl_pullback
+from punctref.conecx import (
+    PLFunction,
+    build_complex,
+    pl_function,
+    pl_pullback,
+    star_subdivide,
+)
 from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
+    _dividing_generator,
     monomial_ideal,
     normalized_ideal,
     principalize,
@@ -29,7 +36,14 @@ from punctref.puncture import (
     segre_class,
 )
 
-from conftest import FIXTURE_NAMES, load, random_puncturing
+from conftest import (
+    FIXTURE_NAMES,
+    LADDER_SIZE,
+    ladder_chart,
+    load,
+    orthant_chart,
+    random_puncturing,
+)
 
 
 def test_puncturing_data_validation():
@@ -107,6 +121,11 @@ def test_no_offsets_give_unit_class():
     assert res.components == ((),)
 
 
+def test_no_offsets_list_the_zero_cone_once():
+    c = build_complex(["x", "y"], [["x", "y"]])
+    assert puncturing_components(c, PuncturingData(())) == ((),)
+
+
 def test_principalize_toy_cross():
     c = build_complex(["x", "y"], [["x", "y"]])
     ideal = monomial_ideal(c, [{"x": 1}, {"y": 1}])
@@ -142,6 +161,106 @@ def test_principalize_budget_exhaustion():
     ideal = monomial_ideal(c, [{"x": 1}, {"y": 1}])
     with pytest.raises(PrincipalizationError, match="budget"):
         principalize(c, ideal, max_steps=0)
+
+
+def test_principalize_budget_allows_exactly_max_steps():
+    c = build_complex(["x", "y"], [["x", "y"]])
+    ideal = monomial_ideal(c, [{"x": 3}, {"y": 2}])
+    _, trace, _ = principalize(c, ideal)
+    assert len(trace) == 3
+    assert principalize(c, ideal, max_steps=len(trace))[1] == trace
+    with pytest.raises(PrincipalizationError, match="budget 2 exhausted"):
+        principalize(c, ideal, max_steps=len(trace) - 1)
+
+
+def reference_crossing_faces_for_pair(ga, gb, c):
+    """Crossing two-faces of one generator pair, read off every maximal cone."""
+    d = {r: ga.get(r) - gb.get(r) for r in c.ray_ids}
+    faces = {}
+    for cone in c.maximal_cones():
+        pos = [(r, d[r]) for r in cone if d[r] > 0]
+        neg = [(r, d[r]) for r in cone if d[r] < 0]
+        for rp, vp in pos:
+            for rn, vn in neg:
+                faces[tuple(sorted((rp, rn)))] = vp - vn
+    return faces
+
+
+def reference_principalize(c, ideal, max_steps=10000, choice_seed=None):
+    """Principalization restarting from the first generator pair after every
+    step, the form the one-pass pair loop replaced; kept as the reference it
+    is checked against."""
+    rng = random.Random(choice_seed) if choice_seed is not None else None
+    gens = list(ideal.generators)
+    current = c
+    trace = []
+    for _ in range(max_steps):
+        chosen = None
+        for a in range(len(gens)):
+            for b in range(a + 1, len(gens)):
+                faces = reference_crossing_faces_for_pair(gens[a], gens[b], current)
+                if not faces:
+                    continue
+                if rng is None:
+                    chosen = min(faces, key=lambda f: (-faces[f], f))
+                else:
+                    chosen = rng.choice(sorted(faces))
+                break
+            if chosen is not None:
+                break
+        if chosen is None:
+            for cone in current.maximal_cones():
+                if _dividing_generator(gens, cone) is None:
+                    raise PrincipalizationError(
+                        f"non-principal cone {cone} without a crossing pair"
+                    )
+            ray_min = {
+                rid: min(g.get(rid) for g in gens) for rid in current.ray_ids
+            }
+            total = pl_function({r: v for r, v in ray_min.items() if v})
+            return current, tuple(trace), total
+        current, step = star_subdivide(current, chosen)
+        gens = [pl_pullback(g, step) for g in gens]
+        trace.append(step)
+    raise PrincipalizationError(f"step budget {max_steps} exhausted")
+
+
+def assert_principalize_matches_reference(c, ideal, choice_seed=None):
+    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    r2, rtrace, rtotal = reference_principalize(c, ideal, choice_seed=choice_seed)
+    assert [(s.center, s.new_ray) for s in trace] == [
+        (s.center, s.new_ray) for s in rtrace
+    ]
+    assert total == rtotal
+    assert c2.maximal_cones() == r2.maximal_cones()
+    assert c2 == r2
+
+
+def test_principalize_matches_reference_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        ideal = normalized_ideal(fx.complex, fx.offsets)
+        for seed in (None, 1, 7):
+            assert_principalize_matches_reference(fx.complex, ideal, seed)
+
+
+def test_principalize_matches_reference_on_seeded_charts():
+    rng = random.Random(7)
+    seeded = 0
+    for i in range(48):
+        k = 2 + i % 3
+        c, pd = orthant_chart(rng, k, rng.randint(2, 4), (9, 5, 3)[k - 2])
+        seed = rng.randrange(1000) if i % 3 == 1 else None
+        seeded += seed is not None
+        assert_principalize_matches_reference(c, normalized_ideal(c, pd), seed)
+    assert seeded >= 16
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_principalize_matches_reference_on_ladder(index):
+    c, pd = ladder_chart(index)
+    assert_principalize_matches_reference(c, normalized_ideal(c, pd))
 
 
 def test_segre_seed_independence():
