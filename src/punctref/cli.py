@@ -153,6 +153,11 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
         r, s = tuple(args.r), None
     else:
         r, s = load_rooting_file(args.rooting)
+    if fixture.data is not None and len(r) != fixture.data.k:
+        raise ValueError(
+            "need one target root per divisor direction: "
+            f"data has k = {fixture.data.k}, got {len(r)}"
+        )
     rd = rooting_data(r, s)
     report = check_pushforward_identity_on_complex(
         fixture.complex, fixture.offsets, rd, backend=args.backend

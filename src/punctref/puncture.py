@@ -2,22 +2,24 @@
 
 The pipeline: puncturing offsets define a monomial ideal on the cone complex;
 stellar subdivisions at two-ray centers make its total transform Cartier; the
-Segre class of the puncturing substack is the pushforward of E/(1+E); and the
-refined class is the degree-k_P part of the Chern/Segre product. Each D_p
-upstairs is pulled back from the base, so by the projection formula that
-product is formed on the base complex, against the pushed-down Segre class.
+Segre class of the puncturing substack is the pushforward of E/(1+E), a series
+written down term by term since E is linear; and the refined class is the
+degree-k_P part of the Chern/Segre product. Each D_p upstairs is pulled back
+from the base, so by the projection formula that product is formed on the
+base complex, against the pushed-down Segre class, one pair of degrees
+summing to k_P at a time.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache, reduce
+from math import factorial, gcd, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .chowring import (
     ChowClass,
-    _finish,
     divisor_of_pl,
     multiply,
     pushforward,
@@ -255,18 +257,49 @@ def principalize(
     return current, tuple(trace), total
 
 
+@lru_cache(maxsize=None)
+def _compositions(j: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Compositions a of j into k positive parts, each with j! / prod a_r!."""
+    out = []
+    for cuts in itertools.combinations(range(1, j), k - 1):
+        a = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (j,)))
+        out.append((a, factorial(j) // prod(factorial(x) for x in a)))
+    return tuple(out)
+
+
 def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
-    """E/(1+E) truncated beyond max_codim: sum of (-1)^(j-1) E^j."""
-    acc: dict = {}
-    power = unit(E.complex)
-    for j in range(1, max_codim + 1):
-        power = multiply(power, E)
-        if power.is_zero():
-            break
-        sign = (-1) ** (j - 1)
-        for m, v in power.terms:
-            acc[m] = acc.get(m, 0) + sign * v
-    return _finish(acc, E.complex)
+    """E/(1+E) truncated beyond max_codim: sum of (-1)^(j-1) E^j, in closed form.
+
+    E = sum_r L_r x_r is linear, so E^j is the multinomial expansion with the
+    non-cone monomials dropped. Every monomial supported on a cone tau of E's
+    support has all its divisors on faces of tau, so no relation touches its
+    coefficient: x^a, for a composition a of j over the rays of tau, gets
+    (-1)^(j-1) j! / prod a_r! prod L_r^(a_r). The terms of each degree are
+    distinct, so sorting each degree by its monomials gives graded-lex order.
+    """
+    L: dict = {}
+    for m, v in E.terms:
+        if len(m) != 1 or m[0][1] != 1:
+            raise ValueError("E/(1+E) needs a class of pure degree 1")
+        if v:
+            L[m[0][0]] = v
+    buckets: list[list] = [[] for _ in range(max_codim + 1)]
+    for cone in E.complex.cones:
+        k = len(cone)
+        if not 1 <= k <= max_codim or any(r not in L for r in cone):
+            continue
+        for j in range(k, max_codim + 1):
+            sign = 1 if j % 2 else -1
+            for a, multinomial in _compositions(j, k):
+                v = sign * multinomial
+                for r, e in zip(cone, a):
+                    v *= L[r] ** e
+                buckets[j].append((tuple(zip(cone, a)), v))
+    terms = []
+    for bucket in buckets:
+        bucket.sort()
+        terms.extend(bucket)
+    return ChowClass(E.complex, tuple(terms))
 
 
 def _segre(
@@ -331,18 +364,24 @@ def refined_class(
     The degree-k_P part of prod_p (1 + D_p) * s(Z) on the base complex, with
     D_p the divisor of the raw offset and s(Z) the Segre class of the
     normalized offsets ideal (the projection formula moves the product down
-    from the principalized complex). Empty puncturing data yields the unit;
-    an empty puncturing substack yields zero.
+    from the principalized complex). With c = prod_p (1 + D_p) it is formed
+    as the sum over j of c_j * s_(k_P - j), so no term above degree k_P is
+    built. Empty puncturing data yields the unit; an empty puncturing
+    substack yields zero.
     """
     if pd.k_P == 0:
         return RefinedClassResult(unit(c), (), ((),))
     components = puncturing_components(c, pd)
     if not components:
         return RefinedClassResult(zero(c), (), ())
-    prod, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend, None)
-    for _, f in pd.offsets:
-        prod = multiply(prod, unit(c) + divisor_of_pl(f, c))
-    return RefinedClassResult(truncate(prod, pd.k_P), trace, components)
+    s, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend, None)
+    chern = reduce(multiply, [unit(c) + divisor_of_pl(f, c) for _, f in pd.offsets])
+    cls = zero(c)
+    for j in range(pd.k_P + 1):
+        a, b = truncate(chern, j), truncate(s, pd.k_P - j)
+        if a.terms and b.terms:
+            cls = cls + multiply(a, b)
+    return RefinedClassResult(cls, trace, components)
 
 
 def refined_class_excess(

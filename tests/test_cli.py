@@ -206,6 +206,22 @@ def test_twisted_check_argument_exclusivity(capsys, tmp_path):
     assert code == 2 and out == "" and "exactly one" in err
 
 
+def test_twisted_check_rejects_a_rooting_count_other_than_k(capsys, tmp_path):
+    # pr has k = 1 and p2 has k = 2; surplus orders used to be ignored
+    rooting = tmp_path / "rooting.json"
+    rooting.write_text(json.dumps({"r": [3, 5]}))
+    for name, orders in (
+        ("pr-hyperplane", ["--r", "2", "3", "4", "5"]),
+        ("pr-hyperplane", ["--rooting", str(rooting)]),
+        ("p2-two-lines", ["--r", "2", "3", "5"]),
+        ("p2-two-lines", ["--r", "5"]),
+    ):
+        code, out, err = run_cli(capsys, "twisted-check", fixture_path(name), *orders)
+        assert code == 2 and out == "", (name, orders)
+        assert err.startswith("error: need one target root per divisor direction")
+        assert err.count("\n") == 1
+
+
 def test_compare_blowup_counterexample_exits_0(capsys):
     code, doc, _ = run_json(
         capsys, "compare-blowup", fixture_path("f1-counterexample")

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 import punctref.aluffi
+import punctref.chowring
+import punctref.puncture
 from punctref.chowring import (
+    _finish,
     divisor_of_pl,
     multiply,
     pushforward,
@@ -26,6 +29,7 @@ from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
     _dividing_generator,
+    _power_series_part,
     monomial_ideal,
     normalized_ideal,
     principalize,
@@ -261,6 +265,116 @@ def test_principalize_matches_reference_on_seeded_charts():
 def test_principalize_matches_reference_on_ladder(index):
     c, pd = ladder_chart(index)
     assert_principalize_matches_reference(c, normalized_ideal(c, pd))
+
+
+def reference_power_series(E, max_codim):
+    """E/(1+E) through max_codim by repeated multiply, the form the closed
+    form replaced; kept as the reference it is checked against."""
+    acc = {}
+    power = unit(E.complex)
+    for j in range(1, max_codim + 1):
+        power = multiply(power, E)
+        if power.is_zero():
+            break
+        sign = (-1) ** (j - 1)
+        for m, v in power.terms:
+            acc[m] = acc.get(m, 0) + sign * v
+    return _finish(acc, E.complex)
+
+
+def assert_series_matches_reference(E, max_codim):
+    got = _power_series_part(E, max_codim)
+    expected = reference_power_series(E, max_codim)
+    assert got == expected
+    # == on Fractions forgives 2 == Fraction(2); the types must agree too
+    assert [(m, type(v)) for m, v in got.terms] == [
+        (m, type(v)) for m, v in expected.terms
+    ]
+
+
+def principalized_divisor(c, pd):
+    c2, _, total = principalize(c, normalized_ideal(c, pd))
+    return divisor_of_pl(total, c2)
+
+
+def test_series_matches_reference_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        c = fx.complex
+        divisors = [principalized_divisor(c, fx.offsets)]
+        divisors += [divisor_of_pl(f, c) for _, f in fx.offsets.offsets]
+        for E in divisors:
+            for max_codim in range(c.dim() + 3):
+                assert_series_matches_reference(E, max_codim)
+
+
+def test_series_matches_reference_on_seeded_charts():
+    rng = random.Random(11)
+    for i in range(120):
+        k = 2 + i % 3
+        c, pd = orthant_chart(rng, k, rng.randint(2, 3), (7, 4, 3)[k - 2])
+        E = principalized_divisor(c, pd)
+        for max_codim in range(k + 3):
+            assert_series_matches_reference(E, max_codim)
+
+
+def test_series_matches_reference_on_fraction_and_edge_cases():
+    c = build_complex(["a", "b", "c", "d"], [["a", "b", "c"], ["c", "d"]])
+    mixed = reduce(
+        [({"a": 1}, Fraction(1, 2)), ({"b": 1}, -3), ({"c": 1}, Fraction(-2, 3))], c
+    )
+    assert any(type(v) is int for _, v in mixed.terms)
+    for E in (
+        mixed,
+        mixed.scale(Fraction(3, 7)),
+        reduce([({"b": 1}, 2), ({"d": 1}, 5)], c),
+        zero(c),
+        ray_class(c, "a"),
+        ray_class(c, "d").scale(Fraction(-1, 2)),
+    ):
+        for max_codim in range(-1, 7):
+            assert_series_matches_reference(E, max_codim)
+    assert _power_series_part(zero(c), 4).is_zero()
+    assert _power_series_part(mixed, 0).is_zero()
+
+
+def test_series_rejects_non_linear_classes():
+    c = build_complex(["a", "b"], [["a", "b"]])
+    a = ray_class(c, "a")
+    for E in (unit(c), multiply(a, a), a + unit(c), a + multiply(a, ray_class(c, "b"))):
+        with pytest.raises(ValueError, match="degree 1"):
+            _power_series_part(E, 3)
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_series_matches_reference_on_ladder(index):
+    c, pd = ladder_chart(index)
+    E = principalized_divisor(c, pd)
+    for max_codim in (c.dim(), pd.k_P):
+        assert_series_matches_reference(E, max_codim)
+
+
+def test_segre_makes_no_multiply_call(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(punctref.chowring, "multiply", counting)
+    monkeypatch.setattr(punctref.puncture, "multiply", counting)
+    c, pd = orthant_chart(random.Random(3), 3, 3, 5)
+    ideal = normalized_ideal(c, pd)
+    assert principalize(c, ideal)[1]
+    s = segre_class(c, ideal)
+    assert calls == []
+    # the refined product pairs degrees, so no product exceeds degree k_P
+    res = refined_class(c, pd)
+    assert calls and all(
+        max(a.degrees() + (0,)) + max(b.degrees() + (0,)) <= pd.k_P for a, b in calls
+    )
+    assert not s.is_zero() and not res.cls.is_zero()
 
 
 def test_segre_seed_independence():
