@@ -4,9 +4,10 @@ Every command reads one JSON fixture, emits a single JSON report on stdout
 (command, input digest, library version, result), and exits 0 on success, 1
 when a mathematical inconsistency is found (failed identity, insensitive
 subdivision, validation violations, incomplete enumeration), or 2 on
-malformed input with a JSON-path diagnostic on stderr. Output is
-byte-identical across runs; --threads is accepted for interface stability
-but execution is always sequential, which costs nothing at corpus scale.
+malformed input with a JSON-path diagnostic on stderr, as for a usage error
+such as a flag the subcommand does not read. Output is byte-identical across
+runs; --threads is accepted for interface stability but execution is always
+sequential, which costs nothing at corpus scale.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import __version__
 from .blowups import check_slope_sensitivity, compare_under_subdivision
@@ -41,18 +42,6 @@ from .tropmaps import (
     positivize,
     validate_numerical_data,
 )
-
-_COMMANDS = (
-    "validate",
-    "enumerate",
-    "refined-class",
-    "segre",
-    "twisted-check",
-    "compare-blowup",
-    "positivize",
-    "sensitivity",
-)
-
 
 _SECTION_NAMES = {
     "data": "data",
@@ -198,28 +187,37 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Usage errors as one line on stderr, with exit code 2."""
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Each subcommand takes its input, --threads, and only the flags it reads."""
+    parser = _Parser(
         prog="punctref",
         description="Refined classes of punctured tropical map moduli.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("input", help="fixture JSON file")
-        p.add_argument(
-            "--backend",
-            choices=["resolution", "aluffi-crosscheck"],
-            default="resolution",
-            help="Segre-class computation backend",
-        )
-        p.add_argument(
-            "--max-codim",
-            type=int,
-            default=None,
-            metavar="N",
-            help="truncation codimension for segre",
-        )
+        if name in ("refined-class", "segre", "twisted-check"):
+            p.add_argument(
+                "--backend",
+                choices=["resolution", "aluffi-crosscheck"],
+                default="resolution",
+                help="Segre-class computation backend",
+            )
+        if name == "segre":
+            p.add_argument(
+                "--max-codim",
+                type=int,
+                default=None,
+                metavar="N",
+                help="truncation codimension",
+            )
         p.add_argument(
             "--threads",
             type=int,
@@ -227,11 +225,12 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="accepted for interface stability; execution is sequential",
         )
-        p.add_argument(
-            "--trace",
-            action="store_true",
-            help="include the subdivision trace in the result",
-        )
+        if name in ("refined-class", "segre"):
+            p.add_argument(
+                "--trace",
+                action="store_true",
+                help="include the subdivision trace in the result",
+            )
         if name == "twisted-check":
             p.add_argument("--r", type=int, nargs="+", metavar="R",
                            help="rooting orders, one per divisor direction")
@@ -249,7 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
-    if args.max_codim is not None and args.max_codim < 0:
+    if args.command == "segre" and args.max_codim is not None and args.max_codim < 0:
         print("error: --max-codim must be nonnegative", file=sys.stderr)
         return 2
     try:

@@ -6,7 +6,8 @@ rays) or embedded (rays carry primitive integer vectors and unimodularity is
 verified). All values are immutable; every operation is a pure function.
 The cones form a set: membership is the one cone test, and an order is
 imposed only where output needs one, by ``maximal_cones()`` and
-``validate_complex``.
+``validate_complex``. Maximal cones are derived from the set, as the cones
+that are no cone's facet, a rule that assumes face-closure.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class ConeComplex:
 
     ``cones`` is the set of every cone (including the empty cone and all
     faces), each a sorted tuple of ray ids; any iterable given is coerced to
-    a frozenset. ``labels`` maps a cone to an optional display label such as
-    "W12".
+    a frozenset. Maximal cones are derived from it, so it must be face-closed.
+    ``labels`` maps a cone to an optional display label such as "W12".
     """
 
     rays: tuple[Ray, ...]
@@ -93,19 +94,13 @@ class ConeComplex:
         return _sorted_cone(support) in self.cones
 
     def maximal_cones(self) -> tuple[tuple[str, ...], ...]:
+        """The cones that are no cone's facet, by (dimension, lex). This needs
+        face-closure: then a cone c strictly inside a cone d is a facet of the
+        cone c plus one ray of d."""
         cached = self.__dict__.get("_maximal_cache")
         if cached is None:
-            # longest first: every strict superset of a cone is longer, and by
-            # induction is itself below some already-confirmed maximal cone
-            maximal: list[tuple[str, ...]] = []
-            max_sets: list[frozenset] = []
-            for c in sorted(self.cones, key=len, reverse=True):
-                cs = frozenset(c)
-                if not any(cs < s for s in max_sets):
-                    maximal.append(c)
-                    max_sets.append(cs)
-            maximal.sort(key=lambda c: (len(c), c))
-            cached = tuple(maximal)
+            facets = {c[:i] + c[i + 1 :] for c in self.cones for i in range(len(c))}
+            cached = tuple(sorted(self.cones - facets, key=lambda c: (len(c), c)))
             self.__dict__["_maximal_cache"] = cached
         return cached
 
@@ -282,17 +277,6 @@ def star_subdivide(
         else:
             new_cones.add(cone)
     post = ConeComplex(tuple(new_rays), frozenset(new_cones), c.labels)
-    new_max: set[tuple[str, ...]] = set()
-    for cone in c.maximal_cones():
-        s = set(cone)
-        if r1 in s and r2 in s:
-            new_max.add(_sorted_cone((s - {r1}) | {new_ray}))
-            new_max.add(_sorted_cone((s - {r2}) | {new_ray}))
-        else:
-            new_max.add(cone)
-    post.__dict__["_maximal_cache"] = tuple(
-        sorted(new_max, key=lambda t: (len(t), t))
-    )
     step = SubdivisionStep(center=(r1, r2), new_ray=new_ray, pre=c, post=post)
     return post, step
 

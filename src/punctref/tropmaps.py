@@ -214,23 +214,26 @@ def canonical_key(t: TropicalType) -> tuple:
     return best
 
 
-def _components_without(n: int, edges: Sequence[tuple[int, int]], cut: int) -> set[int]:
-    """Vertex set of the component of edges[cut][0] once that edge is removed."""
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for idx, (a, b) in enumerate(edges):
-        if idx == cut:
-            continue
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {edges[cut][0]}
-    stack = [edges[cut][0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
+def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The vertices of the tree on 0..n-1 with edges ``ends``, parents first
+    from vertex 0, as (vertex, parent, edge index); the root is (0, -1, -1).
+    Every tree traversal goes through it. Non-trees raise BalancingError."""
+    if n == 0 or len(ends) != n - 1:
+        raise BalancingError("not a tree: need n-1 edges on n >= 1 vertices")
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+    for idx, (a, b) in enumerate(ends):
+        adj[a].append((b, idx))
+        adj[b].append((a, idx))
+    order = [(0, -1, -1)]
+    seen = {0}
+    for v, _, _ in order:
+        for w, idx in adj[v]:
             if w not in seen:
                 seen.add(w)
-                stack.append(w)
-    return seen
+                order.append((w, v, idx))
+    if len(order) != n:
+        raise BalancingError("not a tree: graph is disconnected")
+    return order
 
 
 def slopes_from_balancing(
@@ -242,8 +245,9 @@ def slopes_from_balancing(
 
     For each edge, cutting it splits the tree; the outgoing slope from the
     side containing the first endpoint is the side's total class minus its
-    leg tangencies. Balancing is then verified at every vertex. When an edge
-    carries a declared face, the computed support must lie inside it.
+    leg tangencies: the subtree of the child end, summed in one pass up the
+    walk, or the rest. Balancing is then verified at every vertex. When an
+    edge carries a declared face, the computed support must lie inside it.
     """
     n = len(vertices)
     ends = [
@@ -251,26 +255,25 @@ def slopes_from_balancing(
         for e in edges
     ]
     declared = [e.face if isinstance(e, EdgeDecor) else None for e in edges]
-    if n == 0 or len(ends) != n - 1:
-        raise BalancingError("not a tree: need n-1 edges on n >= 1 vertices")
-    seen = _components_without(n, ends + [(0, 0)], len(ends)) if n > 1 else {0}
-    if len(seen) != n:
-        raise BalancingError("not a tree: graph is disconnected")
-    legs_alpha = []
+    order = _walk(n, ends)
+    # class minus leg tangencies; balancing makes it the sum of outgoing slopes
+    excess = []
     for v in vertices:
-        tot = [0] * nd.k
+        row = [v.pairing[j] for j in range(nd.k)]
         for i in v.legs:
             for j in range(nd.k):
-                tot[j] += nd.markings[i - 1][j]
-        legs_alpha.append(tuple(tot))
+                row[j] -= nd.markings[i - 1][j]
+        excess.append(row)
+    flow = [list(row) for row in excess]
+    child = [0] * len(ends)
+    for v, parent, idx in reversed(order[1:]):
+        child[idx] = v
+        for j in range(nd.k):
+            flow[parent][j] += flow[v][j]
     out_edges: list[EdgeDecor] = []
     for idx, (a, b) in enumerate(ends):
-        side = _components_without(n, ends, idx)
-        m = tuple(
-            sum(vertices[v].pairing[j] for v in side)
-            - sum(legs_alpha[v][j] for v in side)
-            for j in range(nd.k)
-        )
+        c = child[idx]
+        m = tuple(flow[c]) if a == c else tuple(x - y for x, y in zip(flow[0], flow[c]))
         face = (
             vertices[a].face
             | vertices[b].face
@@ -283,18 +286,14 @@ def slopes_from_balancing(
                 )
             face = declared[idx]
         out_edges.append(EdgeDecor((a, b), face, m))
-    for v in range(n):
-        bal = [0] * nd.k
-        for e in out_edges:
-            if e.ends[0] == v:
-                for j in range(nd.k):
-                    bal[j] += e.slope[j]
-            elif e.ends[1] == v:
-                for j in range(nd.k):
-                    bal[j] -= e.slope[j]
+    for e in out_edges:
+        a, b = e.ends
         for j in range(nd.k):
-            if bal[j] + legs_alpha[v][j] != vertices[v].pairing[j]:
-                raise BalancingError(f"balancing fails at vertex {v}")
+            excess[a][j] -= e.slope[j]
+            excess[b][j] += e.slope[j]
+    for v in range(n):
+        if any(excess[v]):
+            raise BalancingError(f"balancing fails at vertex {v}")
     return TropicalType(nd.k, tuple(vertices), tuple(out_edges))
 
 
@@ -316,35 +315,25 @@ class TypeCone:
 
 
 def _position_rows(t: TropicalType) -> list[list[list[int]]]:
-    """Linear forms for every vertex position coordinate over (x_1..x_k, l_e)."""
+    """Linear forms for every vertex position coordinate over (x_1..x_k, l_e):
+    down the walk, a child sits at its parent plus the slope times the length
+    of the edge between them."""
     k = t.k
     n = t.n_vertices
     nv = k + len(t.edges)
-    adj: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(n)}
-    for idx, e in enumerate(t.edges):
-        a, b = e.ends
-        adj[a].append((b, idx, +1))
-        adj[b].append((a, idx, -1))
-    rows: list[Optional[list[list[int]]]] = [None] * n
-    root_rows = [[0] * nv for _ in range(k)]
+    order = _walk(n, [e.ends for e in t.edges])
+    rows: list[list[list[int]]] = [[]] * n
+    rows[0] = [[0] * nv for _ in range(k)]
     for j in range(k):
-        root_rows[j][j] = 1
-    rows[0] = root_rows
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, idx, sign in adj[v]:
-            if rows[w] is not None:
-                continue
-            slope = t.edges[idx].slope
-            rw = [list(r) for r in rows[v]]
-            for j in range(k):
-                rw[j][k + idx] += sign * slope[j]
-            rows[w] = rw
-            stack.append(w)
-    if any(r is None for r in rows):
-        raise BalancingError("not a tree: graph is disconnected")
-    return rows  # type: ignore[return-value]
+        rows[0][j][j] = 1
+    for v, parent, idx in order[1:]:
+        e = t.edges[idx]
+        sign = 1 if e.ends[0] == parent else -1
+        rw = [list(r) for r in rows[parent]]
+        for j in range(k):
+            rw[j][k + idx] += sign * e.slope[j]
+        rows[v] = rw
+    return rows
 
 
 def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
@@ -609,31 +598,25 @@ def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
 def _decode(
     nd: NumericalData, t: TropicalType, cone: TypeCone, z: Sequence[int]
 ) -> TropicalType:
-    """The specialized type at a point of the cone's boundary."""
+    """The specialized type at a point of the cone's boundary.
+
+    Down the walk, a vertex joins its parent's group across an edge of length
+    zero. Groups come out ordered by their least member, with members in
+    increasing order; the surviving edges keep their slopes.
+    """
     k = t.k
     n = t.n_vertices
     lengths = [z[k + i] for i in range(len(t.edges))]
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for idx, e in enumerate(t.edges):
+    top = list(range(n))
+    for v, parent, idx in _walk(n, [e.ends for e in t.edges])[1:]:
         if lengths[idx] == 0:
-            ra, rb = find(e.ends[0]), find(e.ends[1])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+            top[v] = top[parent]
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    order = sorted(groups)
-    gid = {root: i for i, root in enumerate(order)}
+        groups.setdefault(top[v], []).append(v)
+    gid = {v: i for i, members in enumerate(groups.values()) for v in members}
     verts = []
-    for root in order:
-        members = groups[root]
+    for members in groups.values():
         pairing = tuple(
             sum(t.vertices[v].pairing[j] for v in members) for j in range(k)
         )
@@ -656,7 +639,7 @@ def _decode(
     for idx, e in enumerate(t.edges):
         if lengths[idx] == 0:
             continue
-        a, b = gid[find(e.ends[0])], gid[find(e.ends[1])]
+        a, b = gid[e.ends[0]], gid[e.ends[1]]
         m = e.slope
         face = (
             verts[a].face | verts[b].face | frozenset(j + 1 for j in range(k) if m[j])

@@ -398,6 +398,55 @@ def test_bad_flag_values_exit_2(capsys):
     assert code == 2 and "max-codim" in err
 
 
+def run_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("segre",),
+        ("segre", fixture_path("f1-blowup"), "--max-codim", "x"),
+        ("bogus",),
+        (),
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    code, out, err = run_usage_error(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "p2-two-lines", "--backend", "aluffi-crosscheck"),
+        ("enumerate", "p2-two-lines", "--trace"),
+        ("refined-class", "f1-blowup", "--max-codim", "1"),
+        ("segre", "f1-blowup", "--rooting", "roots.json"),
+        ("twisted-check", "pr-hyperplane", "--r", "5", "--trace"),
+        ("compare-blowup", "f1-counterexample", "--backend", "aluffi-crosscheck"),
+        ("positivize", "p2-two-lines", "--max-codim", "1"),
+        ("sensitivity", "p2-two-lines", "--trace"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    command, name, *flags = argv
+    code, out, err = run_usage_error(capsys, command, fixture_path(name), *flags)
+    rejected = flags[2:] if command == "twisted-check" else flags
+    assert code == 2 and out == ""
+    assert err == f"error: unrecognized arguments: {' '.join(rejected)}\n"
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["-h"], ["segre", "-h"]):
+        code, out, err = run_usage_error(capsys, *argv)
+        assert code == 0 and out.startswith("usage: punctref") and err == ""
+
+
 def test_byte_determinism_across_runs_and_threads(capsys):
     _, out1, _ = run_cli(capsys, "refined-class", fixture_path("f1-blowup"))
     _, out2, _ = run_cli(capsys, "refined-class", fixture_path("f1-blowup"))

@@ -1,4 +1,5 @@
 """Cone complex construction, validation, and stellar subdivision."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from punctref.conecx import (
     validate_complex,
 )
 from punctref.lattice import is_unimodular as _is_unimodular
+from punctref.puncture import normalized_ideal, principalize
+
+from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart
 
 
 def test_face_closure_and_lookup():
@@ -178,3 +182,50 @@ def test_pl_pullback_new_ray_gets_center_sum():
     assert g.value("a") == 3
     sparse = pl_pullback(pl_function({"a": 3}), step)
     assert sparse.value("e0") == 3
+
+
+def reference_maximal_cones(c):
+    """Maximal cones by a subset scan, longest first, the form the facet rule
+    replaced; kept as the reference it is checked against."""
+    maximal, max_sets = [], []
+    for cone in sorted(c.cones, key=len, reverse=True):
+        cs = frozenset(cone)
+        if not any(cs < s for s in max_sets):
+            maximal.append(cone)
+            max_sets.append(cs)
+    maximal.sort(key=lambda t: (len(t), t))
+    return tuple(maximal)
+
+
+def assert_facet_rule_along_principalization(c, pd, choice_seed=None):
+    _, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    for cx in [c] + [step.post for step in trace]:
+        assert cx.maximal_cones() == reference_maximal_cones(cx)
+
+
+def test_facet_rule_matches_reference_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        assert_facet_rule_along_principalization(fx.complex, fx.offsets)
+
+
+def test_facet_rule_matches_reference_on_seeded_charts():
+    # values up to 8, 4, 3 keep every chart under 200 maximal cones; the
+    # anchor's 449 come in the ladder test
+    rng = random.Random(9)
+    for i in range(48):
+        k = 2 + i % 3
+        c, pd = orthant_chart(rng, k, rng.randint(2, 4), (8, 4, 3)[k - 2])
+        seed = rng.randrange(1000) if i % 3 == 1 else None
+        assert_facet_rule_along_principalization(c, pd, seed)
+
+
+def test_facet_rule_on_the_empty_cone_alone():
+    c = build_complex([], [])
+    assert c.maximal_cones() == reference_maximal_cones(c) == ((),)
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_facet_rule_matches_reference_on_ladder(index):
+    assert_facet_rule_along_principalization(*ladder_chart(index))

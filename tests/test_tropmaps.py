@@ -9,15 +9,21 @@ from fractions import Fraction
 import pytest
 
 import punctref
+from punctref import tropmaps
+from punctref.fixtureio import complex_to_json, types_to_json
 from punctref.tropmaps import (
+    _decode,
     _face_candidates,
+    _faces_of_cone,
     _level_types,
+    _position_rows,
     _trees,
     BalancingError,
     EdgeDecor,
     EnumerationBoundError,
     NonSmoothConeError,
     TropicalType,
+    TypeCone,
     VertexDecor,
     assemble_complex,
     canonical_key,
@@ -468,3 +474,347 @@ def test_degree_two_cones_are_integral():
                 assert type(cone.position(v, j, z)) is int
                 for r in cone.rays:
                     assert type(cone.position(v, j, r)) is int
+
+
+# The tree traversals that the one parents-first walk replaced, kept as the
+# references it is checked against: a DFS per edge for the slopes, a DFS for
+# the positions and a union-find for the contraction at a boundary point.
+
+
+def reference_components_without(n, edges, cut):
+    """Vertex set of the component of edges[cut][0] once that edge is removed."""
+    adj = {i: [] for i in range(n)}
+    for idx, (a, b) in enumerate(edges):
+        if idx == cut:
+            continue
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {edges[cut][0]}
+    stack = [edges[cut][0]]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def reference_slopes_from_balancing(nd, vertices, edges):
+    """Unique slope assignment on a decorated tree via leaf flow.
+
+    For each edge, cutting it splits the tree; the outgoing slope from the
+    side containing the first endpoint is the side's total class minus its
+    leg tangencies. Balancing is then verified at every vertex. When an edge
+    carries a declared face, the computed support must lie inside it.
+    """
+    n = len(vertices)
+    ends = [
+        (e.ends if isinstance(e, EdgeDecor) else (int(e[0]), int(e[1])))
+        for e in edges
+    ]
+    declared = [e.face if isinstance(e, EdgeDecor) else None for e in edges]
+    if n == 0 or len(ends) != n - 1:
+        raise BalancingError("not a tree: need n-1 edges on n >= 1 vertices")
+    seen = reference_components_without(n, ends + [(0, 0)], len(ends)) if n > 1 else {0}
+    if len(seen) != n:
+        raise BalancingError("not a tree: graph is disconnected")
+    legs_alpha = []
+    for v in vertices:
+        tot = [0] * nd.k
+        for i in v.legs:
+            for j in range(nd.k):
+                tot[j] += nd.markings[i - 1][j]
+        legs_alpha.append(tuple(tot))
+    out_edges = []
+    for idx, (a, b) in enumerate(ends):
+        side = reference_components_without(n, ends, idx)
+        m = tuple(
+            sum(vertices[v].pairing[j] for v in side)
+            - sum(legs_alpha[v][j] for v in side)
+            for j in range(nd.k)
+        )
+        face = (
+            vertices[a].face
+            | vertices[b].face
+            | frozenset(j + 1 for j in range(nd.k) if m[j])
+        )
+        if declared[idx] is not None:
+            if not face <= declared[idx]:
+                raise BalancingError(
+                    f"slope {m} not supported on the declared face of edge {idx}"
+                )
+            face = declared[idx]
+        out_edges.append(EdgeDecor((a, b), face, m))
+    for v in range(n):
+        bal = [0] * nd.k
+        for e in out_edges:
+            if e.ends[0] == v:
+                for j in range(nd.k):
+                    bal[j] += e.slope[j]
+            elif e.ends[1] == v:
+                for j in range(nd.k):
+                    bal[j] -= e.slope[j]
+        for j in range(nd.k):
+            if bal[j] + legs_alpha[v][j] != vertices[v].pairing[j]:
+                raise BalancingError(f"balancing fails at vertex {v}")
+    return TropicalType(nd.k, tuple(vertices), tuple(out_edges))
+
+
+def reference_position_rows(t):
+    """Linear forms for every vertex position coordinate over (x_1..x_k, l_e)."""
+    k = t.k
+    n = t.n_vertices
+    nv = k + len(t.edges)
+    adj = {i: [] for i in range(n)}
+    for idx, e in enumerate(t.edges):
+        a, b = e.ends
+        adj[a].append((b, idx, +1))
+        adj[b].append((a, idx, -1))
+    rows = [None] * n
+    root_rows = [[0] * nv for _ in range(k)]
+    for j in range(k):
+        root_rows[j][j] = 1
+    rows[0] = root_rows
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, idx, sign in adj[v]:
+            if rows[w] is not None:
+                continue
+            slope = t.edges[idx].slope
+            rw = [list(r) for r in rows[v]]
+            for j in range(k):
+                rw[j][k + idx] += sign * slope[j]
+            rows[w] = rw
+            stack.append(w)
+    if any(r is None for r in rows):
+        raise BalancingError("not a tree: graph is disconnected")
+    return rows
+
+
+def reference_decode(nd, t, cone, z):
+    """The specialized type at a point of the cone's boundary."""
+    k = t.k
+    n = t.n_vertices
+    lengths = [z[k + i] for i in range(len(t.edges))]
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for idx, e in enumerate(t.edges):
+        if lengths[idx] == 0:
+            ra, rb = find(e.ends[0]), find(e.ends[1])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    order = sorted(groups)
+    gid = {root: i for i, root in enumerate(order)}
+    verts = []
+    for root in order:
+        members = groups[root]
+        pairing = tuple(
+            sum(t.vertices[v].pairing[j] for v in members) for j in range(k)
+        )
+        posvals = [cone.position(members[0], j, z) for j in range(1, k + 1)]
+        for v in members[1:]:
+            if any(cone.position(v, j, z) != posvals[j - 1] for j in range(1, k + 1)):
+                raise ArithmeticError("contracted vertices at distinct positions")
+        face = frozenset(j for j in range(1, k + 1) if posvals[j - 1] > 0)
+        legs = tuple(sorted(i for v in members for i in t.vertices[v].legs))
+        if len(members) == 1:
+            label = t.vertices[members[0]].label
+        elif all(x == 0 for x in pairing):
+            label = "0"
+        else:
+            label = "+".join(
+                sorted(t.vertices[v].label for v in members if t.vertices[v].label != "0")
+            )
+        verts.append(VertexDecor(face, pairing, label, legs))
+    edges = []
+    for idx, e in enumerate(t.edges):
+        if lengths[idx] == 0:
+            continue
+        a, b = gid[find(e.ends[0])], gid[find(e.ends[1])]
+        m = e.slope
+        face = (
+            verts[a].face | verts[b].face | frozenset(j + 1 for j in range(k) if m[j])
+        )
+        edges.append(EdgeDecor((a, b), face, m))
+    return TropicalType(k, tuple(verts), tuple(edges))
+
+
+def walk_data():
+    """The plane with two lines in degree 1 (four marking pairs) and degree 2,
+    the projective line, and four data with three markings."""
+    _, tm = p2_data_model()
+    nd_pr, tm_pr = pr_data_model()
+    data = [
+        (numerical_data(2, (1, 1), marks), tm, None)
+        for marks in (
+            ((2, 2), (-1, -1)),
+            ((3, 3), (-2, -2)),
+            ((2, 1), (-1, 0)),
+            ((1, 2), (0, -1)),
+            ((1, 1), (1, 1), (-1, -1)),
+            ((2, 2), (0, 0), (-1, -1)),
+            ((2, 1), (0, 1), (-1, -1)),
+        )
+    ]
+    data.append((numerical_data(2, (2, 2), [(3, 3), (-1, -1)]), tm, {"max_vertices": 5}))
+    data.append((nd_pr, tm_pr, None))
+    data.append((numerical_data(1, (1,), [(1,), (1,), (-1,)]), tm_pr, None))
+    return data
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except (BalancingError, NonSmoothConeError, ArithmeticError, IndexError, KeyError) as e:
+        return type(e), str(e)
+
+
+def pipeline(nd, tm, bounds):
+    types = enumerate_types(nd, tm, bounds=bounds)
+    cones = [cone_of_type(nd, t) for t in types]
+    specs = [specializations(nd, t) for t in types]
+    assembled = outcome(assemble_complex, nd, types)
+    out = [types, cones, specs, types_to_json(nd, types), assembled]
+    if not isinstance(assembled[0], type):
+        cx, pd = assembled
+        out += [cx.maximal_cones(), complex_to_json(cx, pd)]
+    return out
+
+
+def assert_walk_matches_reference(nd, tm, bounds, monkeypatch):
+    got = pipeline(nd, tm, bounds)
+    for t, cone in zip(got[0], got[1]):
+        edges = [e.ends for e in t.edges]
+        assert slopes_from_balancing(nd, t.vertices, edges) == (
+            reference_slopes_from_balancing(nd, t.vertices, edges)
+        )
+        assert slopes_from_balancing(nd, t.vertices, t.edges) == (
+            reference_slopes_from_balancing(nd, t.vertices, t.edges)
+        )
+        assert _position_rows(t) == reference_position_rows(t)
+        for subset in _faces_of_cone(cone):
+            z = [sum(cone.rays[i][c] for i in subset) for c in range(len(cone.variables))]
+            assert _decode(nd, t, cone, z) == reference_decode(nd, t, cone, z)
+    monkeypatch.setattr(tropmaps, "slopes_from_balancing", reference_slopes_from_balancing)
+    monkeypatch.setattr(tropmaps, "_position_rows", reference_position_rows)
+    monkeypatch.setattr(tropmaps, "_decode", reference_decode)
+    assert got == pipeline(nd, tm, bounds)
+
+
+@pytest.mark.parametrize("index", range(len(walk_data())))
+def test_walk_matches_reference_on_data(index, monkeypatch):
+    assert_walk_matches_reference(*walk_data()[index], monkeypatch)
+
+
+@pytest.mark.ladder
+def test_walk_matches_reference_on_degree_two_default_bound(monkeypatch):
+    _, tm = p2_data_model()
+    nd = numerical_data(2, (2, 2), [(3, 3), (-1, -1)])
+    assert_walk_matches_reference(nd, tm, None, monkeypatch)
+
+
+def random_decorated_tree(rng):
+    """A tree on 1..6 vertices under a random labeling, its edges shuffled and
+    flipped, with random faces, classes, legs and declared edge faces. About
+    two in three are balanced."""
+    n = rng.randint(1, 6)
+    k = rng.choice((1, 2))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    ends = [(perm[rng.randrange(i)], perm[i]) for i in range(1, n)]
+    ends = [e if rng.random() < 0.5 else e[::-1] for e in ends]
+    rng.shuffle(ends)
+    markings = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(0, 3))]
+    legs = [[] for _ in range(n)]
+    for i in range(len(markings)):
+        legs[rng.randrange(n)].append(i + 1)
+    pairings = [[rng.randint(-1, 2) for _ in range(k)] for _ in range(n)]
+    if rng.random() < 0.7:
+        for j in range(k):
+            pairings[-1][j] += sum(a[j] for a in markings) - sum(p[j] for p in pairings)
+    faces = [frozenset(j for j in range(1, k + 1) if rng.random() < 0.5) for _ in range(n)]
+    verts = tuple(
+        VertexDecor(faces[v], tuple(pairings[v]), f"c{v}", tuple(legs[v])) for v in range(n)
+    )
+    degrees = [sum(a[j] for a in markings) for j in range(k)]
+    nd = numerical_data(k, degrees, markings)
+    edges = [
+        EdgeDecor(e, frozenset(j for j in range(1, k + 1) if rng.random() < 0.8), ())
+        if rng.random() < 0.3 else e
+        for e in ends
+    ]
+    return nd, verts, edges
+
+
+def test_walk_matches_reference_on_random_trees():
+    rng = random.Random(11)
+    balanced, refusals = 0, set()
+    for _ in range(400):
+        nd, verts, edges = random_decorated_tree(rng)
+        t = outcome(slopes_from_balancing, nd, verts, edges)
+        assert t == outcome(reference_slopes_from_balancing, nd, verts, edges)
+        if not isinstance(t, TropicalType):
+            refusals.add(t[1])
+            continue
+        balanced += 1
+        rows = _position_rows(t)
+        assert rows == reference_position_rows(t)
+        nv = nd.k + len(t.edges)
+        # _decode reads only the positions of the cone
+        cone = TypeCone(
+            t, (), (), 0, True, (), tuple(tuple(tuple(r) for r in pr) for pr in rows)
+        )
+        for _ in range(4):
+            z = [rng.randint(0, 2) for _ in range(nd.k)]
+            z += [rng.choice((0, 0, 1, 3)) for _ in range(nv - nd.k)]
+            assert _decode(nd, t, cone, z) == reference_decode(nd, t, cone, z)
+    assert balanced >= 200
+    # the first failing vertex is not always the root of the walk
+    assert {"balancing fails at vertex 0", "balancing fails at vertex 1"} <= refusals
+    assert any(m.startswith("slope") for m in refusals)
+
+
+def test_walk_matches_reference_on_non_trees():
+    rng = random.Random(12)
+    refusals = set()
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        size = max(0, n - 1 + rng.randint(-1, 1))
+        # an end of -1 or n is out of range
+        lo, hi = (-1, n + 1) if rng.random() < 0.2 else (0, n)
+        ends = [(rng.randrange(lo, hi), rng.randrange(lo, hi)) for _ in range(size)] if n else []
+        verts = tuple(VertexDecor(frozenset(), (0,), "0", ()) for _ in range(n))
+        nd = numerical_data(1, (0,), [])
+        got = outcome(slopes_from_balancing, nd, verts, ends)
+        assert got == outcome(reference_slopes_from_balancing, nd, verts, ends)
+        if not isinstance(got, TropicalType):
+            refusals.add(got[0].__name__)
+            refusals.add(got[1])
+    assert {
+        "KeyError",
+        "not a tree: need n-1 edges on n >= 1 vertices",
+        "not a tree: graph is disconnected",
+    } <= refusals
+
+
+def test_cone_of_a_non_tree_type_raises():
+    # a doubled edge on two vertices used to give a cone, an empty type an
+    # IndexError; both are now refused as non-trees
+    nd, verts = p2_two_vertex_type()
+    edge = EdgeDecor((0, 1), frozenset([1, 2]), (-1, -1))
+    for t in (TropicalType(2, verts, (edge, edge)), TropicalType(2, (), ())):
+        with pytest.raises(BalancingError) as err:
+            cone_of_type(nd, t)
+        assert str(err.value) == "not a tree: need n-1 edges on n >= 1 vertices"
