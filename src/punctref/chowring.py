@@ -31,6 +31,10 @@ __all__ = [
     "pushforward",
     "truncate",
     "serialize",
+    "unit",
+    "zero",
+    "ray_class",
+    "stratum_class",
 ]
 
 Monomial = tuple[tuple[str, int], ...]

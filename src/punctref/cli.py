@@ -31,7 +31,7 @@ from .fixtureio import (
     load_subdivision_arg,
     types_to_json,
 )
-from .gerby import check_pushforward_identity_on_complex, rooting_data
+from .gerby import _offset_direction, check_pushforward_identity_on_complex, rooting_data
 from .puncture import PrincipalizationError, _segre, normalized_ideal, refined_class
 from .tropmaps import (
     BalancingError,
@@ -142,10 +142,16 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
         r, s = tuple(args.r), None
     else:
         r, s = load_rooting_file(args.rooting)
-    if fixture.data is not None and len(r) != fixture.data.k:
+    if fixture.data is not None:
+        k, stated = fixture.data.k, "data has"
+    else:
+        # without data, k is the highest divisor an offset id names
+        named = [_offset_direction(oid)[1] for oid, _ in fixture.offsets.offsets]
+        k = max((j for j in named if j >= 1), default=None)
+        stated = "offsets name divisors up to"
+    if k is not None and len(r) != k:
         raise ValueError(
-            "need one target root per divisor direction: "
-            f"data has k = {fixture.data.k}, got {len(r)}"
+            f"need one target root per divisor direction: {stated} k = {k}, got {len(r)}"
         )
     rd = rooting_data(r, s)
     report = check_pushforward_identity_on_complex(

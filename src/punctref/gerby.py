@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .chowring import ChowClass, reduce as chow_reduce
+from .chowring import ChowClass, reduce as chow_reduce, serialize
 from .conecx import ConeComplex
 from .puncture import PuncturingData, puncturing_data, refined_class
 from .tropmaps import NumericalData, TargetModel, assemble_complex, enumerate_types
@@ -106,7 +106,7 @@ def validate_rooting(nd: NumericalData, rd: RootingData) -> dict:
                         "detail": f"r_{j} = {r} does not divide a*s = {a * s}",
                     }
                 )
-            if a != 0 and r <= abs(a):
+            if r <= abs(a):
                 violations.append(
                     {
                         "condition": "size",
@@ -214,17 +214,15 @@ def _observed_factor(rhs: ChowClass, lhs: ChowClass) -> Optional[Fraction]:
     return ratios.pop() if len(ratios) == 1 else None
 
 
-def _identity_report(
-    c: ConeComplex,
-    pd: PuncturingData,
-    rd: RootingData,
-    size_warnings: list,
-    backend: str,
+def check_pushforward_identity_on_complex(
+    c: ConeComplex, pd: PuncturingData, rd: RootingData, backend: str = "resolution"
 ) -> dict:
-    """Both sides of the identity, with the puncture count per direction
-    read off the offset ids."""
-    from .chowring import serialize
+    """The pushforward identity on an explicit complex with offsets: both
+    sides, the observed and the expected factor, and no size warnings.
 
+    The puncture count per direction is read off the offset ids, so offsets
+    must follow the p<marking>.<divisor> naming convention.
+    """
     n_by_direction: dict[int, int] = {}
     for oid, _ in pd.offsets:
         _, j = _offset_direction(oid)
@@ -244,19 +242,8 @@ def _identity_report(
         "factor": None if factor is None else str(factor),
         "expected_factor": str(expected),
         "equal": rhs == lhs.scale(expected),
-        "size_warnings": size_warnings,
+        "size_warnings": [],
     }
-
-
-def check_pushforward_identity_on_complex(
-    c: ConeComplex, pd: PuncturingData, rd: RootingData, backend: str = "resolution"
-) -> dict:
-    """The pushforward identity on an explicit complex with offsets.
-
-    The puncture count per direction is read off the offset ids, so offsets
-    must follow the p<marking>.<divisor> naming convention.
-    """
-    return _identity_report(c, pd, rd, [], backend)
 
 
 def check_pushforward_identity(
@@ -277,4 +264,6 @@ def check_pushforward_identity(
         raise ValueError(f"rooting data invalid: {hard}")
     types = enumerate_types(nd, tm)
     c, pd = assemble_complex(nd, types)
-    return _identity_report(c, pd, rd, report["size_warnings"], backend)
+    out = check_pushforward_identity_on_complex(c, pd, rd, backend)
+    out["size_warnings"] = report["size_warnings"]
+    return out

@@ -4,9 +4,9 @@ Types are decorated trees: per-vertex image face and curve class drawn from a
 user-supplied target model, per-edge slopes forced by balancing. Each type
 spans a cone whose coordinates are the root position inside its face together
 with the edge lengths; realizability means the cone has interior points with
-all lengths and face coordinates strictly positive. Assembly glues the cones
-along specialization and reads the puncturing offsets off primitive ray
-generators.
+all lengths and face coordinates strictly positive; each isomorphism class
+is tested once. Assembly glues the cones along specialization and reads the
+puncturing offsets off primitive ray generators.
 """
 from __future__ import annotations
 
@@ -190,16 +190,20 @@ class TropicalType:
 
 
 def canonical_key(t: TropicalType) -> tuple:
-    """Degree-lex minimal adjacency encoding over leg-respecting relabelings."""
+    """Degree-lex minimal adjacency encoding over leg-respecting relabelings.
+
+    The minimal key lists the vertex data in sorted order, so only the
+    relabelings that send each vertex to a slot holding its own data compete.
+    """
     n = t.n_vertices
     if n > 8:
         raise EnumerationBoundError("canonical form beyond eight vertices")
-    best = None
     vdata = [(v.pairing, tuple(sorted(v.face)), v.legs) for v in t.vertices]
+    vrows = tuple(sorted(vdata))
+    edge_rows = []
     for perm in itertools.permutations(range(n)):
-        vrows: list = [None] * n
-        for i in range(n):
-            vrows[perm[i]] = vdata[i]
+        if any(vrows[perm[i]] != vdata[i] for i in range(n)):
+            continue
         erows = []
         for e in t.edges:
             a, b = perm[e.ends[0]], perm[e.ends[1]]
@@ -208,10 +212,8 @@ def canonical_key(t: TropicalType) -> tuple:
                 a, b = b, a
                 slope = tuple(-x for x in slope)
             erows.append((a, b, tuple(sorted(e.face)), slope))
-        key = (n, tuple(vrows), tuple(sorted(erows)))
-        if best is None or key < best:
-            best = key
-    return best
+        edge_rows.append(tuple(sorted(erows)))
+    return (n, vrows, min(edge_rows))
 
 
 def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -222,6 +224,8 @@ def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]
         raise BalancingError("not a tree: need n-1 edges on n >= 1 vertices")
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
     for idx, (a, b) in enumerate(ends):
+        if a not in adj or b not in adj:
+            raise BalancingError(f"edge {idx} {(a, b)} has an end outside 0..{n - 1}")
         adj[a].append((b, idx))
         adj[b].append((a, idx))
     order = [(0, -1, -1)]
@@ -258,9 +262,11 @@ def slopes_from_balancing(
     order = _walk(n, ends)
     # class minus leg tangencies; balancing makes it the sum of outgoing slopes
     excess = []
-    for v in vertices:
+    for vi, v in enumerate(vertices):
         row = [v.pairing[j] for j in range(nd.k)]
         for i in v.legs:
+            if not 1 <= i <= len(nd.markings):
+                raise BalancingError(f"leg {i} at vertex {vi} names no marking")
             for j in range(nd.k):
                 row[j] -= nd.markings[i - 1][j]
         excess.append(row)
@@ -362,10 +368,9 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
         ineqs.append(tuple(row))
     basis = kernel(eqs, nv)
     m = len(basis)
-    rays: list[tuple[int, ...]] = []
+    found: set[tuple[int, ...]] = set()
     if m:
         proj = [[sum(a * b for a, b in zip(r, bv)) for bv in basis] for r in ineqs]
-        seen = set()
         for subset in itertools.combinations(range(len(proj)), m - 1):
             sub = [proj[i] for i in subset]
             kern = kernel(sub, m)
@@ -383,11 +388,8 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
                 continue
             if all(x == 0 for x in z):
                 continue
-            prim = primitive(z)
-            if prim not in seen:
-                seen.add(prim)
-                rays.append(prim)
-    rays.sort()
+            found.add(primitive(z))
+    rays = sorted(found)
     unimod = bool(rays) and is_unimodular(rays)
     variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
         f"l{i}" for i in range(len(t.edges))
@@ -472,7 +474,7 @@ def _face_candidates(
 
 
 def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[TropicalType]:
-    """Realizable types on the trees of _trees(n) whose zero-class vertices
+    """Balanced types on the trees of _trees(n) whose zero-class vertices
     keep at least three special points, save a lone vertex at the trivial face."""
     n_marks = len(nd.markings)
     for edges in _trees(n):
@@ -500,8 +502,7 @@ def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[Tropic
                         t = slopes_from_balancing(nd, verts, list(edges))
                     except BalancingError:
                         return
-                    if realizable(nd, t):
-                        yield t
+                    yield t
                     return
                 for face, pairing, label in candidates:
                     zero = all(x == 0 for x in pairing)
@@ -529,10 +530,11 @@ def enumerate_types(
     more than B = max(1, 2N + m - 2) vertices, for m markings and
     N = floor(sum_j |d_j| / w), w the least weight sum_j |p_j| of a nonzero
     candidate class (N = 0 without one); the argument is beside the code.
-    The output is closed under specialization and sorted by canonical form.
-    Class splittings without a sign bound raise EnumerationBoundError. An
-    explicit ``bounds={"max_vertices": cap}`` stops at min(cap, B) vertices
-    and, unlike the default, raises it when types exist at cap.
+    Realizability, which ignores the labeling, is tested once per canonical
+    key. The output is closed under specialization and sorted by canonical
+    form. Class splittings without a sign bound raise EnumerationBoundError.
+    An explicit ``bounds={"max_vertices": cap}`` stops at min(cap, B)
+    vertices and, unlike the default, raises it when types exist at cap.
     """
     report = validate_numerical_data(nd)
     if not report["ok"]:
@@ -554,6 +556,7 @@ def enumerate_types(
     for n in range(1, max_v + 1):
         for t in _level_types(nd, candidates, n):
             found.setdefault(canonical_key(t), t)
+    found = {key: t for key, t in found.items() if realizable(nd, t)}
     # close under specialization
     queue = list(found.values())
     while queue:
@@ -571,26 +574,18 @@ def enumerate_types(
 
 
 def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
-    """Faces as subsets of extreme-ray indices, by the tight-constraint test."""
-    rays = cone.rays
-    nv = len(cone.variables)
+    """Faces as subsets of extreme-ray indices: as rows are nonnegative on rays,
+    no other ray is tight on all the rows tight at every ray of a face."""
+    n, rows = len(cone.rays), range(len(cone.ineq_rows))
+    tight = [
+        {r for r in rows if sum(a * b for a, b in zip(cone.ineq_rows[r], ray)) == 0}
+        for ray in cone.rays
+    ]
     out = []
-    for size in range(len(rays) + 1):
-        for subset in itertools.combinations(range(len(rays)), size):
-            z = [sum(rays[i][c] for i in subset) for c in range(nv)]
-            tight = [
-                row
-                for row in cone.ineq_rows
-                if sum(a * b for a, b in zip(row, z)) == 0
-            ]
-            closure = tuple(
-                i
-                for i in range(len(rays))
-                if all(
-                    sum(a * b for a, b in zip(row, rays[i])) == 0 for row in tight
-                )
-            )
-            if closure == subset:
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            common = set(rows).intersection(*(tight[i] for i in subset))
+            if not any(common <= tight[i] for i in range(n) if i not in subset):
                 out.append(subset)
     return out
 
@@ -666,21 +661,29 @@ def assemble_complex(
 ) -> tuple[ConeComplex, PuncturingData]:
     """Glue type cones along specialization into an embedded complex.
 
-    Rays are the one-dimensional types in canonical order; each type's cone
-    is the set of rays its extreme rays decode to. Offsets record, per
-    negative marking direction, the puncture vertex's position coordinate at
-    each primitive ray generator. Non-simplicial or non-unimodular cones
-    raise NonSmoothConeError carrying the type; a type list that is not
-    closed under specialization raises ArithmeticError.
+    Rays are the one-dimensional types in canonical order. One pass decodes
+    each type at every face of its cone; its cone is the set of rays its
+    one-ray faces decode to. Offsets record, per negative marking direction,
+    the puncture vertex's position coordinate at each primitive ray
+    generator. Non-simplicial or non-unimodular cones raise
+    NonSmoothConeError carrying the type; a type list that is not closed
+    under specialization raises ArithmeticError.
     """
     by_key = {canonical_key(t): t for t in types}
     cones_of: dict[tuple, TypeCone] = {k: cone_of_type(nd, t) for k, t in by_key.items()}
-    for key, t in by_key.items():
-        for s in specializations(nd, t):
-            if canonical_key(s) not in by_key:
-                raise ArithmeticError("types are not closed under specialization")
     ray_keys = sorted(k for k, c in cones_of.items() if c.dim == 1)
     ray_names = {k: f"r{i + 1}" for i, k in enumerate(ray_keys)}
+    names_of: dict[tuple, set] = {}
+    for key, t in by_key.items():
+        cone = cones_of[key]
+        names_of[key] = set()
+        for subset in _faces_of_cone(cone):
+            z = [sum(cone.rays[i][c] for i in subset) for c in range(len(cone.variables))]
+            skey = canonical_key(_decode(nd, t, cone, z))
+            if skey not in by_key:
+                raise ArithmeticError("types are not closed under specialization")
+            if len(subset) == 1:
+                names_of[key].add(ray_names.get(skey))
     cones = []
     for key, t in by_key.items():
         cone = cones_of[key]
@@ -692,13 +695,9 @@ def assemble_complex(
                 f"{len(cone.rays)} rays)",
                 t,
             )
-        names = set()
-        for i in range(len(cone.rays)):
-            s = _decode(nd, t, cone, list(cone.rays[i]))
-            skey = canonical_key(s)
-            if skey not in ray_names:
-                raise ArithmeticError("extreme ray decodes to a missing type")
-            names.add(ray_names[skey])
+        names = names_of[key]
+        if None in names:
+            raise ArithmeticError("extreme ray decodes to a missing type")
         if len(names) != cone.dim:
             raise NonSmoothConeError("cone rays decode to a repeated type", t)
         cones.append(tuple(sorted(names)))

@@ -222,6 +222,37 @@ def test_twisted_check_rejects_a_rooting_count_other_than_k(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_twisted_check_without_data_reads_k_off_the_offset_ids(capsys, tmp_path):
+    # surplus orders were ignored here, since nothing stated k
+    pr = fixture_path("pr-hyperplane")
+    _, pinned, _ = run_json(capsys, "twisted-check", pr, "--r", "2")
+    for name, k, good, bad in (
+        ("pr-hyperplane", 1, ["2"], (["2", "3", "4", "5"], ["2", "3"])),
+        ("p2-two-lines", 2, ["5", "7"], (["5"], ["5", "7", "11"])),
+    ):
+        with open(fixture_path(name)) as f:
+            doc = json.load(f)
+        del doc["data"], doc["strata"]
+        path = write_fixture(tmp_path, doc)
+        code, report, _ = run_json(capsys, "twisted-check", path, "--r", *good)
+        assert code == 0
+        if name == "pr-hyperplane":
+            assert report["result"] == pinned["result"]
+        for orders in bad:
+            code, out, err = run_cli(capsys, "twisted-check", path, "--r", *orders)
+            assert code == 2 and out == ""
+            assert err == (
+                "error: need one target root per divisor direction: "
+                f"offsets name divisors up to k = {k}, got {len(orders)}\n"
+            )
+    # divisor 0 is no divisor: the twist refuses it, as with data
+    doc["complex"]["offsets"] = [{"puncture": "p2.0", "values": {"Z0": 1}}]
+    path = write_fixture(tmp_path, doc)
+    code, out, err = run_cli(capsys, "twisted-check", path, "--r", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: offset p2.0 names divisor 0 outside the rooting data\n"
+
+
 def test_compare_blowup_counterexample_exits_0(capsys):
     code, doc, _ = run_json(
         capsys, "compare-blowup", fixture_path("f1-counterexample")

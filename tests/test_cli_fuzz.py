@@ -1,0 +1,103 @@
+"""Mutated fixtures never make the command line raise or print a traceback.
+
+Each example applies one to three mutations to a fixture (drop a key, swap a
+value for another JSON type, nudge an integer within |v| <= 50, duplicate an
+array entry) and runs one subcommand on it in process. The run must end in
+one of two ways: exit 0 or 1 with a JSON document on stdout and nothing on
+stderr, or exit 1 or 2 with nothing on stdout and one line on stderr.
+"""
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from punctref.cli import _HANDLERS, main
+
+from conftest import FIXTURE_NAMES, fixture_path
+
+DOCS = {}
+for _name in FIXTURE_NAMES:
+    with open(fixture_path(_name)) as _f:
+        DOCS[_name] = json.load(_f)
+
+OTHER_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
+
+
+def paths(node, prefix=()):
+    """Every path below node, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from paths(child, prefix + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate(draw, doc):
+    """Apply one mutation at a drawn path of doc, in place."""
+    path = draw(st.sampled_from(list(paths(doc))))
+    parent, key = at(doc, path[:-1]), path[-1]
+    value = parent[key]
+    kinds = ["swap"]
+    if isinstance(parent, dict):
+        kinds.append("drop")
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 50:
+        kinds.append("nudge")
+    if isinstance(value, list) and value:
+        kinds.append("duplicate")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "swap":
+        others = [v for v in OTHER_VALUES if type(v) is not type(value)]
+        parent[key] = copy.deepcopy(draw(st.sampled_from(others)))
+    elif kind == "nudge":
+        parent[key] = draw(st.integers(max(-50, value - 5), min(50, value + 5)))
+    else:
+        i = draw(st.integers(0, len(value) - 1))
+        value.insert(i, copy.deepcopy(value[i]))
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    doc = copy.deepcopy(DOCS[name])
+    for _ in range(draw(st.integers(1, 3))):
+        if doc:
+            mutate(draw, doc)
+    command = draw(st.sampled_from(sorted(_HANDLERS)))
+    flags = []
+    if command == "twisted-check":
+        orders = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+        flags = ["--r", *map(str, orders)]
+    return doc, command, flags
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cases())
+def test_mutated_fixtures_end_in_json_or_one_line(case):
+    doc, command, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fx.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, *flags])
+    out, err = out.getvalue(), err.getvalue()
+    if out:
+        assert code in (0, 1) and err == "", (code, err)
+        json.loads(out)
+    else:
+        assert code in (1, 2), code
+        assert err.endswith("\n") and err.count("\n") == 1, err

@@ -1,4 +1,6 @@
 """Tropical type enumeration, cones, balancing, and complex assembly."""
+import functools
+import itertools
 import math
 import os
 import random
@@ -10,7 +12,10 @@ import pytest
 
 import punctref
 from punctref import tropmaps
+from punctref.blowups import _restrict_data, _restrict_model
+from punctref.conecx import Ray, build_complex
 from punctref.fixtureio import complex_to_json, types_to_json
+from punctref.puncture import puncturing_data
 from punctref.tropmaps import (
     _decode,
     _face_candidates,
@@ -137,6 +142,20 @@ def test_slopes_reject_non_trees():
     three = verts + (VertexDecor(frozenset(), (0, 0), "0", ()),)
     with pytest.raises(BalancingError, match="disconnected"):
         slopes_from_balancing(nd, three, [(0, 1), (0, 1)])
+
+
+def test_slopes_reject_out_of_range_ends_and_legs():
+    # these raised a bare KeyError or IndexError, and leg 0 read the last marking
+    nd, verts = p2_two_vertex_type()
+    for ends in ((0, -1), (0, 2), (-1, 1)):
+        with pytest.raises(BalancingError) as err:
+            slopes_from_balancing(nd, verts, [ends])
+        assert str(err.value) == f"edge 0 {ends} has an end outside 0..1"
+    for leg in (0, len(nd.markings) + 1):
+        legged = (verts[0], VertexDecor(frozenset(), (1, 1), "line", (leg,)))
+        with pytest.raises(BalancingError) as err:
+            slopes_from_balancing(nd, legged, [(0, 1)])
+        assert str(err.value) == f"leg {leg} at vertex 1 names no marking"
 
 
 def test_slopes_reject_unbalanced_decorations():
@@ -798,15 +817,21 @@ def test_walk_matches_reference_on_non_trees():
         verts = tuple(VertexDecor(frozenset(), (0,), "0", ()) for _ in range(n))
         nd = numerical_data(1, (0,), [])
         got = outcome(slopes_from_balancing, nd, verts, ends)
-        assert got == outcome(reference_slopes_from_balancing, nd, verts, ends)
+        bad = [i for i, e in enumerate(ends) if not (0 <= e[0] < n and 0 <= e[1] < n)]
+        if not bad or len(ends) != n - 1:
+            assert got == outcome(reference_slopes_from_balancing, nd, verts, ends)
+        else:
+            # the reference raised a bare KeyError here
+            i = bad[0]
+            message = f"edge {i} {ends[i]} has an end outside 0..{n - 1}"
+            assert got == (BalancingError, message)
         if not isinstance(got, TropicalType):
-            refusals.add(got[0].__name__)
             refusals.add(got[1])
     assert {
-        "KeyError",
         "not a tree: need n-1 edges on n >= 1 vertices",
         "not a tree: graph is disconnected",
     } <= refusals
+    assert any(m.startswith("edge ") and "has an end outside 0.." in m for m in refusals)
 
 
 def test_cone_of_a_non_tree_type_raises():
@@ -818,3 +843,244 @@ def test_cone_of_a_non_tree_type_raises():
         with pytest.raises(BalancingError) as err:
             cone_of_type(nd, t)
         assert str(err.value) == "not a tree: need n-1 edges on n >= 1 vertices"
+
+
+# The per-class pass keeps the key, the faces and the complex of the code it
+# replaced: a key built from every relabeling, faces by the dot products at
+# each subset sum, and an assembly that ran a second specialization pass and
+# decoded each extreme ray again.
+
+
+def reference_canonical_key(t):
+    """Degree-lex minimal adjacency encoding over leg-respecting relabelings."""
+    n = t.n_vertices
+    if n > 8:
+        raise EnumerationBoundError("canonical form beyond eight vertices")
+    best = None
+    vdata = [(v.pairing, tuple(sorted(v.face)), v.legs) for v in t.vertices]
+    for perm in itertools.permutations(range(n)):
+        vrows = [None] * n
+        for i in range(n):
+            vrows[perm[i]] = vdata[i]
+        erows = []
+        for e in t.edges:
+            a, b = perm[e.ends[0]], perm[e.ends[1]]
+            slope = e.slope
+            if a > b:
+                a, b = b, a
+                slope = tuple(-x for x in slope)
+            erows.append((a, b, tuple(sorted(e.face)), slope))
+        key = (n, tuple(vrows), tuple(sorted(erows)))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def reference_faces_of_cone(cone):
+    """Faces as subsets of extreme-ray indices, by the tight-constraint test."""
+    rays = cone.rays
+    nv = len(cone.variables)
+    out = []
+    for size in range(len(rays) + 1):
+        for subset in itertools.combinations(range(len(rays)), size):
+            z = [sum(rays[i][c] for i in subset) for c in range(nv)]
+            tight = [
+                row for row in cone.ineq_rows if sum(a * b for a, b in zip(row, z)) == 0
+            ]
+            closure = tuple(
+                i
+                for i in range(len(rays))
+                if all(sum(a * b for a, b in zip(row, rays[i])) == 0 for row in tight)
+            )
+            if closure == subset:
+                out.append(subset)
+    return out
+
+
+def reference_specializations(nd, t):
+    cone = cone_of_type(nd, t)
+    nv = len(cone.variables)
+    return [
+        _decode(nd, t, cone, [sum(cone.rays[i][c] for i in subset) for c in range(nv)])
+        for subset in reference_faces_of_cone(cone)
+        if len(subset) != len(cone.rays)
+    ]
+
+
+def reference_assemble_complex(nd, types):
+    """Glue type cones along specialization into an embedded complex."""
+    key = reference_canonical_key
+    by_key = {key(t): t for t in types}
+    cones_of = {k: cone_of_type(nd, t) for k, t in by_key.items()}
+    for t in by_key.values():
+        for s in reference_specializations(nd, t):
+            if key(s) not in by_key:
+                raise ArithmeticError("types are not closed under specialization")
+    ray_keys = sorted(k for k, c in cones_of.items() if c.dim == 1)
+    ray_names = {k: f"r{i + 1}" for i, k in enumerate(ray_keys)}
+    cones = []
+    for k, t in by_key.items():
+        cone = cones_of[k]
+        if cone.dim == 0:
+            continue
+        if len(cone.rays) != cone.dim or not cone.unimodular:
+            raise NonSmoothConeError(
+                f"type cone is not simplicial-unimodular (dim {cone.dim}, "
+                f"{len(cone.rays)} rays)",
+                t,
+            )
+        names = set()
+        for i in range(len(cone.rays)):
+            skey = key(_decode(nd, t, cone, list(cone.rays[i])))
+            if skey not in ray_names:
+                raise ArithmeticError("extreme ray decodes to a missing type")
+            names.add(ray_names[skey])
+        if len(names) != cone.dim:
+            raise NonSmoothConeError("cone rays decode to a repeated type", t)
+        cones.append(tuple(sorted(names)))
+    nrays = len(ray_keys)
+    rays = [
+        Ray(ray_names[k], tuple(1 if i == j else 0 for j in range(nrays)))
+        for i, k in enumerate(ray_keys)
+    ]
+    complex_ = build_complex(rays, cones)
+    offsets = {}
+    for i, alpha in enumerate(nd.markings, start=1):
+        for j in range(1, nd.k + 1):
+            if alpha[j - 1] < 0:
+                offsets[f"p{i}.{j}"] = {}
+    for k in ray_keys:
+        t = by_key[k]
+        cone = cones_of[k]
+        z = list(cone.rays[0])
+        for i, alpha in enumerate(nd.markings, start=1):
+            vtx = next(v for v in range(t.n_vertices) if i in t.vertices[v].legs)
+            for j in range(1, nd.k + 1):
+                if alpha[j - 1] < 0:
+                    val = cone.position(vtx, j, z)
+                    if val < 0:
+                        raise ArithmeticError(f"offset {val} is not a natural number")
+                    if val:
+                        offsets[f"p{i}.{j}"][ray_names[k]] = val
+    return complex_, puncturing_data(offsets)
+
+
+def type_data():
+    """The data of walk_data, then the degree-two datum at the default bound."""
+    _, tm = p2_data_model()
+    return walk_data() + [(numerical_data(2, (2, 2), [(3, 3), (-1, -1)]), tm, None)]
+
+
+@functools.lru_cache(maxsize=None)
+def labelings(index):
+    """Datum `index` of type_data, its balanced labelings up to the vertex
+    bound, and its types."""
+    nd, tm, bounds = type_data()[index]
+    cap = min(vertex_bound(nd, tm), (bounds or {}).get("max_vertices", 8))
+    candidates = _face_candidates(nd, tm)
+    ts = tuple(t for n in range(1, cap + 1) for t in _level_types(nd, candidates, n))
+    return nd, ts, enumerate_types(nd, tm, bounds=bounds)
+
+
+def test_rank_two_restrictions_give_the_data_back():
+    # so type_data covers the restrictions check_slope_sensitivity builds
+    for nd, tm, _ in type_data():
+        if nd.k == 2:
+            assert _restrict_data(nd, (1, 2)) == nd
+            assert _restrict_model(tm, (1, 2)) == tm
+
+
+def relabeled(rng, t):
+    """t under a random vertex relabeling, its edges shuffled and flipped."""
+    perm = list(range(t.n_vertices))
+    rng.shuffle(perm)
+    verts = [None] * t.n_vertices
+    for v, vd in enumerate(t.vertices):
+        verts[perm[v]] = vd
+    edges = []
+    for e in t.edges:
+        a, b = perm[e.ends[0]], perm[e.ends[1]]
+        if rng.random() < 0.5:
+            edges.append(EdgeDecor((b, a), e.face, tuple(-x for x in e.slope)))
+        else:
+            edges.append(EdgeDecor((a, b), e.face, e.slope))
+    rng.shuffle(edges)
+    return TropicalType(t.k, tuple(verts), tuple(edges))
+
+
+def keys_match_reference(index, rng):
+    """Keys equal the reference's on every balanced labeling of the datum, the
+    specializations of its types and a relabeling of each; returns the number
+    of relabelings."""
+    nd, ts, types = labelings(index)
+    relabelings = 0
+    for t in ts + tuple(s for t in types for s in specializations(nd, t)):
+        key = canonical_key(t)
+        assert key == reference_canonical_key(t)
+        if t.n_vertices > 1:
+            s = relabeled(rng, t)
+            assert canonical_key(s) == reference_canonical_key(s) == key
+            relabelings += 1
+    return relabelings
+
+
+def faces_match_reference(index):
+    nd, ts, types = labelings(index)
+    for t in ts + types:
+        cone = cone_of_type(nd, t)
+        assert _faces_of_cone(cone) == reference_faces_of_cone(cone)
+
+
+def assembly_matches_reference(index):
+    nd, _, types = labelings(index)
+    got = outcome(assemble_complex, nd, types)
+    assert got == outcome(reference_assemble_complex, nd, types)
+    if not isinstance(got[0], type):
+        want = reference_assemble_complex(nd, types)
+        assert complex_to_json(*got) == complex_to_json(*want)
+    # every list with one type dropped, the three pr drops included
+    for i in range(len(types)):
+        rest = types[:i] + types[i + 1:]
+        assert outcome(assemble_complex, nd, rest) == outcome(
+            reference_assemble_complex, nd, rest
+        )
+
+
+def test_canonical_key_matches_reference():
+    rng = random.Random(13)
+    assert sum(keys_match_reference(i, rng) for i in range(len(walk_data()))) >= 500
+
+
+@pytest.mark.parametrize("index", range(len(walk_data())))
+def test_faces_match_reference(index):
+    faces_match_reference(index)
+
+
+@pytest.mark.parametrize("index", range(len(walk_data())))
+def test_assemble_matches_reference(index):
+    assembly_matches_reference(index)
+
+
+@pytest.mark.ladder
+def test_per_class_pass_matches_reference_on_degree_two_default_bound():
+    index = len(type_data()) - 1
+    assert keys_match_reference(index, random.Random(14)) >= 500
+    faces_match_reference(index)
+    assembly_matches_reference(index)
+
+
+def test_one_realizability_test_per_class(monkeypatch):
+    calls = {"realizable": 0, "cone_of_type": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(tropmaps, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(tropmaps, name, counted)
+    _, tm = p2_data_model()
+    nd = numerical_data(2, (2, 2), [(3, 3), (-1, -1)])
+    types = enumerate_types(nd, tm)
+    assemble_complex(nd, types)
+    # 405 canonical keys among the 2583 balanced labelings, and 18 types; a
+    # test per labeling made 2583 realizability calls and built 2637 cones
+    assert calls["realizable"] == 405
+    assert calls["cone_of_type"] <= 405 + 2 * len(types) == 441
