@@ -324,16 +324,12 @@ def check_slope_sensitivity(
 
 
 def _replay_trace(
-    c: ConeComplex, trace: Sequence[Mapping | SubdivisionStep]
+    c: ConeComplex, trace: Sequence[Mapping]
 ) -> tuple[ConeComplex, list[SubdivisionStep]]:
     steps = []
     current = c
     for entry in trace:
-        if isinstance(entry, SubdivisionStep):
-            center, new = entry.center, entry.new_ray
-        else:
-            center, new = tuple(entry["center"]), entry.get("new")
-        current, step = star_subdivide(current, center, new_ray=new)
+        current, step = star_subdivide(current, entry["center"], new_ray=entry.get("new"))
         steps.append(step)
     return current, steps
 
@@ -341,14 +337,15 @@ def _replay_trace(
 def compare_under_subdivision(
     c: ConeComplex,
     pd: PuncturingData,
-    trace: Sequence[Mapping | SubdivisionStep],
+    trace: Sequence[Mapping],
     lifted_pd: PuncturingData,
 ) -> dict:
     """Refined class downstairs versus pushforward of the lifted one.
 
-    The trace (star subdivisions with optional names for the new rays) is
-    replayed on the complex; the lifted offsets live on the result. Reports
-    both classes, the difference (pushed minus original), and equality.
+    The trace, star subdivisions as {"center", "new"} mappings with "new"
+    optional, is replayed on the complex; the lifted offsets live on the
+    result. Reports both classes, the difference (pushed minus original),
+    and equality.
     """
     upstairs_complex, steps = _replay_trace(c, trace)
     original = refined_class(c, pd).cls

@@ -31,7 +31,12 @@ from .fixtureio import (
     load_subdivision_arg,
     types_to_json,
 )
-from .gerby import _offset_direction, check_pushforward_identity_on_complex, rooting_data
+from .gerby import (
+    _checked_rooting,
+    _offset_direction,
+    check_pushforward_identity_on_complex,
+    rooting_data,
+)
 from .puncture import PrincipalizationError, _segre, normalized_ideal, refined_class
 from .tropmaps import (
     BalancingError,
@@ -67,9 +72,17 @@ def _trace_json(trace) -> list[dict]:
     return [{"center": list(s.center), "new": s.new_ray} for s in trace]
 
 
+def _checked_complex(c):
+    """The complex, refused with its first violation unless it validates."""
+    violations = validate_complex(c)["violations"]
+    if violations:
+        raise ArithmeticError(f"complex fails validation: {violations[0]}")
+    return c
+
+
 def _complex_and_offsets(fixture: Fixture):
     if fixture.complex is not None and fixture.offsets is not None:
-        return fixture.complex, fixture.offsets
+        return _checked_complex(fixture.complex), fixture.offsets
     if fixture.data is not None and fixture.model is not None:
         types = enumerate_types(fixture.data, fixture.model)
         return assemble_complex(fixture.data, types)
@@ -154,16 +167,21 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
             f"need one target root per divisor direction: {stated} k = {k}, got {len(r)}"
         )
     rd = rooting_data(r, s)
+    if s is not None:
+        if fixture.data is None:
+            raise SchemaError("$", "source roots s need a data section to check against")
+        _checked_rooting(fixture.data, rd)
     report = check_pushforward_identity_on_complex(
-        fixture.complex, fixture.offsets, rd, backend=args.backend
+        _checked_complex(fixture.complex), fixture.offsets, rd, backend=args.backend
     )
     return report, 0 if report["equal"] else 1
 
 
 def _cmd_compare_blowup(fixture: Fixture, args) -> tuple[dict, int]:
     _require(fixture, "complex+offsets+trace+lifted_offsets")
+    c = _checked_complex(fixture.complex)
     report = compare_under_subdivision(
-        fixture.complex, fixture.offsets, fixture.trace, fixture.lifted_offsets
+        c, fixture.offsets, fixture.trace, fixture.lifted_offsets
     )
     return report, 0
 

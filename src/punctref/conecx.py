@@ -57,12 +57,10 @@ class ConeComplex:
     ``cones`` is the set of every cone (including the empty cone and all
     faces), each a sorted tuple of ray ids; any iterable given is coerced to
     a frozenset. Maximal cones are derived from it, so it must be face-closed.
-    ``labels`` maps a cone to an optional display label such as "W12".
     """
 
     rays: tuple[Ray, ...]
     cones: frozenset[tuple[str, ...]]
-    labels: tuple[tuple[tuple[str, ...], str], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cones", frozenset(self.cones))
@@ -104,13 +102,6 @@ class ConeComplex:
             self.__dict__["_maximal_cache"] = cached
         return cached
 
-    def label_of(self, cone: Iterable[str]) -> Optional[str]:
-        key = _sorted_cone(cone)
-        for c, lab in self.labels:
-            if c == key:
-                return lab
-        return None
-
     def dim(self) -> int:
         return max((len(c) for c in self.cones), default=0)
 
@@ -129,7 +120,6 @@ def _face_closure(cones: Iterable[Iterable[str]]) -> frozenset[tuple[str, ...]]:
 def build_complex(
     rays: Sequence[Ray | str | Mapping],
     cones: Iterable[Iterable[str]],
-    labels: Optional[Mapping[frozenset, str]] = None,
 ) -> ConeComplex:
     """Construct a face-closed complex from rays and generating cones.
 
@@ -161,12 +151,7 @@ def build_complex(
         if len(set(c)) != len(c):
             raise ValueError(f"cone {c} repeats a ray")
     all_cones = _face_closure(gen + [[i] for i in ids])
-    norm_labels: tuple[tuple[tuple[str, ...], str], ...] = ()
-    if labels:
-        norm_labels = tuple(
-            sorted((_sorted_cone(k), v) for k, v in labels.items())
-        )
-    return ConeComplex(tuple(norm_rays), all_cones, norm_labels)
+    return ConeComplex(tuple(norm_rays), all_cones)
 
 
 def validate_complex(c: ConeComplex) -> dict:
@@ -250,33 +235,29 @@ def star_subdivide(
     if not c.has_cone(ctr):
         raise ValueError(f"center {ctr} is not a cone of the complex")
     r1, r2 = ctr
+    existing = set(c.ray_ids)
     if new_ray is None:
         k = 0
-        existing = set(c.ray_ids)
         while f"e{k}" in existing:
             k += 1
         new_ray = f"e{k}"
-    if new_ray in set(c.ray_ids):
+    if new_ray in existing:
         raise ValueError(f"new ray id {new_ray!r} already present")
     prim: Optional[tuple[int, ...]] = None
     if c.mode == "embedded":
         p1 = c.ray(r1).primitive
         p2 = c.ray(r2).primitive
-        prim = tuple(a + b for a, b in zip(p1, p2))
+        prim = tuple(a + b for a, b in zip(p1, p2, strict=True))
     new_rays = sorted(list(c.rays) + [Ray(new_ray, prim)], key=lambda r: r.id)
     # the closure transforms cone by cone, so no re-closing is needed: a cone
     # through the center contributes its two replacement children plus its
     # center-stripped extension by the new ray, everything else survives
-    new_cones: set[tuple[str, ...]] = set()
-    for cone in c.cones:
-        s = set(cone)
-        if r1 in s and r2 in s:
-            new_cones.add(_sorted_cone((s - {r1}) | {new_ray}))
-            new_cones.add(_sorted_cone((s - {r2}) | {new_ray}))
-            new_cones.add(_sorted_cone((s - {r1, r2}) | {new_ray}))
-        else:
-            new_cones.add(cone)
-    post = ConeComplex(tuple(new_rays), frozenset(new_cones), c.labels)
+    star = [cone for cone in c.cones if r1 in cone and r2 in cone]
+    new_cones = set(c.cones).difference(star)
+    for cone in star:
+        rest = [x for x in cone if x != r1 and x != r2] + [new_ray]
+        new_cones.update(map(_sorted_cone, (rest + [r1], rest + [r2], rest)))
+    post = ConeComplex(tuple(new_rays), new_cones)
     step = SubdivisionStep(center=(r1, r2), new_ray=new_ray, pre=c, post=post)
     return post, step
 

@@ -133,6 +133,15 @@ def validate_rooting(nd: NumericalData, rd: RootingData) -> dict:
     }
 
 
+def _checked_rooting(nd: NumericalData, rd: RootingData) -> dict:
+    """validate_rooting's report; ValueError on any violation but size."""
+    report = validate_rooting(nd, rd)
+    hard = [v for v in report["violations"] if v["condition"] != "size"]
+    if hard:
+        raise ValueError(f"rooting data invalid: {hard}")
+    return report
+
+
 def _offset_direction(offset_id: str) -> tuple[int, int]:
     m = _OFFSET_ID.match(offset_id)
     if not m:
@@ -258,10 +267,7 @@ def check_pushforward_identity(
     violations only annotate the report, since the identity holds regardless
     on the examples of record.
     """
-    report = validate_rooting(nd, rd)
-    hard = [v for v in report["violations"] if v["condition"] != "size"]
-    if hard:
-        raise ValueError(f"rooting data invalid: {hard}")
+    report = _checked_rooting(nd, rd)
     types = enumerate_types(nd, tm)
     c, pd = assemble_complex(nd, types)
     out = check_pushforward_identity_on_complex(c, pd, rd, backend)

@@ -253,6 +253,73 @@ def test_twisted_check_without_data_reads_k_off_the_offset_ids(capsys, tmp_path)
     assert err == "error: offset p2.0 names divisor 0 outside the rooting data\n"
 
 
+def test_twisted_check_checks_source_roots_against_the_data(capsys, tmp_path):
+    # s used to be read and then ignored, so [7, 7] passed as equal: true
+    pr = fixture_path("pr-hyperplane")
+    rooting = tmp_path / "rooting.json"
+    rooting.write_text(json.dumps({"r": [5], "s": [7, 7]}))
+    code, out, err = run_cli(capsys, "twisted-check", pr, "--rooting", str(rooting))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rooting data invalid: ") and err.count("\n") == 1
+    assert "divisibility" in err and "coprimality" in err
+    # the derived orders pass and print the bytes of --r alone
+    rooting.write_text(json.dumps({"r": [5], "s": [5, 5]}))
+    assert run_cli(capsys, "twisted-check", pr, "--rooting", str(rooting)) == run_cli(
+        capsys, "twisted-check", pr, "--r", "5"
+    )
+    # one source root per marking
+    rooting.write_text(json.dumps({"r": [5], "s": [5]}))
+    code, out, err = run_cli(capsys, "twisted-check", pr, "--rooting", str(rooting))
+    assert (code, out, err) == (2, "", "error: need one source root per marking\n")
+    # without data nothing states the markings, so s cannot be checked
+    with open(pr) as f:
+        doc = json.load(f)
+    del doc["data"], doc["strata"]
+    path = write_fixture(tmp_path, doc)
+    rooting.write_text(json.dumps({"r": [5], "s": [5, 5]}))
+    code, out, err = run_cli(capsys, "twisted-check", path, "--rooting", str(rooting))
+    assert (code, out) == (2, "")
+    assert "data section" in err and err.count("\n") == 1
+
+
+def invalid_complexes():
+    """Fixture complexes that validate rejects, each with its first violation."""
+    offsets = [{"puncture": "p1.1", "values": {"a": 1}}]
+    yield {
+        "rays": [{"id": "a", "primitive": [1, 0]}, {"id": "b", "primitive": [1, 2]}],
+        "cones": [["a", "b"]],
+        "offsets": offsets,
+    }, "cone ('a', 'b') not unimodular"
+    yield {
+        "rays": [{"id": "a", "primitive": [1, 0]}, {"id": "b", "primitive": [0, 1, 0]}],
+        "cones": [["a", "b"]],
+        "offsets": offsets,
+    }, "primitive vectors of mixed ambient dimension"
+    yield {
+        "rays": [{"id": "a", "primitive": []}],
+        "cones": [["a"]],
+        "offsets": offsets,
+    }, "ray a primitive () not primitive"
+
+
+@pytest.mark.parametrize(
+    "command", ["refined-class", "segre", "twisted-check", "compare-blowup"]
+)
+def test_commands_refuse_a_complex_that_validate_rejects(capsys, tmp_path, command):
+    flags = {"twisted-check": ["--r", "2"]}.get(command, [])
+    for cx, first in invalid_complexes():
+        doc = {"complex": cx}
+        if command == "compare-blowup":
+            doc["trace"] = [{"center": ["a", "b"], "new": "e"}] if len(cx["rays"]) > 1 else []
+            doc["lifted_offsets"] = cx["offsets"]
+        path = write_fixture(tmp_path, doc)
+        code, doc_out, _ = run_json(capsys, "validate", path)
+        assert code == 1 and doc_out["result"]["complex"]["violations"][0] == first
+        code, out, err = run_cli(capsys, command, path, *flags)
+        assert (code, out) == (1, "")
+        assert err == f"inconsistency: complex fails validation: {first}\n"
+
+
 def test_compare_blowup_counterexample_exits_0(capsys):
     code, doc, _ = run_json(
         capsys, "compare-blowup", fixture_path("f1-counterexample")

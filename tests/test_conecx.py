@@ -7,6 +7,7 @@ import pytest
 from punctref.conecx import (
     ConeComplex,
     Ray,
+    SubdivisionStep,
     build_complex,
     pl_function,
     pl_pullback,
@@ -154,12 +155,11 @@ def test_star_subdivide_three_cone():
     assert validate_complex(post)["ok"]
 
 
-def test_labels_survive_subdivision():
-    c = build_complex(["a", "b", "c"], [["a", "b"], ["b", "c"]],
-                      labels={frozenset(["b", "c"]): "W"})
-    assert c.label_of(("c", "b")) == "W"
-    post, _ = star_subdivide(c, ("a", "b"))
-    assert post.label_of(("b", "c")) == "W"
+def test_star_subdivide_rejects_primitives_of_mixed_length():
+    c = build_complex([Ray("a", (1, 0)), Ray("b", (0, 1, 0))], [["a", "b"]])
+    assert not validate_complex(c)["ok"]
+    with pytest.raises(ValueError):
+        star_subdivide(c, ("a", "b"))
 
 
 def test_pl_function_access():
@@ -229,3 +229,76 @@ def test_facet_rule_on_the_empty_cone_alone():
 @pytest.mark.parametrize("index", range(LADDER_SIZE))
 def test_facet_rule_matches_reference_on_ladder(index):
     assert_facet_rule_along_principalization(*ladder_chart(index))
+
+
+def reference_star_subdivide(c, center, new_ray=None):
+    """Stellar subdivision building a set for every cone of the complex, the
+    form the one-copy star swap replaced; kept as the reference it is checked
+    against."""
+    r1, r2 = sorted(center)
+    if new_ray is None:
+        k = 0
+        existing = set(c.ray_ids)
+        while f"e{k}" in existing:
+            k += 1
+        new_ray = f"e{k}"
+    prim = None
+    if c.mode == "embedded":
+        prim = tuple(a + b for a, b in zip(c.ray(r1).primitive, c.ray(r2).primitive))
+    new_rays = sorted(list(c.rays) + [Ray(new_ray, prim)], key=lambda r: r.id)
+    new_cones = set()
+    for cone in c.cones:
+        s = set(cone)
+        if r1 in s and r2 in s:
+            new_cones.add(tuple(sorted((s - {r1}) | {new_ray})))
+            new_cones.add(tuple(sorted((s - {r2}) | {new_ray})))
+            new_cones.add(tuple(sorted((s - {r1, r2}) | {new_ray})))
+        else:
+            new_cones.add(cone)
+    post = ConeComplex(tuple(new_rays), frozenset(new_cones))
+    return post, SubdivisionStep(center=(r1, r2), new_ray=new_ray, pre=c, post=post)
+
+
+def assert_star_subdivide_along_principalization(c, pd, choice_seed=None):
+    _, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    for step in trace:
+        post, ref_step = reference_star_subdivide(step.pre, step.center)
+        assert step.post == post
+        assert step == ref_step
+    return len(trace)
+
+
+def test_star_subdivide_matches_reference_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        assert_star_subdivide_along_principalization(fx.complex, fx.offsets)
+
+
+def test_star_subdivide_matches_reference_on_seeded_charts():
+    rng = random.Random(7)
+    steps = 0
+    for i in range(48):
+        k = 2 + i % 3
+        c, pd = orthant_chart(rng, k, rng.randint(2, 4), (9, 5, 3)[k - 2])
+        seed = rng.randrange(1000) if i % 3 == 1 else None
+        steps += assert_star_subdivide_along_principalization(c, pd, seed)
+    assert steps > 48
+
+
+def test_star_subdivide_matches_reference_on_embedded_and_named_centers():
+    c = build_complex(
+        [Ray("a", (1, 0, 0)), Ray("b", (0, 1, 0)), Ray("c", (0, 0, 1)), Ray("d", (1, 1, 1))],
+        [["a", "b", "c"], ["a", "b", "d"]],
+    )
+    for center, name in ((("b", "a"), None), (("a", "d"), "m")):
+        post, step = star_subdivide(c, center, new_ray=name)
+        assert (post, step) == reference_star_subdivide(c, center, new_ray=name)
+        c = post
+    assert c.ray("m").primitive == (2, 1, 1)
+    assert validate_complex(c)["ok"]
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_star_subdivide_matches_reference_on_ladder(index):
+    assert_star_subdivide_along_principalization(*ladder_chart(index))

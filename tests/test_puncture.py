@@ -28,7 +28,6 @@ from punctref.conecx import (
 from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
-    _dividing_generator,
     _power_series_part,
     monomial_ideal,
     normalized_ideal,
@@ -130,6 +129,66 @@ def test_no_offsets_list_the_zero_cone_once():
     assert puncturing_components(c, PuncturingData(())) == ((),)
 
 
+def reference_puncturing_components(c, pd):
+    """Minimal qualifying cones by an all-pairs subset test, the form the
+    facet rule replaced; kept as the reference it is checked against."""
+    good = [
+        cone
+        for cone in c.cones
+        if all(any(f.get(r) > 0 for r in cone) for _, f in pd.offsets)
+    ]
+    minimal = []
+    for cone in good:
+        s = set(cone)
+        if not any(set(other) < s for other in good):
+            minimal.append(cone)
+    return tuple(sorted(minimal, key=lambda t: (len(t), t)))
+
+
+def assert_components_match_reference(c, pd):
+    """On the chart, and on its principalization with the offsets pulled back."""
+    assert puncturing_components(c, pd) == reference_puncturing_components(c, pd)
+    if pd.k_P < 2:
+        return
+    c2, trace, _ = principalize(c, normalized_ideal(c, pd))
+    lifted = pd
+    for step in trace:
+        lifted = PuncturingData(
+            tuple((pid, pl_pullback(f, step)) for pid, f in lifted.offsets)
+        )
+    assert puncturing_components(c2, lifted) == reference_puncturing_components(
+        c2, lifted
+    )
+
+
+def test_components_match_reference_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        assert_components_match_reference(fx.complex, fx.offsets)
+        assert puncturing_components(fx.complex, PuncturingData(())) == ((),)
+
+
+def test_components_match_reference_on_seeded_charts():
+    rng = random.Random(11)
+    found = set()
+    for i in range(96):
+        if i % 2:
+            c, pd = random_puncturing(rng)
+        else:
+            k = 2 + i % 3
+            c, pd = orthant_chart(rng, k, rng.randint(2, 4), (8, 4, 3)[k - 2])
+        assert_components_match_reference(c, pd)
+        found.add(len(puncturing_components(c, pd)))
+    # empty, single and several components all occur
+    assert {0, 1} <= found and max(found) > 1
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_components_match_reference_on_ladder(index):
+    assert_components_match_reference(*ladder_chart(index))
+
+
 def test_principalize_toy_cross():
     c = build_complex(["x", "y"], [["x", "y"]])
     ideal = monomial_ideal(c, [{"x": 1}, {"y": 1}])
@@ -188,6 +247,15 @@ def reference_crossing_faces_for_pair(ga, gb, c):
             for rn, vn in neg:
                 faces[tuple(sorted((rp, rn)))] = vp - vn
     return faces
+
+
+def _dividing_generator(gens, cone):
+    """Index of a generator whose restriction divides all others on the cone."""
+    vecs = [tuple(g.get(r) for r in cone) for g in gens]
+    for i, v in enumerate(vecs):
+        if all(all(x <= y for x, y in zip(v, w)) for w in vecs):
+            return i
+    return None
 
 
 def reference_principalize(c, ideal, max_steps=10000, choice_seed=None):
@@ -265,6 +333,16 @@ def test_principalize_matches_reference_on_seeded_charts():
 def test_principalize_matches_reference_on_ladder(index):
     c, pd = ladder_chart(index)
     assert_principalize_matches_reference(c, normalized_ideal(c, pd))
+
+
+@pytest.mark.ladder
+def test_principalize_matches_reference_on_a_long_two_ray_chart():
+    # (a^5000 b, a^2 b^5) normalizes to (a^2500 b, a b^5): 628 steps
+    c = build_complex(["a", "b"], [["a", "b"]])
+    pd = puncturing_data({"p1.1": {"a": 5000, "b": 1}, "p2.1": {"a": 2, "b": 5}})
+    ideal = normalized_ideal(c, pd)
+    assert len(principalize(c, ideal)[1]) == 628
+    assert_principalize_matches_reference(c, ideal)
 
 
 def reference_power_series(E, max_codim):
