@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chowring import pushforward as chow_pushforward, serialize
 from .conecx import ConeComplex, SubdivisionStep, star_subdivide
@@ -81,21 +81,15 @@ def _multiplicity(alpha: Sequence[int]) -> int:
     return sum(-a for a in alpha if a < 0)
 
 
-def faithful_lift(
-    nd: NumericalData,
-    center: Iterable[int],
-    override: Optional[Mapping[int, Sequence[int]]] = None,
-) -> LiftedData:
+def faithful_lift(nd: NumericalData, center: Iterable[int]) -> LiftedData:
     """Lift tangency vectors along the blowup of a corner stratum.
 
     Markings with a nonnegative entry over the center take the smallest such
     value as the exceptional tangency (Case 1); all-negative markings take
     the largest (Case 2), which strictly reduces puncturing multiplicity when
     the center has two or more divisors. Ties resolve to the lowest divisor
-    index. Alternative lifts may be forced per marking via ``override``
-    (1-based marking index to a full lifted row); they must still push
-    forward to the original vector. Degrees of the lifted data are recomputed
-    from global balancing, so the input must be balanced.
+    index. Degrees of the lifted data are recomputed from global balancing,
+    so the input must be balanced.
     """
     step = BlowupStep(tuple(sorted(set(int(j) for j in center))))
     if step.center[-1] > nd.k:
@@ -105,17 +99,7 @@ def faithful_lift(
     rows: list[tuple[int, ...]] = []
     cases: list[str] = []
     chosen: list[int] = []
-    for i, alpha in enumerate(nd.markings, start=1):
-        if override and i in override:
-            row = tuple(int(x) for x in override[i])
-            if len(row) != nd.k + 1 or step.push_vector(row) != alpha:
-                raise ValueError(
-                    f"override for marking {i} does not push forward to {alpha}"
-                )
-            rows.append(row)
-            cases.append("override")
-            chosen.append(0)
-            continue
+    for alpha in nd.markings:
         on_center = [(alpha[j - 1], j) for j in step.center]
         nonneg = [(v, j) for v, j in on_center if v >= 0]
         if nonneg:

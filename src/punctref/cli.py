@@ -29,6 +29,7 @@ from .fixtureio import (
     load_fixture_file,
     load_rooting_file,
     load_subdivision_arg,
+    offsets_to_json,
     types_to_json,
 )
 from .gerby import (
@@ -37,7 +38,13 @@ from .gerby import (
     check_pushforward_identity_on_complex,
     rooting_data,
 )
-from .puncture import PrincipalizationError, _segre, normalized_ideal, refined_class
+from .puncture import (
+    PrincipalizationError,
+    PuncturingData,
+    _segre,
+    normalized_ideal,
+    refined_class,
+)
 from .tropmaps import (
     BalancingError,
     EnumerationBoundError,
@@ -137,11 +144,10 @@ def _cmd_segre(fixture: Fixture, args) -> tuple[dict, int]:
     ideal = normalized_ideal(c, pd)
     max_codim = c.dim() if args.max_codim is None else args.max_codim
     cls, trace = _segre(c, ideal, max_codim, args.backend, None)
-    generators = [
-        {"puncture": oid, "values": dict(sorted(gen.as_dict().items()))}
-        for (oid, _), gen in zip(pd.offsets, ideal.generators)
-    ]
-    result = {"class": serialize(cls), "generators": generators}
+    normalized = PuncturingData(
+        tuple((oid, gen) for (oid, _), gen in zip(pd.offsets, ideal.generators))
+    )
+    result = {"class": serialize(cls), "generators": offsets_to_json(normalized)}
     if args.trace:
         result["trace"] = _trace_json(trace)
     return result, 0
@@ -211,10 +217,16 @@ _HANDLERS = {
 }
 
 
+def _refuse(line: str, code: int) -> int:
+    """Print one stderr line, its line breaks escaped, and return the code."""
+    print(line.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         """Usage errors as one line on stderr, with exit code 2."""
-        self.exit(2, f"error: {message}\n")
+        self.exit(_refuse(f"error: {message}", 2))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,21 +282,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
+        return _refuse("error: --threads must be at least 1", 2)
     if args.command == "segre" and args.max_codim is not None and args.max_codim < 0:
-        print("error: --max-codim must be nonnegative", file=sys.stderr)
-        return 2
+        return _refuse("error: --max-codim must be nonnegative", 2)
     try:
         # the handlers read --rooting and --subdivision files themselves
         fixture, raw = load_fixture_file(args.input)
         result, code = _HANDLERS[args.command](fixture, args)
     except OSError as e:
-        print(f"error: cannot read input: {e}", file=sys.stderr)
-        return 2
+        return _refuse(f"error: cannot read input: {e}", 2)
     except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _refuse(f"error: {e}", 2)
     except (
         EnumerationBoundError,
         PrincipalizationError,
@@ -292,11 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         BalancingError,
         ArithmeticError,
     ) as e:
-        print(f"inconsistency: {e}", file=sys.stderr)
-        return 1
+        return _refuse(f"inconsistency: {e}", 1)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _refuse(f"error: {e}", 2)
     envelope = {
         "command": args.command,
         "input_sha256": hashlib.sha256(raw).hexdigest(),

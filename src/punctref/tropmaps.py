@@ -3,15 +3,16 @@
 Types are decorated trees: per-vertex image face and curve class drawn from a
 user-supplied target model, per-edge slopes forced by balancing. Each type
 spans a cone whose coordinates are the root position inside its face together
-with the edge lengths; realizability means the cone has interior points with
-all lengths and face coordinates strictly positive; each isomorphism class
-is tested once. Assembly glues the cones along specialization and reads the
-puncturing offsets off primitive ray generators.
+with the edge lengths; the cone is built once and kept on the type, and its
+faces are decoded once. Realizability, a cone point with every length and face
+coordinate positive, is tested once per isomorphism class. Assembly glues the
+cones along specialization and reads the offsets off primitive ray generators.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .conecx import ConeComplex, Ray, build_complex
@@ -319,6 +320,15 @@ class TypeCone:
         row = self.positions[vertex][j - 1]
         return sum(c * x for c, x in zip(row, z))
 
+    @cached_property
+    def faces(self) -> tuple[tuple[tuple[int, ...], TropicalType], ...]:
+        """Each face as (extreme-ray subset, the type decoded at its ray sum)."""
+        out = []
+        for s in _faces_of_cone(self):
+            z = [sum(self.rays[i][c] for i in s) for c in range(len(self.variables))]
+            out.append((s, _decode(None, self.type, self, z)))
+        return tuple(out)
+
 
 def _position_rows(t: TropicalType) -> list[list[list[int]]]:
     """Linear forms for every vertex position coordinate over (x_1..x_k, l_e):
@@ -348,8 +358,11 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
     Variables are the root position (all k coordinates, those outside the
     root face pinned to zero) followed by one length per edge. Equations pin
     every vertex coordinate outside its face; inequalities keep lengths and
-    in-face coordinates nonnegative.
+    in-face coordinates nonnegative. Nothing is read from ``nd``, so the cone
+    is built once per type object and stored on it.
     """
+    if "_cone" in t.__dict__:
+        return t.__dict__["_cone"]
     k = t.k
     nv = k + len(t.edges)
     pos = _position_rows(t)
@@ -394,7 +407,7 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
     variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
         f"l{i}" for i in range(len(t.edges))
     )
-    return TypeCone(
+    t.__dict__["_cone"] = TypeCone(
         type=t,
         variables=variables,
         rays=tuple(rays),
@@ -403,6 +416,7 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
         ineq_rows=tuple(ineqs),
         positions=tuple(tuple(tuple(r) for r in pr) for pr in pos),
     )
+    return t.__dict__["_cone"]
 
 
 def realizable(nd: NumericalData, t: TropicalType) -> bool:
@@ -534,8 +548,12 @@ def enumerate_types(
     key. The output is closed under specialization and sorted by canonical
     form. Class splittings without a sign bound raise EnumerationBoundError.
     An explicit ``bounds={"max_vertices": cap}`` stops at min(cap, B)
-    vertices and, unlike the default, raises it when types exist at cap.
+    vertices and, unlike the default, raises it when types exist at cap. A
+    cap below 1 or any other key in ``bounds`` raises ValueError.
     """
+    cap = (bounds or {}).get("max_vertices")
+    if set(bounds or {}) - {"max_vertices"} or (cap is not None and cap < 1):
+        raise ValueError(f"bounds take only max_vertices >= 1, got {dict(bounds)}")
     report = validate_numerical_data(nd)
     if not report["ok"]:
         raise ValueError(f"unbalanced numerical data at j = {report['violations']}")
@@ -549,7 +567,6 @@ def enumerate_types(
     weights = [sum(map(abs, p)) for _, p, _ in candidates if any(p)]
     n_classes = sum(map(abs, nd.degrees)) // min(weights) if weights else 0
     max_v = max(1, 2 * n_classes + len(nd.markings) - 2)
-    cap = (bounds or {}).get("max_vertices")
     if cap is not None:
         max_v = min(cap, max_v)
     found: dict[tuple, TropicalType] = {}
@@ -591,13 +608,13 @@ def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
 
 
 def _decode(
-    nd: NumericalData, t: TropicalType, cone: TypeCone, z: Sequence[int]
+    nd: Optional[NumericalData], t: TropicalType, cone: TypeCone, z: Sequence[int]
 ) -> TropicalType:
     """The specialized type at a point of the cone's boundary.
 
     Down the walk, a vertex joins its parent's group across an edge of length
     zero. Groups come out ordered by their least member, with members in
-    increasing order; the surviving edges keep their slopes.
+    increasing order; the surviving edges keep their slopes. ``nd`` is unread.
     """
     k = t.k
     n = t.n_vertices
@@ -646,14 +663,7 @@ def _decode(
 def specializations(nd: NumericalData, t: TropicalType) -> list[TropicalType]:
     """All proper face specializations of a type, one per proper cone face."""
     cone = cone_of_type(nd, t)
-    out = []
-    nv = len(cone.variables)
-    for subset in _faces_of_cone(cone):
-        if len(subset) == len(cone.rays):
-            continue
-        z = [sum(cone.rays[i][c] for i in subset) for c in range(nv)]
-        out.append(_decode(nd, t, cone, z))
-    return out
+    return [s for subset, s in cone.faces if len(subset) != len(cone.rays)]
 
 
 def assemble_complex(
@@ -661,29 +671,24 @@ def assemble_complex(
 ) -> tuple[ConeComplex, PuncturingData]:
     """Glue type cones along specialization into an embedded complex.
 
-    Rays are the one-dimensional types in canonical order. One pass decodes
-    each type at every face of its cone; its cone is the set of rays its
-    one-ray faces decode to. Offsets record, per negative marking direction,
-    the puncture vertex's position coordinate at each primitive ray
-    generator. Non-simplicial or non-unimodular cones raise
-    NonSmoothConeError carrying the type; a type list that is not closed
-    under specialization raises ArithmeticError.
+    Rays are the one-dimensional types in canonical order. A type's cone is
+    the set of rays its one-ray faces decode to, in the faces its cone shares
+    with the closure. Offsets record, per negative marking direction, the
+    puncture vertex's position coordinate at each primitive ray generator.
+    Non-simplicial or non-unimodular cones raise NonSmoothConeError carrying
+    the type; a type list that is not closed under specialization raises
+    ArithmeticError.
     """
     by_key = {canonical_key(t): t for t in types}
     cones_of: dict[tuple, TypeCone] = {k: cone_of_type(nd, t) for k, t in by_key.items()}
     ray_keys = sorted(k for k, c in cones_of.items() if c.dim == 1)
     ray_names = {k: f"r{i + 1}" for i, k in enumerate(ray_keys)}
     names_of: dict[tuple, set] = {}
-    for key, t in by_key.items():
-        cone = cones_of[key]
-        names_of[key] = set()
-        for subset in _faces_of_cone(cone):
-            z = [sum(cone.rays[i][c] for i in subset) for c in range(len(cone.variables))]
-            skey = canonical_key(_decode(nd, t, cone, z))
-            if skey not in by_key:
-                raise ArithmeticError("types are not closed under specialization")
-            if len(subset) == 1:
-                names_of[key].add(ray_names.get(skey))
+    for key, cone in cones_of.items():
+        face_keys = [(len(subset), canonical_key(s)) for subset, s in cone.faces]
+        if any(skey not in by_key for _, skey in face_keys):
+            raise ArithmeticError("types are not closed under specialization")
+        names_of[key] = {ray_names.get(skey) for size, skey in face_keys if size == 1}
     cones = []
     for key, t in by_key.items():
         cone = cones_of[key]

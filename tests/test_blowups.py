@@ -62,17 +62,6 @@ def test_faithful_lift_case1_zero_exceptional():
     assert lifted.mult_after[0] == lifted.mult_before[0] == 3
 
 
-def test_faithful_lift_override():
-    nd, _ = p2_data_model()
-    lifted = faithful_lift(nd, (1, 2), override={2: (-2, 1, 1)})
-    assert lifted.cases == ("case1", "override")
-    assert lifted.nd.markings[1] == (-2, 1, 1)
-    with pytest.raises(ValueError, match="push forward"):
-        faithful_lift(nd, (1, 2), override={2: (0, 0, 0)})
-    with pytest.raises(ValueError, match="push forward"):
-        faithful_lift(nd, (1, 2), override={2: (-1, 0)})
-
-
 def test_faithful_lift_input_errors():
     nd, _ = p2_data_model()
     with pytest.raises(ValueError, match="exceeds k"):

@@ -1,4 +1,5 @@
 """Command-line interface: envelopes, exit codes, and determinism."""
+import hashlib
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from punctref import __version__
-from punctref.cli import main
+from punctref.cli import _HANDLERS, main
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -510,6 +511,8 @@ def run_usage_error(capsys, *argv):
         ("segre", fixture_path("f1-blowup"), "--max-codim", "x"),
         ("bogus",),
         (),
+        # argparse echoes an unrecognized argument as it is
+        ("validate", fixture_path("p2-two-lines"), "x\ny"),
     ],
 )
 def test_usage_errors_are_one_line(capsys, argv):
@@ -610,3 +613,172 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert code == 1
     violations = json.loads(out)["result"]["complex"]["violations"]
     assert len(violations) == 4
+
+
+# twisted-check orders, one per divisor direction of each fixture's data
+CORPUS_ROOTS = {
+    "p2-two-lines": ("2", "3"),
+    "pr-hyperplane": ("3",),
+    "f1-blowup": ("3",),
+    "f1-counterexample": ("2", "3"),
+}
+
+# sha256 of [exit code, stdout, stderr] per argv of corpus_argvs, fixture
+# paths shortened to their file names
+CORPUS_DIGESTS = {
+    "validate p2-two-lines.json":
+        "db3cdc27eb1b136f2a52a08c8dc75b534b025a5c19e041ce682c1540f119a39f",
+    "enumerate p2-two-lines.json":
+        "cd54d903ffebbcbd6efef76fc0e41373f43c4815cd1e425fb69382e04e4da49b",
+    "refined-class p2-two-lines.json":
+        "ccbd712c80b5b9f905077d65bf6d6ba38d2c99a679f50c68e5b98ba1097bf8a3",
+    "segre p2-two-lines.json":
+        "404bbbc40c31bcc04a4a8f9fbcd1b694f14356406a08a974956981307582d296",
+    "twisted-check p2-two-lines.json":
+        "9899809d96b0b1a613ceece6a07f329f0e7068b0ac4eebd60653980e4f1d301f",
+    "compare-blowup p2-two-lines.json":
+        "db5d8d068c39bc6de2a2d39365b2c368b819834fa4ff93a760aa38e62b637a15",
+    "positivize p2-two-lines.json":
+        "8be6102e8ca34efa8470a9e73ca26217b830560fdeea5e1779bd9ceb4b58702c",
+    "sensitivity p2-two-lines.json":
+        "99240b98b21fec5eb3958430195a6d8fae00afc439ccbb20412383577a35c68b",
+    "refined-class p2-two-lines.json --trace":
+        "d580c235367d415a3993466cc646ae7df20fd41b612fa8316137ae0e792e072b",
+    "segre p2-two-lines.json --trace":
+        "4d5bdb04fd0971428b1c72729162a71c8b49f746ca7e7c60a57f4560bfdc02aa",
+    "refined-class p2-two-lines.json --backend aluffi-crosscheck":
+        "ccbd712c80b5b9f905077d65bf6d6ba38d2c99a679f50c68e5b98ba1097bf8a3",
+    "segre p2-two-lines.json --backend aluffi-crosscheck":
+        "404bbbc40c31bcc04a4a8f9fbcd1b694f14356406a08a974956981307582d296",
+    "twisted-check p2-two-lines.json --backend aluffi-crosscheck --r 2 3":
+        "a461c404720522949c4434726274eeb1ae35972c362c57d020c28209ad0e0163",
+    "sensitivity p2-two-lines.json --subdivision barycentric":
+        "3cdd010e2147787d44c25a13cd49624d715e59a57d33fe0d87420c9ac037105b",
+    "validate pr-hyperplane.json":
+        "431387f6eccd639a652cf87759ba90edf21d0724751f13ecf97d099e7235615d",
+    "enumerate pr-hyperplane.json":
+        "cd0205727f77b4db1f7ed3f920fecbe18979997663395bb7ce93534851ae0ceb",
+    "refined-class pr-hyperplane.json":
+        "9421b6dbb729d9c65e587c2c9d4ba69fa8944714e775e08fa595a0a7856552d1",
+    "segre pr-hyperplane.json":
+        "1150e9986e058192fb094fe87c1d0189a41f7f065f39624735f275eeb47848e1",
+    "twisted-check pr-hyperplane.json":
+        "9899809d96b0b1a613ceece6a07f329f0e7068b0ac4eebd60653980e4f1d301f",
+    "compare-blowup pr-hyperplane.json":
+        "db5d8d068c39bc6de2a2d39365b2c368b819834fa4ff93a760aa38e62b637a15",
+    "positivize pr-hyperplane.json":
+        "ef4046e9b673f5f5a12547bf09588f343b3249dc40cb39a782cf172aeba1d7f3",
+    "sensitivity pr-hyperplane.json":
+        "de3524acc32b619cba64b88beedae6a1f785cb8fd96e5d4ee5cfdc9bed039ab9",
+    "refined-class pr-hyperplane.json --trace":
+        "fd44704d293f8574ce67e0903dea1c111ed8af17b34de43bbe8fbf3716288905",
+    "segre pr-hyperplane.json --trace":
+        "15227dab0db513bd70dc1d9ffb511a9d5c2cf36a808dd2cbc3bcc6faf691dd41",
+    "refined-class pr-hyperplane.json --backend aluffi-crosscheck":
+        "9421b6dbb729d9c65e587c2c9d4ba69fa8944714e775e08fa595a0a7856552d1",
+    "segre pr-hyperplane.json --backend aluffi-crosscheck":
+        "1150e9986e058192fb094fe87c1d0189a41f7f065f39624735f275eeb47848e1",
+    "twisted-check pr-hyperplane.json --backend aluffi-crosscheck --r 3":
+        "c788db674b88ead417523ca4419cb0dafbe854b14e460e2ae080ec0eb4db9013",
+    "sensitivity pr-hyperplane.json --subdivision barycentric":
+        "de3524acc32b619cba64b88beedae6a1f785cb8fd96e5d4ee5cfdc9bed039ab9",
+    "validate f1-blowup.json":
+        "2b985f649af54ec57164902aa2bdda227bae26bedfe82cc11ec8196b43bed127",
+    "enumerate f1-blowup.json":
+        "0c3686de4f765b9c370c5e98c01390e48d0e384eac572a7cb8abfbf223d6a131",
+    "refined-class f1-blowup.json":
+        "26fd31159f1434327d0cc03265527b85ff9f7138694d25db8b2b86dd91502fae",
+    "segre f1-blowup.json":
+        "2d6c000de9717f862c0a97ad7864ae15ea9ab63b2ca5d6198786dbf6407cf6af",
+    "twisted-check f1-blowup.json":
+        "9899809d96b0b1a613ceece6a07f329f0e7068b0ac4eebd60653980e4f1d301f",
+    "compare-blowup f1-blowup.json":
+        "db5d8d068c39bc6de2a2d39365b2c368b819834fa4ff93a760aa38e62b637a15",
+    "positivize f1-blowup.json":
+        "645928abdf7e62df8c81433f5a3544e3fbf30822c4c16f03479c769aa6b39b6d",
+    "sensitivity f1-blowup.json":
+        "0c3686de4f765b9c370c5e98c01390e48d0e384eac572a7cb8abfbf223d6a131",
+    "refined-class f1-blowup.json --trace":
+        "b585944da0918de2a0d1e3264a910602cc19e021d60f095c284dea1a05d71734",
+    "segre f1-blowup.json --trace":
+        "b691e3baefe98a7335de67456e8f29175d6c3dcc8beebc8b28f72d6a865b4010",
+    "refined-class f1-blowup.json --backend aluffi-crosscheck":
+        "26fd31159f1434327d0cc03265527b85ff9f7138694d25db8b2b86dd91502fae",
+    "segre f1-blowup.json --backend aluffi-crosscheck":
+        "2d6c000de9717f862c0a97ad7864ae15ea9ab63b2ca5d6198786dbf6407cf6af",
+    "twisted-check f1-blowup.json --backend aluffi-crosscheck --r 3":
+        "f353708fbf6a06539fce9c9798ad5afe4210b6c07af9f85ec1097dc78bbe24bb",
+    "sensitivity f1-blowup.json --subdivision barycentric":
+        "0c3686de4f765b9c370c5e98c01390e48d0e384eac572a7cb8abfbf223d6a131",
+    "validate f1-counterexample.json":
+        "9e516258d0ee36216824aba645b534367daca724864e9aaf10a932e78ccffa0e",
+    "enumerate f1-counterexample.json":
+        "0c3686de4f765b9c370c5e98c01390e48d0e384eac572a7cb8abfbf223d6a131",
+    "refined-class f1-counterexample.json":
+        "360d42e76a602616e70125215eb400a3e3f073b05b0c4c65a8e0d3159709af68",
+    "segre f1-counterexample.json":
+        "e4bc440637a3d63d56f9166cd99837957dbc050f49b39392bee0a43760d3c956",
+    "twisted-check f1-counterexample.json":
+        "9899809d96b0b1a613ceece6a07f329f0e7068b0ac4eebd60653980e4f1d301f",
+    "compare-blowup f1-counterexample.json":
+        "dedc07ddcd5058f7b7ff214c315327ab24748a134ae042c38b02b8c0a417f05f",
+    "positivize f1-counterexample.json":
+        "dfbdedffda8077300a0af4d16f48ebc679718c321bbd46aed00593f8906629f1",
+    "sensitivity f1-counterexample.json":
+        "0c3686de4f765b9c370c5e98c01390e48d0e384eac572a7cb8abfbf223d6a131",
+    "refined-class f1-counterexample.json --trace":
+        "9d113c56faf6119d2eeb1af28b7d3dc4517299c2cd519a3cea6dd91c983e2d6f",
+    "segre f1-counterexample.json --trace":
+        "121af6e5889d9877eb696a1c6d6735e4df7422a4431e2954e4fb6050727a9472",
+    "refined-class f1-counterexample.json --backend aluffi-crosscheck":
+        "360d42e76a602616e70125215eb400a3e3f073b05b0c4c65a8e0d3159709af68",
+    "segre f1-counterexample.json --backend aluffi-crosscheck":
+        "e4bc440637a3d63d56f9166cd99837957dbc050f49b39392bee0a43760d3c956",
+    "twisted-check f1-counterexample.json --backend aluffi-crosscheck --r 2 3":
+        "01523df98753c89005d796396521e814663213d36de1000f241c3ad458ab5f8b",
+    "sensitivity f1-counterexample.json --subdivision barycentric":
+        "0c3686de4f765b9c370c5e98c01390e48d0e384eac572a7cb8abfbf223d6a131",
+    "twisted-check pr-hyperplane.json --r 2":
+        "3922a5ff4b7639c19fd6066432ae4a42ea64c2eb5846e998a18203f546045648",
+    "twisted-check pr-hyperplane.json --r 3":
+        "c788db674b88ead417523ca4419cb0dafbe854b14e460e2ae080ec0eb4db9013",
+    "twisted-check pr-hyperplane.json --r 4":
+        "8ffbd87b5d727cc24245b1301badc24d5d971e76927a323d3d5be27695c5a66d",
+    "twisted-check pr-hyperplane.json --r 5":
+        "ae0e87309444c1a9e37faf125355cf5a1591b5f886b0e9e6520be517c9da136f",
+    "twisted-check pr-hyperplane.json --r 6":
+        "a2fab57873e14bffa85e37052d0ac9d20297c6e8ecb303ecfa6d2c76f1e4370e",
+    "twisted-check pr-hyperplane.json --r 7":
+        "ed034ba876bbe4d876ca3ee88b9d5c7feb31138b149adfabf775f54f0ee64f6c",
+    "twisted-check pr-hyperplane.json --r 8":
+        "8f3a53035366a7769ab7d8d75d3bb1094164f319e0498862c6e48ad2a4c2b043",
+    "twisted-check pr-hyperplane.json --r 9":
+        "7f061fac24c76da4b3950efbb8baab190fcf5ea07eb10f0b36b1feba4c706e21",
+}
+
+
+def corpus_argvs():
+    """Every subcommand on every fixture; per fixture --trace, the
+    aluffi-crosscheck backend and the barycentric fan; then twisted-check on
+    the hyperplane at each order 2..9."""
+    argvs = []
+    for name in FIXTURE_NAMES:
+        fx = name + ".json"
+        argvs += [[cmd, fx] for cmd in _HANDLERS]
+        argvs += [["refined-class", fx, "--trace"], ["segre", fx, "--trace"]]
+        backend = ["--backend", "aluffi-crosscheck"]
+        argvs += [["refined-class", fx, *backend], ["segre", fx, *backend]]
+        argvs.append(["twisted-check", fx, *backend, "--r", *CORPUS_ROOTS[name]])
+        argvs.append(["sensitivity", fx, "--subdivision", "barycentric"])
+    argvs += [["twisted-check", "pr-hyperplane.json", "--r", str(r)] for r in range(2, 10)]
+    return argvs
+
+
+def test_corpus_output_digests(capsys):
+    digests = {}
+    for argv in corpus_argvs():
+        path = fixture_path(argv[1].removesuffix(".json"))
+        code, out, err = run_cli(capsys, argv[0], path, *argv[2:])
+        encoded = json.dumps([code, out, err]).encode()
+        digests[" ".join(argv)] = hashlib.sha256(encoded).hexdigest()
+    assert digests == CORPUS_DIGESTS

@@ -2,7 +2,8 @@
 
 Each example applies one to three mutations to a fixture (drop a key, swap a
 value for another JSON type, nudge an integer within |v| <= 50, duplicate an
-array entry) and runs one subcommand on it in process. The run must end in
+array entry, put a line break into a string or a key) and runs one
+subcommand on it in process. The run must end in
 one of two ways: exit 0 or 1 with a JSON document on stdout and nothing on
 stderr, or exit 1 or 2 with nothing on stdout and one line on stderr.
 """
@@ -55,6 +56,8 @@ def mutate(draw, doc):
         kinds.append("nudge")
     if isinstance(value, list) and value:
         kinds.append("duplicate")
+    if isinstance(value, str) or isinstance(parent, dict):
+        kinds.append("break")
     kind = draw(st.sampled_from(kinds))
     if kind == "drop":
         del parent[key]
@@ -63,6 +66,15 @@ def mutate(draw, doc):
         parent[key] = copy.deepcopy(draw(st.sampled_from(others)))
     elif kind == "nudge":
         parent[key] = draw(st.integers(max(-50, value - 5), min(50, value + 5)))
+    elif kind == "break":
+        # into the string itself, else into its key, where ray ids also sit
+        text = value if isinstance(value, str) else key
+        i = draw(st.integers(0, len(text)))
+        broken = text[:i] + "\n" + text[i:]
+        if isinstance(value, str):
+            parent[key] = broken
+        else:
+            parent[broken] = parent.pop(key)
     else:
         i = draw(st.integers(0, len(value) - 1))
         value.insert(i, copy.deepcopy(value[i]))

@@ -1,5 +1,6 @@
 """Tropical type enumeration, cones, balancing, and complex assembly."""
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -254,6 +255,16 @@ def test_enumerate_reports_vertex_bound_hit():
     nd, tm = pr_data_model()
     with pytest.raises(EnumerationBoundError, match="vertex bound"):
         enumerate_types(nd, tm, bounds={"max_vertices": 2})
+
+
+def test_enumerate_refuses_bounds_it_would_ignore():
+    # a cap below 1 returned () and an unknown key was dropped, both silently
+    nd, tm = pr_data_model()
+    for bounds in ({"max_vertices": 0}, {"max_vertices": -1}, {"max_vertex": 1}):
+        with pytest.raises(ValueError) as err:
+            enumerate_types(nd, tm, bounds=bounds)
+        assert str(err.value) == f"bounds take only max_vertices >= 1, got {bounds}"
+    assert enumerate_types(nd, tm, bounds={}) == enumerate_types(nd, tm)
 
 
 def test_enumerate_rejects_unbalanced_data():
@@ -1084,3 +1095,38 @@ def test_one_realizability_test_per_class(monkeypatch):
     # test per labeling made 2583 realizability calls and built 2637 cones
     assert calls["realizable"] == 405
     assert calls["cone_of_type"] <= 405 + 2 * len(types) == 441
+
+
+def test_one_cone_build_and_one_face_pass_per_type(monkeypatch):
+    calls = {"_position_rows": 0, "_decode": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(tropmaps, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(tropmaps, name, counted)
+    _, tm = p2_data_model()
+    nd = numerical_data(2, (2, 2), [(3, 3), (-1, -1)])
+    types = enumerate_types(nd, tm)
+    assemble_complex(nd, types)
+    types_to_json(nd, types)
+    # one build per canonical key, and one decode per face of the 18 types;
+    # a cone per caller and a second face pass in assembly made 459 and 132
+    assert calls == {"_position_rows": 405, "_decode": 75}
+
+
+@pytest.mark.ladder
+def test_pr_degree_three_types_and_refusal():
+    # the projective line in degree 3: 194 types, digest of their keys and
+    # order from the code that built a cone per caller
+    _, tm = pr_data_model()
+    nd = numerical_data(1, (3,), [(4,), (-1,)])
+    types = enumerate_types(nd, tm)
+    assert len(types) == 194
+    encoded = repr([(canonical_key(t), t) for t in types]).encode()
+    assert hashlib.sha256(encoded).hexdigest() == (
+        "0e9eed850876eee9601d812749116733f9c15a1bdf72eee8b1fbf4d4384deddf"
+    )
+    with pytest.raises(NonSmoothConeError) as err:
+        assemble_complex(nd, types)
+    assert err.value.type is types[16]
+    assert str(err.value) == "type cone is not simplicial-unimodular (dim 2, 2 rays)"
