@@ -4,11 +4,13 @@ Classes are elements of the Stanley-Reisner presentation: rational linear
 combinations of monomials in the ray variables, with every monomial whose
 ray-support is not a cone reduced to zero. Coefficients are ints while they
 are integral and Fractions after a division; no float enters a class.
-Pullback along a stellar subdivision step implements the blowup formula for
-a two-ray center. ``pushforward(a, *steps)`` pushes down a whole chain of
-steps in one dict: per step it rewrites only the terms that meet the center
-or the new ray, each through a cached blowdown kernel, a two-variable
-integer polynomial in the center rays, and it normalizes once at the end.
+``multiply`` is the plain polynomial product, and ``_finish``, the one place
+that drops zero and non-cone terms, reduces it. Pullback along a stellar
+subdivision step implements the blowup formula for a two-ray center.
+``pushforward(a, *steps)`` pushes down a whole chain of steps in one dict:
+per step it rewrites only the terms that meet the center or the new ray,
+each through a cached blowdown kernel, a two-variable integer polynomial in
+the center rays, and it normalizes once at the end.
 """
 
 from __future__ import annotations
@@ -50,29 +52,10 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    # merge of two sorted exponent tuples
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[str, int]] = []
-    i, j, la, lb = 0, 0, len(a), len(b)
-    while i < la and j < lb:
-        ra, ea = a[i]
-        rb, eb = b[j]
-        if ra == rb:
-            out.append((ra, ea + eb))
-            i += 1
-            j += 1
-        elif ra < rb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    exps = dict(a)
+    for r, e in b:
+        exps[r] = exps.get(r, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 def _term_key(t: tuple[Monomial, int | Fraction]) -> tuple:
@@ -173,18 +156,12 @@ def stratum_class(c: ConeComplex, cone: Iterable[str]) -> ChowClass:
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Product of classes: polynomial product followed by reduction."""
+    """Product of classes: the plain polynomial product; _finish drops the
+    terms whose support is not a cone."""
     _check_same_complex(a, b)
-    cones = a.complex._cone_supports()
-    bt = [(m2, c2, frozenset(r for r, _ in m2)) for m2, c2 in b.terms]
     acc: dict[Monomial, int | Fraction] = {}
     for m1, c1 in a.terms:
-        f1 = frozenset(r for r, _ in m1)
-        for m2, c2, f2 in bt:
-            # support of the product is the union, so dead pairs are cheap
-            # to skip before any exponent merging happens
-            if f1 | f2 not in cones:
-                continue
+        for m2, c2 in b.terms:
             m = _mono_mul(m1, m2)
             acc[m] = acc.get(m, 0) + c1 * c2
     return _finish(acc, a.complex)
@@ -214,15 +191,8 @@ def pullback(a: ChowClass, step: SubdivisionStep) -> ChowClass:
         raise ValueError("class does not live on the step's source complex")
     r1, r2 = step.center
     e = step.new_ray
-    center = {r1, r2}
     acc: dict[Monomial, int | Fraction] = {}
     for mono, coeff in a.terms:
-        if center.isdisjoint(r for r, _ in mono):
-            # the morphism fixes every variable here, and the support is a
-            # surviving cone; every expanded term below carries r1, r2 or e,
-            # so nothing else lands on this monomial
-            acc[mono] = coeff
-            continue
         base, a1, a2, _ = _split_center(mono, r1, r2, e)
         for i1 in range(a1 + 1):
             for i2 in range(a2 + 1):

@@ -81,13 +81,6 @@ class ConeComplex:
                 return r
         raise KeyError(f"no ray {ray_id!r} in complex")
 
-    def _cone_supports(self) -> frozenset:
-        cached = self.__dict__.get("_cone_supports_cache")
-        if cached is None:
-            cached = frozenset(frozenset(cone) for cone in self.cones)
-            self.__dict__["_cone_supports_cache"] = cached
-        return cached
-
     def has_cone(self, support: Iterable[str]) -> bool:
         return _sorted_cone(support) in self.cones
 

@@ -170,7 +170,7 @@ def _load_complex(obj: Any, path: str) -> tuple[ConeComplex, Any]:
     return c, obj.get("offsets")
 
 
-def _load_trace(obj: Any, ray_ids: Sequence[str], path: str) -> tuple[dict, ...]:
+def _load_trace(obj: Any, path: str) -> tuple[dict, ...]:
     _expect(obj, list, path, "an array of steps")
     steps = []
     for i, entry in enumerate(obj):
@@ -207,7 +207,7 @@ def load_fixture(doc: Any, path: str = "$") -> Fixture:
     if "trace" in doc:
         if cx is None:
             raise SchemaError(f"{path}.trace", "a trace needs a complex")
-        trace = _load_trace(doc["trace"], cx.ray_ids, f"{path}.trace")
+        trace = _load_trace(doc["trace"], f"{path}.trace")
     if "lifted_offsets" in doc:
         if cx is None or trace is None:
             raise SchemaError(

@@ -406,9 +406,7 @@ def refined_class_excess(
         raise ValueError(
             f"codimension mismatch: codim {len(sigma)} exceeds k_P {pd.k_P}"
         )
-    prod = unit(c)
-    for _, f in pd.offsets:
-        prod = multiply(prod, unit(c) + divisor_of_pl(f, c))
+    prod = reduce(multiply, [unit(c) + divisor_of_pl(f, c) for _, f in pd.offsets], unit(c))
     for r in sigma:
         # 1 / (1 + x_r) = 1 - x_r / (1 + x_r), through degree e
         prod = multiply(prod, unit(c) - _power_series_part(ray_class(c, r), e))

@@ -4,7 +4,7 @@ Types are decorated trees: per-vertex image face and curve class drawn from a
 user-supplied target model, per-edge slopes forced by balancing. Each type
 spans a cone whose coordinates are the root position inside its face together
 with the edge lengths; the cone is built once and kept on the type, and its
-faces are decoded once. Realizability, a cone point with every length and face
+faces are decoded and keyed once. Realizability, a cone point with every length and face
 coordinate positive, is tested once per isomorphism class. Assembly glues the
 cones along specialization and reads the offsets off primitive ray generators.
 """
@@ -321,12 +321,14 @@ class TypeCone:
         return sum(c * x for c, x in zip(row, z))
 
     @cached_property
-    def faces(self) -> tuple[tuple[tuple[int, ...], TropicalType], ...]:
-        """Each face as (extreme-ray subset, the type decoded at its ray sum)."""
+    def faces(self) -> tuple[tuple[tuple[int, ...], TropicalType, tuple], ...]:
+        """Each face as (extreme-ray subset, the type decoded at its ray sum,
+        that type's canonical key)."""
         out = []
         for s in _faces_of_cone(self):
             z = [sum(self.rays[i][c] for i in s) for c in range(len(self.variables))]
-            out.append((s, _decode(None, self.type, self, z)))
+            face = _decode(None, self.type, self, z)
+            out.append((s, face, canonical_key(face)))
         return tuple(out)
 
 
@@ -577,10 +579,9 @@ def enumerate_types(
     # close under specialization
     queue = list(found.values())
     while queue:
-        t = queue.pop()
-        for s in specializations(nd, t):
-            key = canonical_key(s)
-            if key not in found:
+        cone = cone_of_type(nd, queue.pop())
+        for subset, s, key in cone.faces:
+            if len(subset) != len(cone.rays) and key not in found:
                 found[key] = s
                 queue.append(s)
     if cap is not None and any(t.n_vertices == cap for t in found.values()):
@@ -663,7 +664,7 @@ def _decode(
 def specializations(nd: NumericalData, t: TropicalType) -> list[TropicalType]:
     """All proper face specializations of a type, one per proper cone face."""
     cone = cone_of_type(nd, t)
-    return [s for subset, s in cone.faces if len(subset) != len(cone.rays)]
+    return [s for subset, s, _ in cone.faces if len(subset) != len(cone.rays)]
 
 
 def assemble_complex(
@@ -685,7 +686,7 @@ def assemble_complex(
     ray_names = {k: f"r{i + 1}" for i, k in enumerate(ray_keys)}
     names_of: dict[tuple, set] = {}
     for key, cone in cones_of.items():
-        face_keys = [(len(subset), canonical_key(s)) for subset, s in cone.faces]
+        face_keys = [(len(subset), skey) for subset, _, skey in cone.faces]
         if any(skey not in by_key for _, skey in face_keys):
             raise ArithmeticError("types are not closed under specialization")
         names_of[key] = {ray_names.get(skey) for size, skey in face_keys if size == 1}

@@ -1098,7 +1098,7 @@ def test_one_realizability_test_per_class(monkeypatch):
 
 
 def test_one_cone_build_and_one_face_pass_per_type(monkeypatch):
-    calls = {"_position_rows": 0, "_decode": 0}
+    calls = {"_position_rows": 0, "_decode": 0, "canonical_key": 0}
     for name in calls:
         def counted(*args, _f=getattr(tropmaps, name), _name=name):
             calls[_name] += 1
@@ -1109,9 +1109,10 @@ def test_one_cone_build_and_one_face_pass_per_type(monkeypatch):
     types = enumerate_types(nd, tm)
     assemble_complex(nd, types)
     types_to_json(nd, types)
-    # one build per canonical key, and one decode per face of the 18 types;
-    # a cone per caller and a second face pass in assembly made 459 and 132
-    assert calls == {"_position_rows": 405, "_decode": 75}
+    # one build per canonical key, and one decode and one key per face of the
+    # 18 types; a cone per caller and a second face pass in assembly made 459
+    # and 132, and keying faces again in assembly made 2733 keys
+    assert calls == {"_position_rows": 405, "_decode": 75, "canonical_key": 2676}
 
 
 @pytest.mark.ladder
