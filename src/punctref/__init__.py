@@ -3,183 +3,93 @@
 Exact-arithmetic toolkit for cone complexes, Stanley-Reisner Chow operators,
 Segre/Chern refined-class computations, tropical type enumeration, gerby
 pushforward identities, and blowup (non-)invariance checks.
+
+Importing the package loads no submodule. Each exported name is imported
+from its home module on first use (PEP 562), so a caller loads only the
+modules it calls.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .conecx import (
-    Ray,
-    ConeComplex,
-    PLFunction,
-    SubdivisionStep,
-    build_complex,
-    validate_complex,
-    star_subdivide,
-    pl_function,
-    pl_pullback,
-)
-from .chowring import (
-    ChowClass,
-    reduce,
-    multiply,
-    divisor_of_pl,
-    pullback,
-    pushforward,
-    truncate,
-    serialize,
-    unit,
-    zero,
-    ray_class,
-    stratum_class,
-)
-from .puncture import (
-    PrincipalizationError,
-    PuncturingData,
-    MonomialIdealOnComplex,
-    RefinedClassResult,
-    puncturing_data,
-    monomial_ideal,
-    normalized_ideal,
-    puncturing_components,
-    principalize,
-    segre_class,
-    refined_class,
-    refined_class_excess,
-)
-from .aluffi import AluffiDomainError, principalize_newton, segre_newton
-from .tropmaps import (
-    NumericalData,
-    TargetModel,
-    VertexDecor,
-    EdgeDecor,
-    TropicalType,
-    TypeCone,
-    EnumerationBoundError,
-    BalancingError,
-    NonSmoothConeError,
-    numerical_data,
-    target_model,
-    validate_numerical_data,
-    slopes_from_balancing,
-    enumerate_types,
-    canonical_key,
-    cone_of_type,
-    realizable,
-    specializations,
-    assemble_complex,
-    positivize,
-    positivize_type,
-)
-from .gerby import (
-    RootingData,
-    rooting_data,
-    derive_source_roots,
-    validate_rooting,
-    twist_complex,
-    root_pushforward,
-    root_pullback,
-    check_pushforward_identity,
-    check_pushforward_identity_on_complex,
-)
-from .blowups import (
-    BlowupStep,
-    LiftedData,
-    Subdivision,
-    faithful_lift,
-    stabilize_rank,
-    subdivision,
-    trivial_subdivision,
-    barycentric_subdivision,
-    check_slope_sensitivity,
-    compare_under_subdivision,
-)
-from .fixtureio import (
-    SchemaError,
-    Fixture,
-    load_fixture,
-    load_fixture_file,
-)
+_HOMES = {
+    "conecx": (
+        "Ray", "ConeComplex", "PLFunction", "SubdivisionStep", "build_complex",
+        "validate_complex", "star_subdivide", "pl_function", "pl_pullback",
+    ),
+    "chowring": (
+        "ChowClass", "reduce", "multiply", "divisor_of_pl", "pullback",
+        "pushforward", "truncate", "serialize", "unit", "zero", "ray_class",
+        "stratum_class",
+    ),
+    "puncture": (
+        "PrincipalizationError", "PuncturingData", "MonomialIdealOnComplex",
+        "RefinedClassResult", "puncturing_data", "monomial_ideal",
+        "normalized_ideal", "puncturing_components", "principalize",
+        "segre_class", "refined_class", "refined_class_excess",
+    ),
+    "aluffi": ("AluffiDomainError", "principalize_newton", "segre_newton"),
+    "tropmaps": (
+        "NumericalData", "TargetModel", "VertexDecor", "EdgeDecor",
+        "TropicalType", "TypeCone", "EnumerationBoundError", "BalancingError",
+        "NonSmoothConeError", "numerical_data", "target_model",
+        "validate_numerical_data", "slopes_from_balancing", "enumerate_types",
+        "canonical_key", "cone_of_type", "realizable", "specializations",
+        "assemble_complex", "positivize", "positivize_type",
+    ),
+    "gerby": (
+        "RootingData", "rooting_data", "derive_source_roots", "validate_rooting",
+        "twist_complex", "root_pushforward", "root_pullback",
+        "check_pushforward_identity", "check_pushforward_identity_on_complex",
+    ),
+    "blowups": (
+        "BlowupStep", "LiftedData", "Subdivision", "faithful_lift",
+        "stabilize_rank", "subdivision", "trivial_subdivision",
+        "barycentric_subdivision", "check_slope_sensitivity",
+        "compare_under_subdivision",
+    ),
+    "fixtureio": ("SchemaError", "Fixture", "load_fixture", "load_fixture_file"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name):
+    """Import an exported name from its home module and keep it here."""
+    module = _HOME.get(name)
+    if module is None:
+        # lets `from punctref import conecx` fall back to the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
-    "__version__",
-    "Ray",
-    "ConeComplex",
-    "PLFunction",
-    "SubdivisionStep",
-    "build_complex",
-    "validate_complex",
-    "star_subdivide",
-    "pl_function",
-    "pl_pullback",
-    "ChowClass",
-    "reduce",
-    "multiply",
-    "divisor_of_pl",
-    "pullback",
-    "pushforward",
-    "truncate",
-    "serialize",
-    "unit",
-    "zero",
-    "ray_class",
-    "stratum_class",
-    "PrincipalizationError",
-    "PuncturingData",
-    "MonomialIdealOnComplex",
-    "RefinedClassResult",
-    "puncturing_data",
-    "monomial_ideal",
-    "normalized_ideal",
-    "puncturing_components",
-    "principalize",
-    "segre_class",
-    "refined_class",
-    "refined_class_excess",
-    "AluffiDomainError",
-    "principalize_newton",
-    "segre_newton",
-    "NumericalData",
-    "TargetModel",
-    "VertexDecor",
-    "EdgeDecor",
-    "TropicalType",
-    "TypeCone",
-    "EnumerationBoundError",
-    "BalancingError",
-    "NonSmoothConeError",
-    "numerical_data",
-    "target_model",
-    "validate_numerical_data",
-    "slopes_from_balancing",
-    "enumerate_types",
-    "canonical_key",
-    "cone_of_type",
-    "realizable",
-    "specializations",
-    "assemble_complex",
-    "positivize",
-    "positivize_type",
-    "RootingData",
-    "rooting_data",
-    "derive_source_roots",
-    "validate_rooting",
-    "twist_complex",
-    "root_pushforward",
-    "root_pullback",
-    "check_pushforward_identity",
-    "check_pushforward_identity_on_complex",
-    "BlowupStep",
-    "LiftedData",
-    "Subdivision",
-    "faithful_lift",
-    "stabilize_rank",
-    "subdivision",
-    "trivial_subdivision",
-    "barycentric_subdivision",
-    "check_slope_sensitivity",
-    "compare_under_subdivision",
-    "SchemaError",
-    "Fixture",
-    "load_fixture",
-    "load_fixture_file",
+    "__version__", "Ray", "ConeComplex", "PLFunction", "SubdivisionStep",
+    "build_complex", "validate_complex", "star_subdivide", "pl_function",
+    "pl_pullback", "ChowClass", "reduce", "multiply", "divisor_of_pl",
+    "pullback", "pushforward", "truncate", "serialize", "unit", "zero",
+    "ray_class", "stratum_class", "PrincipalizationError", "PuncturingData",
+    "MonomialIdealOnComplex", "RefinedClassResult", "puncturing_data",
+    "monomial_ideal", "normalized_ideal", "puncturing_components",
+    "principalize", "segre_class", "refined_class", "refined_class_excess",
+    "AluffiDomainError", "principalize_newton", "segre_newton",
+    "NumericalData", "TargetModel", "VertexDecor", "EdgeDecor", "TropicalType",
+    "TypeCone", "EnumerationBoundError", "BalancingError",
+    "NonSmoothConeError", "numerical_data", "target_model",
+    "validate_numerical_data", "slopes_from_balancing", "enumerate_types",
+    "canonical_key", "cone_of_type", "realizable", "specializations",
+    "assemble_complex", "positivize", "positivize_type", "RootingData",
+    "rooting_data", "derive_source_roots", "validate_rooting", "twist_complex",
+    "root_pushforward", "root_pullback", "check_pushforward_identity",
+    "check_pushforward_identity_on_complex", "BlowupStep", "LiftedData",
+    "Subdivision", "faithful_lift", "stabilize_rank", "subdivision",
+    "trivial_subdivision", "barycentric_subdivision",
+    "check_slope_sensitivity", "compare_under_subdivision", "SchemaError",
+    "Fixture", "load_fixture", "load_fixture_file",
 ]

@@ -7,16 +7,19 @@ rays by mediant (Stern-Brocot) stellar subdivisions, and the total transform
 is read off as the support function, the raywise minimum of the generator
 pairings. No generator lifting and no crossing-pair search is involved, which
 makes this an independent code path for cross-checking the resolution
-backend.
+backend. The E/(1+E) series it pushes down comes from ``chowring``, so the
+module imports nothing from ``puncture`` at run time.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .chowring import ChowClass, divisor_of_pl, pushforward
+from .chowring import ChowClass, _power_series_part, divisor_of_pl, pushforward
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, pl_function, star_subdivide
 from .lattice import primitive
-from .puncture import MonomialIdealOnComplex, _power_series_part
+
+if TYPE_CHECKING:
+    from .puncture import MonomialIdealOnComplex
 
 __all__ = ["AluffiDomainError", "principalize_newton", "segre_newton"]
 

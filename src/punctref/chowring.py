@@ -10,15 +10,18 @@ subdivision step implements the blowup formula for a two-ray center.
 ``pushforward(a, *steps)`` pushes down a whole chain of steps in one dict:
 per step it rewrites only the terms that meet the center or the new ray,
 each through a cached blowdown kernel, a two-variable integer polynomial in
-the center rays, and it normalizes once at the end.
+the center rays, and it normalizes once at the end. ``_power_series_part``
+writes the series E/(1+E) of a linear class E term by term, in closed form;
+both Segre backends push it down.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact
@@ -170,6 +173,51 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
 def divisor_of_pl(f: PLFunction, c: ConeComplex) -> ChowClass:
     """Degree-1 class of a PL function: sum over rays of f(u_rho) x_rho."""
     return _finish({((rid, 1),): f.get(rid) for rid in c.ray_ids}, c)
+
+
+@lru_cache(maxsize=None)
+def _compositions(j: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Compositions a of j into k positive parts, each with j! / prod a_r!."""
+    out = []
+    for cuts in itertools.combinations(range(1, j), k - 1):
+        a = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (j,)))
+        out.append((a, factorial(j) // prod(factorial(x) for x in a)))
+    return tuple(out)
+
+
+def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
+    """E/(1+E) truncated beyond max_codim: sum of (-1)^(j-1) E^j, in closed form.
+
+    E = sum_r L_r x_r is linear, so E^j is the multinomial expansion with the
+    non-cone monomials dropped. Every monomial supported on a cone tau of E's
+    support has all its divisors on faces of tau, so no relation touches its
+    coefficient: x^a, for a composition a of j over the rays of tau, gets
+    (-1)^(j-1) j! / prod a_r! prod L_r^(a_r). The terms of each degree are
+    distinct, so sorting each degree by its monomials gives graded-lex order.
+    """
+    L: dict = {}
+    for m, v in E.terms:
+        if len(m) != 1 or m[0][1] != 1:
+            raise ValueError("E/(1+E) needs a class of pure degree 1")
+        if v:
+            L[m[0][0]] = v
+    buckets: list[list] = [[] for _ in range(max_codim + 1)]
+    for cone in E.complex.cones:
+        k = len(cone)
+        if not 1 <= k <= max_codim or any(r not in L for r in cone):
+            continue
+        for j in range(k, max_codim + 1):
+            sign = 1 if j % 2 else -1
+            for a, multinomial in _compositions(j, k):
+                v = sign * multinomial
+                for r, e in zip(cone, a):
+                    v *= L[r] ** e
+                buckets[j].append((tuple(zip(cone, a)), v))
+    terms = []
+    for bucket in buckets:
+        bucket.sort()
+        terms.extend(bucket)
+    return ChowClass(E.complex, tuple(terms))
 
 
 def _split_center(

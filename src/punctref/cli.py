@@ -7,7 +7,8 @@ subdivision, validation violations, incomplete enumeration), or 2 on
 malformed input with a JSON-path diagnostic on stderr, as for a usage error
 such as a flag the subcommand does not read. Output is byte-identical across
 runs; --threads is accepted for interface stability but execution is always
-sequential, which costs nothing at corpus scale.
+sequential, which costs nothing at corpus scale. The handlers that call
+``gerby`` and ``blowups`` import them, so no other subcommand loads them.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from . import __version__
-from .blowups import check_slope_sensitivity, compare_under_subdivision
 from .chowring import serialize
 from .conecx import validate_complex
 from .fixtureio import (
@@ -31,12 +31,6 @@ from .fixtureio import (
     load_subdivision_arg,
     offsets_to_json,
     types_to_json,
-)
-from .gerby import (
-    _checked_rooting,
-    _offset_direction,
-    check_pushforward_identity_on_complex,
-    rooting_data,
 )
 from .puncture import (
     PrincipalizationError,
@@ -154,6 +148,13 @@ def _cmd_segre(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
+    from .gerby import (
+        _checked_rooting,
+        _offset_direction,
+        check_pushforward_identity_on_complex,
+        rooting_data,
+    )
+
     _require(fixture, "complex+offsets")
     if (args.r is None) == (args.rooting is None):
         raise SchemaError("$", "twisted-check needs exactly one of --r or --rooting")
@@ -184,6 +185,8 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_compare_blowup(fixture: Fixture, args) -> tuple[dict, int]:
+    from .blowups import compare_under_subdivision
+
     _require(fixture, "complex+offsets+trace+lifted_offsets")
     c = _checked_complex(fixture.complex)
     report = compare_under_subdivision(
@@ -199,6 +202,8 @@ def _cmd_positivize(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_sensitivity(fixture: Fixture, args) -> tuple[dict, int]:
+    from .blowups import check_slope_sensitivity
+
     _require(fixture, "data+model")
     subdiv = load_subdivision_arg(args.subdivision, fixture.data.k)
     report = check_slope_sensitivity(fixture.data, fixture.model, subdiv)

@@ -3,23 +3,27 @@
 The pipeline: puncturing offsets define a monomial ideal on the cone complex;
 stellar subdivisions at two-ray centers make its total transform Cartier; the
 Segre class of the puncturing substack is the pushforward of E/(1+E), a series
-written down term by term since E is linear; and the refined class is the
-degree-k_P part of the Chern/Segre product. Each D_p upstairs is pulled back
-from the base, so by the projection formula that product is formed on the
-base complex, against the pushed-down Segre class, one pair of degrees
-summing to k_P at a time.
+that ``chowring._power_series_part`` writes down term by term since E is
+linear; and the refined class is the degree-k_P part of the Chern/Segre
+product. Each D_p upstairs is pulled back from the base, so by the projection
+formula that product is formed on the base complex, against the pushed-down
+Segre class, one pair of degrees summing to k_P at a time. The
+aluffi-crosscheck backend calls ``aluffi.segre_newton``, which needs nothing
+from this module at run time.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from math import factorial, gcd, prod
+from functools import reduce
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import aluffi
 from .chowring import (
     ChowClass,
+    _power_series_part,
     divisor_of_pl,
     multiply,
     pushforward,
@@ -251,51 +255,6 @@ def principalize(
     return current, tuple(trace), total
 
 
-@lru_cache(maxsize=None)
-def _compositions(j: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Compositions a of j into k positive parts, each with j! / prod a_r!."""
-    out = []
-    for cuts in itertools.combinations(range(1, j), k - 1):
-        a = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (j,)))
-        out.append((a, factorial(j) // prod(factorial(x) for x in a)))
-    return tuple(out)
-
-
-def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
-    """E/(1+E) truncated beyond max_codim: sum of (-1)^(j-1) E^j, in closed form.
-
-    E = sum_r L_r x_r is linear, so E^j is the multinomial expansion with the
-    non-cone monomials dropped. Every monomial supported on a cone tau of E's
-    support has all its divisors on faces of tau, so no relation touches its
-    coefficient: x^a, for a composition a of j over the rays of tau, gets
-    (-1)^(j-1) j! / prod a_r! prod L_r^(a_r). The terms of each degree are
-    distinct, so sorting each degree by its monomials gives graded-lex order.
-    """
-    L: dict = {}
-    for m, v in E.terms:
-        if len(m) != 1 or m[0][1] != 1:
-            raise ValueError("E/(1+E) needs a class of pure degree 1")
-        if v:
-            L[m[0][0]] = v
-    buckets: list[list] = [[] for _ in range(max_codim + 1)]
-    for cone in E.complex.cones:
-        k = len(cone)
-        if not 1 <= k <= max_codim or any(r not in L for r in cone):
-            continue
-        for j in range(k, max_codim + 1):
-            sign = 1 if j % 2 else -1
-            for a, multinomial in _compositions(j, k):
-                v = sign * multinomial
-                for r, e in zip(cone, a):
-                    v *= L[r] ** e
-                buckets[j].append((tuple(zip(cone, a)), v))
-    terms = []
-    for bucket in buckets:
-        bucket.sort()
-        terms.extend(bucket)
-    return ChowClass(E.complex, tuple(terms))
-
-
 def _segre(
     c: ConeComplex,
     ideal: MonomialIdealOnComplex,
@@ -310,9 +269,7 @@ def _segre(
     E = divisor_of_pl(total, c2)
     s = pushforward(_power_series_part(E, max_codim), *trace)
     if backend == "aluffi-crosscheck":
-        from .aluffi import segre_newton
-
-        if segre_newton(c, ideal, max_codim) != s:
+        if aluffi.segre_newton(c, ideal, max_codim) != s:
             raise ArithmeticError(
                 "backend disagreement: resolution and newton Segre classes differ"
             )
