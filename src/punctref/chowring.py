@@ -12,7 +12,7 @@ per step it rewrites only the terms that meet the center or the new ray,
 each through a cached blowdown kernel, a two-variable integer polynomial in
 the center rays, and it normalizes once at the end. ``_power_series_part``
 writes the series E/(1+E) of a linear class E term by term, in closed form;
-both Segre backends push it down.
+both Segre backends build their classes from it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Puncturing data, monomial-ideal principalization, and refined virtual classes.
 
 The pipeline: puncturing offsets define a monomial ideal on the cone complex;
-stellar subdivisions at two-ray centers make its total transform Cartier; the
-Segre class of the puncturing substack is the pushforward of E/(1+E), a series
-that ``chowring._power_series_part`` writes down term by term since E is
-linear; and the refined class is the degree-k_P part of the Chern/Segre
-product. Each D_p upstairs is pulled back from the base, so by the projection
-formula that product is formed on the base complex, against the pushed-down
-Segre class, one pair of degrees summing to k_P at a time. The
-aluffi-crosscheck backend calls ``aluffi.segre_newton``, which needs nothing
-from this module at run time.
+stellar subdivisions at two-ray centers make its total transform E Cartier;
+the Segre class of the puncturing substack is the pushforward of E/(1+E); and
+the refined class is the degree-k_P part of the Chern/Segre product. E splits
+as pi^*D - G with G on the new rays, and by the projection formula only the
+series of G is pushed down (``_segre_by_projection``); the series of a linear
+class comes term by term from ``chowring._power_series_part``. Each D_p
+upstairs is pulled back from the base, so by the projection formula that
+product is formed on the base complex, against the pushed-down Segre class,
+one pair of degrees summing to k_P at a time. The aluffi-crosscheck backend
+calls ``aluffi.segre_newton``, which pushes down the whole series E/(1+E) of
+its own principalization and needs nothing from this module at run time.
 """
 from __future__ import annotations
 
@@ -17,12 +19,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import aluffi
 from .chowring import (
     ChowClass,
+    _finish,
+    _mono_degree,
+    _mono_mul,
     _power_series_part,
     divisor_of_pl,
     multiply,
@@ -255,6 +260,54 @@ def principalize(
     return current, tuple(trace), total
 
 
+def _segre_by_projection(
+    c: ConeComplex,
+    trace: Sequence[SubdivisionStep],
+    total: PLFunction,
+    max_codim: int,
+) -> ChowClass:
+    """The pushforward of E/(1+E) through max_codim, with only G pushed down.
+
+    E, the divisor of total upstairs, splits as pi^*D - G: D has total's
+    values on the base rays, pi^*D extends them along the trace by
+    val[e] = val[r1] + val[r2], and G lives on the new rays only. Expanding
+    1/(1+E) = sum_i G^i (1+pi^*D)^-(i+1) and using pi_*(pi^*a b) = a pi_*b,
+    pi_*1 = 1 and pi_*x_e = 0 gives
+        s = [D/(1+D)] - sum_(i>=2) pi_*(G^i) sum_n (-1)^n C(i+n, n) D^n,
+    truncated at max_codim. pi_*(G^i) and D^n are the degree parts of the
+    two series, with their alternating signs undone; the product is formed
+    on the base in one dict.
+    """
+    series_D = _power_series_part(divisor_of_pl(total, c), max_codim)
+    val = {r: total.get(r) for r in c.ray_ids}
+    g = {}
+    for step in trace:
+        r1, r2 = step.center
+        e = step.new_ray
+        val[e] = val[r1] + val[r2]
+        g[((e, 1),)] = val[e] - total.get(e)
+    if not any(g.values()):
+        return series_D
+    G = _finish(g, trace[-1].post)
+    pushed_G = pushforward(_power_series_part(G, max_codim), *trace)
+    # G^i pushed down, and D^n, by degree; the series carry (-1)^(j-1)
+    G_pow: list[list] = [[] for _ in range(max_codim + 1)]
+    D_pow: list[list] = [[((), 1)]] + [[] for _ in range(max_codim)]
+    for pows, series in ((G_pow, pushed_G), (D_pow, series_D)):
+        for m, v in series.terms:
+            j = _mono_degree(m)
+            pows[j].append((m, v if j % 2 else -v))
+    acc = dict(series_D.terms)
+    for i in range(2, max_codim + 1):
+        for n in range(max_codim - i + 1):
+            factor = (-1) ** (n + 1) * comb(i + n, n)
+            for m1, v1 in G_pow[i]:
+                for m2, v2 in D_pow[n]:
+                    m = _mono_mul(m1, m2)
+                    acc[m] = acc.get(m, 0) + factor * v1 * v2
+    return _finish(acc, c)
+
+
 def _segre(
     c: ConeComplex,
     ideal: MonomialIdealOnComplex,
@@ -265,9 +318,10 @@ def _segre(
     """Segre class through max_codim and the principalization trace behind it."""
     if backend not in ("resolution", "aluffi-crosscheck"):
         raise ValueError(f"unknown backend {backend!r}")
-    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
-    E = divisor_of_pl(total, c2)
-    s = pushforward(_power_series_part(E, max_codim), *trace)
+    if max_codim < 0:
+        raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
+    _, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    s = _segre_by_projection(c, trace, total, max_codim)
     if backend == "aluffi-crosscheck":
         if aluffi.segre_newton(c, ideal, max_codim) != s:
             raise ArithmeticError(
@@ -285,11 +339,13 @@ def segre_class(
 ) -> ChowClass:
     """Segre class of the subscheme cut out by a monomial ideal.
 
-    Principalizes by stellar subdivisions, forms E/(1+E) for the exceptional
-    total transform E, truncates beyond max_codim, and pushes forward along
-    the trace in reverse. The aluffi-crosscheck backend recomputes the class
-    from the Newton regions of the restricted ideal and fails hard on any
-    disagreement.
+    Principalizes by stellar subdivisions and pushes E/(1+E), for the
+    exceptional total transform E, down the trace through max_codim (the
+    dimension of c by default): D/(1+D) on the base, corrected by the pushed
+    down powers of the part G of E on the new rays. The aluffi-crosscheck
+    backend recomputes the class from the Newton regions of the restricted
+    ideal and fails hard on any disagreement. A negative max_codim raises
+    ValueError.
     """
     if max_codim is None:
         max_codim = c.dim()

@@ -11,6 +11,7 @@ from punctref.chowring import (
     _finish,
     divisor_of_pl,
     multiply,
+    pullback,
     pushforward,
     ray_class,
     reduce,
@@ -498,6 +499,160 @@ def test_segre_rejects_unknown_backend(p2):
         segre_class(p2.complex, ideal, backend="magic")
     with pytest.raises(ValueError, match="backend"):
         refined_class(p2.complex, p2.offsets, backend="magic")
+
+
+def test_segre_rejects_negative_max_codim(p2):
+    ideal = normalized_ideal(p2.complex, p2.offsets)
+    for backend in ("resolution", "aluffi-crosscheck"):
+        with pytest.raises(ValueError, match="max_codim must be nonnegative, got -1"):
+            segre_class(p2.complex, ideal, max_codim=-1, backend=backend)
+    assert segre_class(p2.complex, ideal, max_codim=0).is_zero()
+
+
+def reference_segre(c, ideal, max_codim, choice_seed=None):
+    """The whole series E/(1+E) formed upstairs and pushed down the trace,
+    the form the projection-formula split replaced; kept as the reference
+    it is checked against."""
+    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    E = divisor_of_pl(total, c2)
+    return pushforward(_power_series_part(E, max_codim), *trace), trace
+
+
+def assert_segre_matches_reference(c, ideal, max_codim, choice_seed=None):
+    """Checks the class and returns the length of the trace behind it."""
+    got = segre_class(c, ideal, max_codim, choice_seed=choice_seed)
+    expected, trace = reference_segre(c, ideal, max_codim, choice_seed)
+    assert got == expected
+    # == on Fractions forgives 2 == Fraction(2); the types must agree too
+    assert [(m, type(v)) for m, v in got.terms] == [
+        (m, type(v)) for m, v in expected.terms
+    ]
+    return len(trace)
+
+
+def test_segre_matches_reference_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        c = fx.complex
+        ideal = normalized_ideal(c, fx.offsets)
+        for max_codim in {*range(c.dim() + 2), fx.offsets.k_P}:
+            assert_segre_matches_reference(c, ideal, max_codim)
+
+
+def test_segre_matches_reference_on_seeded_charts(monkeypatch):
+    pushes = []
+
+    def counting(a, *steps):
+        pushes.append(steps)
+        return pushforward(a, *steps)
+
+    monkeypatch.setattr(punctref.puncture, "pushforward", counting)
+    rng = random.Random(7)
+    seeded = 0
+    kinds = set()
+    for i in range(48):
+        k = 2 + i % 3
+        c, pd = orthant_chart(rng, k, rng.randint(2, 4), (9, 5, 3)[k - 2])
+        seed = rng.randrange(1000) if i % 3 == 1 else None
+        seeded += seed is not None
+        ideal = normalized_ideal(c, pd)
+        for max_codim in {c.dim(), pd.k_P}:
+            before = len(pushes)
+            steps = assert_segre_matches_reference(c, ideal, max_codim, seed)
+            kinds.add((steps > 0, len(pushes) > before))
+    assert seeded >= 16
+    # an empty trace, a trace with G = 0 and a trace with G != 0 all occur
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_segre_matches_reference_on_ladder(index):
+    c, pd = ladder_chart(index)
+    ideal = normalized_ideal(c, pd)
+    for max_codim in {c.dim(), pd.k_P}:
+        assert_segre_matches_reference(c, ideal, max_codim)
+
+
+@pytest.mark.ladder
+def test_segre_matches_reference_on_a_long_two_ray_chart():
+    c = build_complex(["a", "b"], [["a", "b"]])
+    pd = puncturing_data({"p1.1": {"a": 5000, "b": 1}, "p2.1": {"a": 2, "b": 5}})
+    assert_segre_matches_reference(c, normalized_ideal(c, pd), 2)
+
+
+def pulled_back(a, trace):
+    for step in trace:
+        a = pullback(a, step)
+    return a
+
+
+def assert_projection_formula_along_trace(c, pd, choice_seed=None):
+    """pi_*(pi^*a b) = a pi_*b down the whole trace, for the classes the
+    Segre split rests on: a in {1, D, D^2, each offset divisor} and
+    b in {G/(1+G), E/(1+E)}, with E = pi^*D - G. Both sides are graded, so
+    b is cut at the degree the product needs, max_codim - deg a."""
+    c2, trace, total = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    max_codim = max(c.dim(), pd.k_P)
+    E = divisor_of_pl(total, c2)
+    D = divisor_of_pl(total, c)  # total's values on the base rays
+    G = pulled_back(D, trace) - E
+    new_rays = {step.new_ray for step in trace}
+    assert all(len(m) == 1 and m[0][0] in new_rays for m, _ in G.terms)
+    bases = [(unit(c), 0), (D, 1), (multiply(D, D), 2)]
+    bases += [(divisor_of_pl(f, c), 1) for _, f in pd.offsets]
+    for a, degree in bases:
+        up = pulled_back(a, trace)
+        for b in (G, E):
+            b = _power_series_part(b, max_codim - degree)
+            lhs = pushforward(multiply(up, b), *trace)
+            assert lhs == multiply(a, pushforward(b, *trace))
+    assert pushforward(unit(c2), *trace) == unit(c)
+    for e in new_rays:
+        assert pushforward(ray_class(c2, e), *trace).is_zero()
+
+
+def test_projection_formula_along_traces_on_fixtures():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        assert_projection_formula_along_trace(fx.complex, fx.offsets)
+
+
+def test_projection_formula_along_traces_on_seeded_charts():
+    rng = random.Random(5)
+    seeded = 0
+    for i in range(24):
+        k = 2 + i % 3
+        c, pd = orthant_chart(rng, k, rng.randint(2, 3), (7, 4, 3)[k - 2])
+        seed = rng.randrange(1000) if i % 3 == 1 else None
+        seeded += seed is not None
+        assert_projection_formula_along_trace(c, pd, seed)
+    assert seeded >= 8
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_projection_formula_along_traces_on_ladder(index):
+    assert_projection_formula_along_trace(*ladder_chart(index))
+
+
+def test_crosscheck_catches_wrong_projection_segre(p2, monkeypatch):
+    split = punctref.puncture._segre_by_projection
+
+    def wrong(c, trace, total, max_codim):
+        return split(c, trace, total, max_codim) + unit(c)
+
+    monkeypatch.setattr(punctref.puncture, "_segre_by_projection", wrong)
+    # p2 has an empty trace; this k = 2 chart a trace of 3 steps with G != 0
+    chart = orthant_chart(random.Random(3), 2, 3, 6)
+    for c, pd in ((p2.complex, p2.offsets), chart):
+        ideal = normalized_ideal(c, pd)
+        # the patched helper is the one the resolution backend reads
+        assert segre_class(c, ideal) == reference_segre(c, ideal, c.dim())[0] + unit(c)
+        with pytest.raises(ArithmeticError, match="backend disagreement"):
+            segre_class(c, ideal, backend="aluffi-crosscheck")
+        with pytest.raises(ArithmeticError, match="backend disagreement"):
+            refined_class(c, pd, backend="aluffi-crosscheck")
 
 
 def p2_refined_expected(c):
