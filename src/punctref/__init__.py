@@ -44,14 +44,14 @@ _HOMES = {
         "check_pushforward_identity", "check_pushforward_identity_on_complex",
     ),
     "blowups": (
-        "BlowupStep", "LiftedData", "Subdivision", "faithful_lift",
-        "stabilize_rank", "subdivision", "trivial_subdivision",
-        "barycentric_subdivision", "check_slope_sensitivity",
-        "compare_under_subdivision",
+        "BlowupStep", "LiftedData", "faithful_lift", "stabilize_rank",
+        "subdivision", "trivial_subdivision", "barycentric_subdivision",
+        "check_slope_sensitivity", "compare_under_subdivision",
     ),
     "fixtureio": ("SchemaError", "Fixture", "load_fixture", "load_fixture_file"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name):
@@ -68,28 +68,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "__version__", "Ray", "ConeComplex", "PLFunction", "SubdivisionStep",
-    "build_complex", "validate_complex", "star_subdivide", "pl_function",
-    "pl_pullback", "ChowClass", "reduce", "multiply", "divisor_of_pl",
-    "pullback", "pushforward", "truncate", "serialize", "unit", "zero",
-    "ray_class", "stratum_class", "PrincipalizationError", "PuncturingData",
-    "MonomialIdealOnComplex", "RefinedClassResult", "puncturing_data",
-    "monomial_ideal", "normalized_ideal", "puncturing_components",
-    "principalize", "segre_class", "refined_class", "refined_class_excess",
-    "AluffiDomainError", "principalize_newton", "segre_newton",
-    "NumericalData", "TargetModel", "VertexDecor", "EdgeDecor", "TropicalType",
-    "TypeCone", "EnumerationBoundError", "BalancingError",
-    "NonSmoothConeError", "numerical_data", "target_model",
-    "validate_numerical_data", "slopes_from_balancing", "enumerate_types",
-    "canonical_key", "cone_of_type", "realizable", "specializations",
-    "assemble_complex", "positivize", "positivize_type", "RootingData",
-    "rooting_data", "derive_source_roots", "validate_rooting", "twist_complex",
-    "root_pushforward", "root_pullback", "check_pushforward_identity",
-    "check_pushforward_identity_on_complex", "BlowupStep", "LiftedData",
-    "Subdivision", "faithful_lift", "stabilize_rank", "subdivision",
-    "trivial_subdivision", "barycentric_subdivision",
-    "check_slope_sensitivity", "compare_under_subdivision", "SchemaError",
-    "Fixture", "load_fixture", "load_fixture_file",
-]

@@ -4,9 +4,9 @@ A blowup of the corner stratum cut out by the divisors in J prepends an
 exceptional direction; tangency vectors lift faithfully by the case split on
 their sign over J, and iterating over punctures of rank two or more drives
 every puncturing rank to zero or one. Slope sensitivity asks a fan refining
-the orthant to contain every edge slope of the induced rank-two problems as
-a ray; comparison under a given subdivision trace computes both refined
-classes and their difference, which the counterexample shows need not vanish.
+the orthant, an embedded ``ConeComplex``, to contain every edge slope of the
+induced rank-two problems as a ray; comparison under a subdivision trace
+computes both refined classes and their difference, which need not vanish.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .chowring import pushforward as chow_pushforward, serialize
-from .conecx import ConeComplex, SubdivisionStep, star_subdivide
+from .conecx import ConeComplex, Ray, SubdivisionStep, build_complex, star_subdivide
 from .lattice import is_unimodular, primitive
 from .puncture import PuncturingData, refined_class
 from .tropmaps import (
@@ -29,7 +29,6 @@ from .tropmaps import (
 __all__ = [
     "BlowupStep",
     "LiftedData",
-    "Subdivision",
     "faithful_lift",
     "stabilize_rank",
     "subdivision",
@@ -160,29 +159,16 @@ def stabilize_rank(nd: NumericalData) -> tuple[tuple[BlowupStep, ...], Numerical
         current = lifted.nd
 
 
-@dataclass(frozen=True)
-class Subdivision:
-    """A simplicial fan refining the orthant, given by rays and ray-index cones."""
-
-    k: int
-    rays: tuple[tuple[int, ...], ...]
-    cones: tuple[tuple[int, ...], ...]
-
-    def rays_in_face(self, J: Sequence[int]) -> set[tuple[int, ...]]:
-        """Primitive rays supported on the coordinate face J, in J-coordinates."""
-        face = set(J)
-        out = set()
-        for r in self.rays:
-            support = {j + 1 for j, x in enumerate(r) if x}
-            if support and support <= face:
-                out.add(primitive([r[j - 1] for j in J]))
-        return out
+def _fan(rays: Sequence[tuple[int, ...]], cones: Iterable[Iterable[int]]) -> ConeComplex:
+    """The embedded complex on primitive rays ``r<i>`` spanned by index cones."""
+    ids = [f"r{i}" for i in range(len(rays))]
+    return build_complex(list(map(Ray, ids, rays)), ([ids[i] for i in c] for c in cones))
 
 
 def subdivision(
     k: int, rays: Sequence[Sequence[int]], cones: Sequence[Sequence[int]]
-) -> Subdivision:
-    """Validate and normalize a fan of unimodular cones on the orthant.
+) -> ConeComplex:
+    """Validate a fan of unimodular cones on the orthant as an embedded complex.
 
     Rays are normalized to primitive vectors; every coordinate axis must
     appear (any refinement of the orthant keeps its one-dimensional faces)
@@ -197,40 +183,33 @@ def subdivision(
         prim.append(primitive(v))
     if len(set(prim)) != len(prim):
         raise ValueError("duplicate rays after normalization")
-    for j in range(k):
-        axis = tuple(1 if i == j else 0 for i in range(k))
+    for axis in (tuple(int(i == j) for i in range(k)) for j in range(k)):
         if axis not in prim:
             raise ValueError(f"missing coordinate axis ray {axis}")
     norm_cones = []
     for cone in cones:
-        idx = tuple(sorted(set(int(i) for i in cone)))
+        idx = {int(i) for i in cone}
         if any(i < 0 or i >= len(prim) for i in idx):
             raise ValueError(f"cone {cone} references a missing ray")
         if not is_unimodular([prim[i] for i in idx]):
             raise ValueError(f"cone {cone} is not unimodular")
         norm_cones.append(idx)
-    return Subdivision(k, tuple(prim), tuple(sorted(set(norm_cones))))
+    return _fan(prim, norm_cones)
 
 
-def trivial_subdivision(k: int) -> Subdivision:
-    rays = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    return subdivision(k, rays, [tuple(range(k))])
+def trivial_subdivision(k: int) -> ConeComplex:
+    return _fan([tuple(int(i == j) for i in range(k)) for j in range(k)], [range(k)])
 
 
-def barycentric_subdivision(k: int) -> Subdivision:
-    """Rays are indicators of nonempty subsets; cones are subset flags."""
-    subsets = [
-        s
-        for size in range(1, k + 1)
-        for s in itertools.combinations(range(1, k + 1), size)
-    ]
+def barycentric_subdivision(k: int) -> ConeComplex:
+    """Rays are indicators of nonempty subsets; cones are subset flags, each
+    unimodular since every ray of a flag adds one coordinate to the last."""
+    subsets = [s for n in range(1, k + 1) for s in itertools.combinations(range(k), n)]
     index = {s: i for i, s in enumerate(subsets)}
-    rays = [tuple(1 if j in s else 0 for j in range(1, k + 1)) for s in subsets]
-    cones = []
-    for perm in itertools.permutations(range(1, k + 1)):
-        chain = [tuple(sorted(perm[: i + 1])) for i in range(k)]
-        cones.append(tuple(index[s] for s in chain))
-    return subdivision(k, rays, cones)
+    rays = [tuple(int(j in s) for j in range(k)) for s in subsets]
+    flags = itertools.permutations(range(k))
+    cones = ([index[tuple(sorted(f[: i + 1]))] for i in range(k)] for f in flags)
+    return _fan(rays, cones)
 
 
 def _restrict_data(nd: NumericalData, J: tuple[int, int]) -> NumericalData:
@@ -243,34 +222,30 @@ def _restrict_data(nd: NumericalData, J: tuple[int, int]) -> NumericalData:
 
 
 def _restrict_model(tm: TargetModel, J: tuple[int, int]) -> TargetModel:
-    merged: dict[frozenset, list[tuple[tuple[int, ...], str]]] = {}
-    seen: dict[frozenset, set] = {}
+    # per restricted face, each restricted pairing keeps its first label
+    merged: dict[frozenset, dict[tuple[int, ...], str]] = {}
     for face, classes in tm.strata:
-        rf = frozenset(
-            idx + 1 for idx, j in enumerate(J) if j in face
-        )
-        merged.setdefault(rf, [])
-        seen.setdefault(rf, set())
+        rf = frozenset(idx + 1 for idx, j in enumerate(J) if j in face)
+        labels = merged.setdefault(rf, {})
         for p, lab in classes:
-            rp = tuple(p[j - 1] for j in J)
-            if rp not in seen[rf]:
-                seen[rf].add(rp)
-                merged[rf].append((rp, lab))
-    return target_model(2, {f: cls for f, cls in merged.items()})
+            labels.setdefault(tuple(p[j - 1] for j in J), lab)
+    return target_model(2, {f: list(labels.items()) for f, labels in merged.items()})
 
 
 def check_slope_sensitivity(
-    nd: NumericalData, tm: TargetModel, subdiv: Subdivision
+    nd: NumericalData, tm: TargetModel, fan: ConeComplex
 ) -> dict:
     """Does the fan contain every rank-two edge slope as a face ray?
 
-    For each pair of divisor directions, the data and model restrict to a
-    rank-two problem; all edge slopes of its types lying in the (closed)
-    positive quadrant must be rays of the fan supported on that coordinate
-    face. Rank below two is vacuously sensitive. Enumeration bound failures
-    propagate.
+    The fan is an embedded complex on primitive rays of length k. For each
+    pair J of divisor directions, the data and model restrict to a rank-two
+    problem; all edge slopes of its types in the (closed) positive quadrant
+    must be rays of the fan supported on the coordinate face J, read in
+    J-coordinates. Rank below two is vacuously sensitive. Enumeration bound
+    failures propagate.
     """
-    if subdiv.k != nd.k:
+    prims = [r.primitive for r in fan.rays]
+    if any(p is None or len(p) != nd.k for p in prims):
         raise ValueError("subdivision rank differs from the data")
     pairs = []
     sensitive = True
@@ -292,7 +267,11 @@ def check_slope_sensitivity(
                 if any(x < 0 for x in m) or all(x == 0 for x in m):
                     continue
                 slopes.add(primitive(m))
-        rays_J = subdiv.rays_in_face(J)
+        rays_J = {
+            tuple(p[j - 1] for j in J)
+            for p in prims
+            if any(p) and all(x == 0 or j in J for j, x in enumerate(p, 1))
+        }
         missing = sorted(s for s in slopes if s not in rays_J)
         pairs.append(
             {

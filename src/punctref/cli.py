@@ -205,8 +205,8 @@ def _cmd_sensitivity(fixture: Fixture, args) -> tuple[dict, int]:
     from .blowups import check_slope_sensitivity
 
     _require(fixture, "data+model")
-    subdiv = load_subdivision_arg(args.subdivision, fixture.data.k)
-    report = check_slope_sensitivity(fixture.data, fixture.model, subdiv)
+    fan = load_subdivision_arg(args.subdivision, fixture.data.k)
+    report = check_slope_sensitivity(fixture.data, fixture.model, fan)
     return report, 0 if report["sensitive"] else 1
 
 

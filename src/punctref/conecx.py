@@ -101,12 +101,13 @@ class ConeComplex:
 
 def _face_closure(cones: Iterable[Iterable[str]]) -> frozenset[tuple[str, ...]]:
     closed: set[tuple[str, ...]] = {()}
-    for cone in cones:
-        base = _sorted_cone(cone)
-        n = len(base)
-        for mask in range(1 << n):
-            face = tuple(base[i] for i in range(n) if mask >> i & 1)
+    todo = [_sorted_cone(cone) for cone in cones]
+    while todo:
+        face = todo.pop()
+        # a face already in the set has all its faces in the set or in todo
+        if face not in closed:
             closed.add(face)
+            todo.extend(face[:i] + face[i + 1 :] for i in range(len(face)))
     return frozenset(closed)
 
 

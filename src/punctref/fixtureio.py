@@ -253,8 +253,9 @@ def load_rooting_file(filename: str) -> tuple[tuple[int, ...], Optional[tuple[in
     return r, s
 
 
-def load_subdivision_arg(arg: str, k: int):
-    """Resolve a --subdivision argument: keyword or file path."""
+def load_subdivision_arg(arg: str, k: int) -> ConeComplex:
+    """Resolve a --subdivision argument, keyword or file path, to an embedded
+    fan complex. A file holds ``{"rays": [[int]], "cones": [[ray index]]}``."""
     from .blowups import barycentric_subdivision, subdivision, trivial_subdivision
 
     if arg == "trivial":

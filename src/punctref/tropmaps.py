@@ -327,7 +327,7 @@ class TypeCone:
         out = []
         for s in _faces_of_cone(self):
             z = [sum(self.rays[i][c] for i in s) for c in range(len(self.variables))]
-            face = _decode(None, self.type, self, z)
+            face = _decode(self.type, self, z)
             out.append((s, face, canonical_key(face)))
         return tuple(out)
 
@@ -608,14 +608,12 @@ def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
     return out
 
 
-def _decode(
-    nd: Optional[NumericalData], t: TropicalType, cone: TypeCone, z: Sequence[int]
-) -> TropicalType:
+def _decode(t: TropicalType, cone: TypeCone, z: Sequence[int]) -> TropicalType:
     """The specialized type at a point of the cone's boundary.
 
     Down the walk, a vertex joins its parent's group across an edge of length
     zero. Groups come out ordered by their least member, with members in
-    increasing order; the surviving edges keep their slopes. ``nd`` is unread.
+    increasing order; the surviving edges keep their slopes.
     """
     k = t.k
     n = t.n_vertices

@@ -1,4 +1,6 @@
 """Faithful lifts, rank stabilization, slope sensitivity, and comparisons."""
+import math
+
 import pytest
 
 from punctref.blowups import (
@@ -11,6 +13,7 @@ from punctref.blowups import (
     subdivision,
     trivial_subdivision,
 )
+from punctref.conecx import validate_complex
 from punctref.tropmaps import EnumerationBoundError, numerical_data, target_model
 
 from conftest import p2_data_model, pr_data_model
@@ -90,28 +93,81 @@ def test_stabilize_rank_two_rounds():
     assert stable.markings[0] == (-1, 0, 0, 0, 0)
 
 
+def ray_primitives(fan):
+    return {r.primitive for r in fan.rays}
+
+
+def cone_primitives(fan):
+    """Each maximal cone as the set of its ray primitives."""
+    return {frozenset(fan.ray(x).primitive for x in c) for c in fan.maximal_cones()}
+
+
+def face_rays(fan, J=(1, 2)):
+    """The fan's rays on the coordinate face J, as check_slope_sensitivity
+    reports them for data without markings."""
+    k = len(next(iter(ray_primitives(fan))))
+    nd = numerical_data(k, (0,) * k, [])
+    tm = target_model(k, [((), [])])
+    report = check_slope_sensitivity(nd, tm, fan)
+    return next(p["rays"] for p in report["pairs"] if p["J"] == list(J))
+
+
 def test_trivial_subdivision_shape():
-    sd = trivial_subdivision(2)
-    assert sd.rays == ((1, 0), (0, 1))
-    assert sd.cones == ((0, 1),)
-    assert sd.rays_in_face((1, 2)) == {(1, 0), (0, 1)}
+    fan = trivial_subdivision(2)
+    assert fan.mode == "embedded"
+    assert ray_primitives(fan) == {(1, 0), (0, 1)}
+    assert cone_primitives(fan) == {frozenset({(1, 0), (0, 1)})}
+    assert face_rays(fan) == [(0, 1), (1, 0)]
 
 
 def test_barycentric_subdivision_shape():
-    sd = barycentric_subdivision(2)
-    assert set(sd.rays) == {(1, 0), (0, 1), (1, 1)}
-    assert len(sd.cones) == 2
-    assert sd.rays_in_face((1, 2)) == {(1, 0), (0, 1), (1, 1)}
-    sd3 = barycentric_subdivision(3)
-    assert len(sd3.rays) == 7
-    assert len(sd3.cones) == 6
+    fan = barycentric_subdivision(2)
+    assert ray_primitives(fan) == {(1, 0), (0, 1), (1, 1)}
+    assert cone_primitives(fan) == {
+        frozenset({(1, 0), (1, 1)}),
+        frozenset({(0, 1), (1, 1)}),
+    }
+    assert face_rays(fan) == [(0, 1), (1, 0), (1, 1)]
+    fan3 = barycentric_subdivision(3)
+    assert ray_primitives(fan3) == {
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)
+    }
+    assert len(fan3.maximal_cones()) == 6
+    assert frozenset({(1, 0, 0), (1, 1, 0), (1, 1, 1)}) in cone_primitives(fan3)
     # restriction, not projection: only rays supported on the face count
-    assert sd3.rays_in_face((1, 2)) == {(1, 0), (0, 1), (1, 1)}
+    assert face_rays(fan3) == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_face_rays_are_a_restriction():
+    # the star of the orthant at (1, 1, 1) projects (1, 1, 1) onto (1, 1) on
+    # the face {1, 2}, but has no ray supported there besides the axes
+    fan = subdivision(
+        3,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [(0, 1, 3), (0, 2, 3), (1, 2, 3)],
+    )
+    assert validate_complex(fan)["ok"]
+    assert face_rays(fan, (1, 2)) == [(0, 1), (1, 0)]
+    assert face_rays(fan, (2, 3)) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_generated_fans_are_valid_complexes(k):
+    trivial, bary = trivial_subdivision(k), barycentric_subdivision(k)
+    assert validate_complex(trivial)["ok"] and validate_complex(bary)["ok"]
+    assert len(trivial.rays) == k and len(bary.rays) == 2**k - 1
+    assert len(trivial.maximal_cones()) == 1
+    assert len(bary.maximal_cones()) == math.factorial(k)
+    assert trivial.dim() == bary.dim() == k
 
 
 def test_subdivision_validator():
-    sd = subdivision(2, [(2, 0), (0, 1), (3, 3)], [(0, 2), (1, 2)])
-    assert sd.rays == ((1, 0), (0, 1), (1, 1))
+    fan = subdivision(2, [(2, 0), (0, 1), (3, 3)], [(0, 2), (1, 2)])
+    assert fan.mode == "embedded" and validate_complex(fan)["ok"]
+    assert ray_primitives(fan) == {(1, 0), (0, 1), (1, 1)}
+    assert fan == barycentric_subdivision(2)
+    # a repeated index names one ray; a repeated cone is one cone
+    assert subdivision(2, [(1, 0), (0, 1), (1, 1)], [(0, 2, 2), (2, 1), (1, 2)]) == fan
     with pytest.raises(ValueError, match="missing coordinate axis"):
         subdivision(2, [(1, 0), (1, 1)], [(0, 1)])
     with pytest.raises(ValueError, match="duplicate rays"):

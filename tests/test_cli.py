@@ -398,6 +398,59 @@ def test_sensitivity_bad_subdivision_file(capsys, tmp_path):
     assert code == 2 and out == "" and "rays and cones" in err
 
 
+K0_DATUM = {
+    "data": {"k": 0, "degrees": [], "markings": [[], []]},
+    "strata": [{"face": [], "classes": []}],
+}
+
+# input, --subdivision (keyword or fan document), exit code, and the sha256
+# of [code, stdout, stderr], pinned from the output of the dataclass fan type
+# that embedded cone complexes replaced
+SENSITIVITY_EDGE_CASES = {
+    "repeated-index": (
+        "p2-two-lines",
+        {"rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 2, 2], [1, 2]]},
+        0,
+        "3cdd010e2147787d44c25a13cd49624d715e59a57d33fe0d87420c9ac037105b",
+    ),
+    "repeated-cone": (
+        "p2-two-lines",
+        {"rays": [[1, 0], [0, 1]], "cones": [[0, 1], [0, 1]]},
+        1,
+        "99240b98b21fec5eb3958430195a6d8fae00afc439ccbb20412383577a35c68b",
+    ),
+    "k0-trivial": (
+        K0_DATUM,
+        "trivial",
+        0,
+        "79a21a7add1ba90b2426bb972abe2c9d765e4728493594a8b9b88e9f357a813e",
+    ),
+    "k0-barycentric": (
+        K0_DATUM,
+        "barycentric",
+        0,
+        "79a21a7add1ba90b2426bb972abe2c9d765e4728493594a8b9b88e9f357a813e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SENSITIVITY_EDGE_CASES))
+def test_sensitivity_edge_cases_keep_their_bytes(capsys, tmp_path, case):
+    source, fan, expected_code, digest = SENSITIVITY_EDGE_CASES[case]
+    if isinstance(source, dict):
+        path = write_fixture(tmp_path, source)
+    else:
+        path = fixture_path(source)
+    if isinstance(fan, dict):
+        fan = write_fixture(tmp_path, fan, "fan.json")
+    code, out, err = run_cli(capsys, "sensitivity", path, "--subdivision", fan)
+    assert code == expected_code and err == ""
+    if source is K0_DATUM:
+        assert json.loads(out)["result"] == {"pairs": [], "sensitive": True}
+    encoded = json.dumps([code, out, err]).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,5 @@
 """Cone complex construction, validation, and stellar subdivision."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from punctref.conecx import (
     ConeComplex,
     Ray,
     SubdivisionStep,
+    _face_closure,
     build_complex,
     pl_function,
     pl_pullback,
@@ -29,6 +31,29 @@ def test_face_closure_and_lookup():
     assert not c.has_cone(("a", "c"))
     assert c.maximal_cones() == (("a", "b"), ("b", "c"))
     assert c.dim() == 2
+
+
+def brute_force_closure(cones):
+    return frozenset(
+        face
+        for cone in cones
+        for n in range(len(cone) + 1)
+        for face in itertools.combinations(sorted(cone), n)
+    ) | {()}
+
+
+def test_face_closure_matches_brute_force_on_seeded_cones():
+    rng = random.Random(16)
+    for _ in range(300):
+        ids = [f"r{i}" for i in range(rng.randint(0, 9))]
+        cones = [
+            rng.sample(ids, rng.randint(0, len(ids)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        # cones may repeat, and may sit inside one another
+        cones += rng.sample(cones, min(len(cones), 2))
+        cones += [cone[: len(cone) // 2] for cone in cones[:2]]
+        assert _face_closure(cones) == brute_force_closure(cones)
 
 
 def test_cones_sorted_canonically():

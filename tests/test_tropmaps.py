@@ -623,7 +623,7 @@ def reference_position_rows(t):
     return rows
 
 
-def reference_decode(nd, t, cone, z):
+def reference_decode(t, cone, z):
     """The specialized type at a point of the cone's boundary."""
     k = t.k
     n = t.n_vertices
@@ -736,7 +736,7 @@ def assert_walk_matches_reference(nd, tm, bounds, monkeypatch):
         assert _position_rows(t) == reference_position_rows(t)
         for subset in _faces_of_cone(cone):
             z = [sum(cone.rays[i][c] for i in subset) for c in range(len(cone.variables))]
-            assert _decode(nd, t, cone, z) == reference_decode(nd, t, cone, z)
+            assert _decode(t, cone, z) == reference_decode(t, cone, z)
     monkeypatch.setattr(tropmaps, "slopes_from_balancing", reference_slopes_from_balancing)
     monkeypatch.setattr(tropmaps, "_position_rows", reference_position_rows)
     monkeypatch.setattr(tropmaps, "_decode", reference_decode)
@@ -809,7 +809,7 @@ def test_walk_matches_reference_on_random_trees():
         for _ in range(4):
             z = [rng.randint(0, 2) for _ in range(nd.k)]
             z += [rng.choice((0, 0, 1, 3)) for _ in range(nv - nd.k)]
-            assert _decode(nd, t, cone, z) == reference_decode(nd, t, cone, z)
+            assert _decode(t, cone, z) == reference_decode(t, cone, z)
     assert balanced >= 200
     # the first failing vertex is not always the root of the walk
     assert {"balancing fails at vertex 0", "balancing fails at vertex 1"} <= refusals
@@ -912,7 +912,7 @@ def reference_specializations(nd, t):
     cone = cone_of_type(nd, t)
     nv = len(cone.variables)
     return [
-        _decode(nd, t, cone, [sum(cone.rays[i][c] for i in subset) for c in range(nv)])
+        _decode(t, cone, [sum(cone.rays[i][c] for i in subset) for c in range(nv)])
         for subset in reference_faces_of_cone(cone)
         if len(subset) != len(cone.rays)
     ]
@@ -942,7 +942,7 @@ def reference_assemble_complex(nd, types):
             )
         names = set()
         for i in range(len(cone.rays)):
-            skey = key(_decode(nd, t, cone, list(cone.rays[i])))
+            skey = key(_decode(t, cone, list(cone.rays[i])))
             if skey not in ray_names:
                 raise ArithmeticError("extreme ray decodes to a missing type")
             names.add(ray_names[skey])

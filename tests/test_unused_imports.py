@@ -27,7 +27,10 @@ def unused_imports(source):
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported.update(ast.literal_eval(node.value))
+            # string entries are exported; a starred entry is a use of its name
+            exported.update(
+                e.value for e in node.value.elts if isinstance(e, ast.Constant)
+            )
     return sorted(
         (line, name)
         for name, line in imported.items()
@@ -46,6 +49,8 @@ def test_scan_flags_only_unused_names():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [(2, "json"), (3, "Mapping")]
+    starred = "from .x import a, b, c\n__all__ = ['a', *b]\n"
+    assert unused_imports(starred) == [(1, "c")]
 
 
 @pytest.mark.parametrize("module", MODULES)
