@@ -15,7 +15,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .chowring import ChowClass, _power_series_part, divisor_of_pl, pushforward
-from .conecx import ConeComplex, PLFunction, SubdivisionStep, pl_function, star_subdivide
+from .conecx import (
+    ConeComplex,
+    PLFunction,
+    SubdivisionStep,
+    _fresh_ray_ids,
+    pl_function,
+    star_subdivide,
+)
 from .lattice import primitive
 
 if TYPE_CHECKING:
@@ -80,6 +87,7 @@ def principalize_newton(
             "newton backend supports charts of dimension at most two"
         )
     gens = ideal.generators
+    names = _fresh_ray_ids(c)
     current = c
     trace: list[SubdivisionStep] = []
     # chart-local coordinates of every ray created inside a chart
@@ -101,7 +109,7 @@ def principalize_newton(
                 )
                 (va, ida), (vb, idb) = fan[idx], fan[idx + 1]
                 m = (va[0] + vb[0], va[1] + vb[1])
-                current, step = star_subdivide(current, (ida, idb))
+                current, step = star_subdivide(current, (ida, idb), next(names))
                 trace.append(step)
                 new_vecs[step.new_ray] = ((r1, r2), m)
                 fan.insert(idx + 1, (m, step.new_ray))

@@ -7,10 +7,12 @@ are integral and Fractions after a division; no float enters a class.
 ``multiply`` is the plain polynomial product, and ``_finish``, the one place
 that drops zero and non-cone terms, reduces it. Pullback along a stellar
 subdivision step implements the blowup formula for a two-ray center.
-``pushforward(a, *steps)`` pushes down a whole chain of steps in one dict:
-per step it rewrites only the terms that meet the center or the new ray,
-each through a cached blowdown kernel, a two-variable integer polynomial in
-the center rays, and it normalizes once at the end. ``_power_series_part``
+``_push_step`` is the one push-down through a step: in place on a dict of
+terms, it rewrites only the terms that meet the center or the new ray, each
+through a cached blowdown kernel, a two-variable integer polynomial in the
+center rays. ``pushforward(a, *steps)`` runs it once per step on one dict
+and normalizes once at the end; the Segre chain of ``puncture`` runs it on a
+dict that gains each step's bending between steps. ``_power_series_part``
 writes the series E/(1+E) of a linear class E term by term, in closed form;
 both Segre backends build their classes from it.
 """
@@ -178,6 +180,8 @@ def divisor_of_pl(f: PLFunction, c: ConeComplex) -> ChowClass:
 @lru_cache(maxsize=None)
 def _compositions(j: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Compositions a of j into k positive parts, each with j! / prod a_r!."""
+    if not k:
+        return (((), 1),) if not j else ()
     out = []
     for cuts in itertools.combinations(range(1, j), k - 1):
         a = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (j,)))
@@ -276,17 +280,54 @@ def _blowdown_kernel(a1: int, a2: int, ae: int) -> tuple[tuple[int, int, int], .
     return tuple((p1, p2, v) for (p1, p2), v in sorted(acc.items()) if v)
 
 
+def _push_step(acc: dict[Monomial, int | Fraction], step: SubdivisionStep) -> None:
+    """Push the terms in acc down one subdivision step, in place.
+
+    The terms are supported on cones of the step's refined complex, and
+    afterwards on cones of its source; they are neither merged with zeros
+    dropped nor sorted. A term whose support misses the center rays r1, r2
+    and the new ray e stays as it is: its support is a cone of the refined
+    complex without e, hence a cone of the source. A touched term
+    base x_r1^a1 x_r2^a2 x_e^ae keeps itself when ae = 0 and gains
+    base * _blowdown_kernel(a1, a2, ae), a block whose monomials all have
+    support supp(base) + {r1, r2}, so one cone check keeps or drops the
+    whole block.
+    """
+    r1, r2 = step.center
+    e = step.new_ray
+    cones = step.pre.cones
+    affected = {r1, r2, e}
+    touched = []
+    for m, v in acc.items():
+        for r, _ in m:
+            if r in affected:
+                touched.append((m, v))
+                break
+    for mono, coeff in touched:
+        base, a1, a2, ae = _split_center(mono, r1, r2, e)
+        if ae:
+            del acc[mono]
+        kernel = _blowdown_kernel(a1, a2, ae)
+        if not coeff or not kernel:
+            continue
+        support = tuple(sorted([r for r, _ in base] + [r1, r2]))
+        if support not in cones:
+            continue
+        # r1 < r2, so each block monomial is base with (r1, p1) and
+        # (r2, p2) slotted in where the support has them
+        i1, i2 = support.index(r1), support.index(r2) - 1
+        head, mid, tail = base[:i1], base[i1:i2], base[i2:]
+        for p1, p2, v in kernel:
+            m = head + ((r1, p1),) + mid + ((r2, p2),) + tail
+            acc[m] = acc.get(m, 0) + coeff * v
+
+
 def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
     """Push a class forward along a chain of subdivision steps, last step first.
 
     The class lives on the last step's refined complex, and each step's
-    refined complex is the next step's source. Per step, a term whose support
-    misses the center rays r1, r2 and the new ray e stays as it is: its
-    support is a cone of the refined complex without e, hence a cone of the
-    source. A touched term base x_r1^a1 x_r2^a2 x_e^ae keeps itself when
-    ae = 0 and gains base * _blowdown_kernel(a1, a2, ae), a block whose
-    monomials all have support supp(base) + {r1, r2}, so one cone check keeps
-    or drops the whole block. The terms are normalized once, at the end.
+    refined complex is the next step's source. The terms go down in one
+    dict, one ``_push_step`` per step, and are normalized once, at the end.
     """
     if not steps:
         return a
@@ -297,33 +338,7 @@ def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
             raise ValueError("steps do not form a chain")
     acc: dict[Monomial, int | Fraction] = dict(a.terms)
     for step in reversed(steps):
-        r1, r2 = step.center
-        e = step.new_ray
-        cones = step.pre.cones
-        affected = {r1, r2, e}
-        touched = []
-        for m, v in acc.items():
-            for r, _ in m:
-                if r in affected:
-                    touched.append((m, v))
-                    break
-        for mono, coeff in touched:
-            base, a1, a2, ae = _split_center(mono, r1, r2, e)
-            if ae:
-                del acc[mono]
-            kernel = _blowdown_kernel(a1, a2, ae)
-            if not coeff or not kernel:
-                continue
-            support = tuple(sorted([r for r, _ in base] + [r1, r2]))
-            if support not in cones:
-                continue
-            # r1 < r2, so each block monomial is base with (r1, p1) and
-            # (r2, p2) slotted in where the support has them
-            i1, i2 = support.index(r1), support.index(r2) - 1
-            head, mid, tail = base[:i1], base[i1:i2], base[i2:]
-            for p1, p2, v in kernel:
-                m = head + ((r1, p1),) + mid + ((r2, p2),) + tail
-                acc[m] = acc.get(m, 0) + coeff * v
+        _push_step(acc, step)
     return _finish(acc, steps[0].pre)
 
 

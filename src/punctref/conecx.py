@@ -12,10 +12,11 @@ that are no cone's facet, a rule that assumes face-closure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .lattice import is_unimodular
 
@@ -212,6 +213,14 @@ class SubdivisionStep:
     post: ConeComplex = field(repr=False)
 
 
+def _fresh_ray_ids(c: ConeComplex) -> Iterator[str]:
+    """The ids e0, e1, ... that c does not use, in order. A chain of steps
+    that only adds rays and names them from here gets the names that
+    star_subdivide picks by default, without a search from e0 per step."""
+    taken = set(c.ray_ids)
+    return (r for r in map("e{}".format, itertools.count()) if r not in taken)
+
+
 def star_subdivide(
     c: ConeComplex,
     center: Iterable[str],
@@ -231,10 +240,7 @@ def star_subdivide(
     r1, r2 = ctr
     existing = set(c.ray_ids)
     if new_ray is None:
-        k = 0
-        while f"e{k}" in existing:
-            k += 1
-        new_ray = f"e{k}"
+        new_ray = next(_fresh_ray_ids(c))
     if new_ray in existing:
         raise ValueError(f"new ray id {new_ray!r} already present")
     prim: Optional[tuple[int, ...]] = None

@@ -5,13 +5,18 @@ stellar subdivisions at two-ray centers make its total transform E Cartier;
 the Segre class of the puncturing substack is the pushforward of E/(1+E); and
 the refined class is the degree-k_P part of the Chern/Segre product. E splits
 as pi^*D - G with G on the new rays, and by the projection formula only the
-series of G is pushed down (``_segre_by_projection``); the series of a linear
-class comes term by term from ``chowring._power_series_part``. Each D_p
-upstairs is pulled back from the base, so by the projection formula that
-product is formed on the base complex, against the pushed-down Segre class,
-one pair of degrees summing to k_P at a time. The aluffi-crosscheck backend
-calls ``aluffi.segre_newton``, which pushes down the whole series E/(1+E) of
-its own principalization and needs nothing from this module at run time.
+powers of G are pushed down (``_segre_by_projection``). Step s changes G by
+its bending c_s x_e, c_s = total(r1) + total(r2) - total(e) <= 0, so
+pi_*(G^i) is the sum over the steps of the pushed-down
+R_s^i = sum_(t>=2) C(i, t) c_s^t G_(s-1)^(i-t) pi_s*(x_e^t): only what the
+bending adds goes down, from the step that adds it (``_pushed_G_powers``).
+The series of a linear class comes term by term from
+``chowring._power_series_part``. Each D_p upstairs is pulled back from the
+base, so by the projection formula that product is formed on the base
+complex, against the pushed-down Segre class, one pair of degrees summing to
+k_P at a time. The aluffi-crosscheck backend calls ``aluffi.segre_newton``,
+which pushes down the whole series E/(1+E) of its own principalization and
+needs nothing from this module at run time.
 """
 from __future__ import annotations
 
@@ -25,13 +30,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import aluffi
 from .chowring import (
     ChowClass,
+    _blowdown_kernel,
+    _compositions,
     _finish,
     _mono_degree,
     _mono_mul,
     _power_series_part,
+    _push_step,
     divisor_of_pl,
     multiply,
-    pushforward,
     ray_class,
     stratum_class,
     truncate,
@@ -42,6 +49,7 @@ from .conecx import (
     ConeComplex,
     PLFunction,
     SubdivisionStep,
+    _fresh_ray_ids,
     pl_function,
     star_subdivide,
 )
@@ -225,7 +233,8 @@ def principalize(
 
     The generators are read once into one table of per-ray rows; a new ray's
     row is the sum of the center rows. A generator divides the others on a
-    cone when it attains the row minimum on each of its rays.
+    cone when it attains the row minimum on each of its rays. New rays are
+    named e0, e1, ... from a counter that skips the ids of c.
 
     Returns the refined complex, the subdivision trace, and the total
     transform as a PL function: the raywise minimum of the generators, which
@@ -236,6 +245,7 @@ def principalize(
     rng = random.Random(choice_seed) if choice_seed is not None else None
     gens = range(len(ideal.generators))
     table = {r: [g.get(r) for g in ideal.generators] for r in c.ray_ids}
+    names = _fresh_ray_ids(c)
     current = c
     trace: list[SubdivisionStep] = []
     for a, b in itertools.combinations(gens, 2):
@@ -246,7 +256,7 @@ def principalize(
                 chosen = min(faces, key=lambda f: (-faces[f], f))
             else:
                 chosen = rng.choice(sorted(faces))
-            current, step = star_subdivide(current, chosen)
+            current, step = star_subdivide(current, chosen, next(names))
             r1, r2 = step.center
             table[step.new_ray] = [x + y for x, y in zip(table[r1], table[r2])]
             trace.append(step)
@@ -260,13 +270,106 @@ def principalize(
     return current, tuple(trace), total
 
 
+def _bending(
+    acc: dict,
+    step: SubdivisionStep,
+    bend: int,
+    g: Mapping[str, int],
+    max_codim: int,
+) -> None:
+    """Add one step's R^i = pi_s*(G_s^i) - G_(s-1)^i, i = 2..max_codim, to acc.
+
+    G_s = pi_s^*G_(s-1) + bend x_e. Write G_(s-1) = g1 x_r1 + g2 x_r2 + H,
+    with H on the other rays of the step's source; g holds G's coefficients.
+    After the binomial expansion,
+        R^i = sum_(m+d=i, d>=2) C(i, m) H^m Q_d,
+        Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x_r1 + g2 x_r2)^(d-t) pi_s*(x_e^t).
+    Every monomial of Q_d has both center rays, so only the terms of H^m on a
+    face lam of the center's link survive, those with lam + {r1, r2} a cone
+    of the step's source. They are written in closed form, as in
+    _power_series_part.
+    """
+    r1, r2 = step.center
+    cones = step.pre.cones
+    g1, g2 = g[r1], g[r2]
+    Q: list[dict] = [{} for _ in range(max_codim + 1)]
+    for d in range(2, max_codim + 1):
+        for t in range(2, d + 1):
+            w = comb(d, t) * bend**t
+            for j in range(d - t + 1):
+                u = w * comb(d - t, j) * g1**j * g2 ** (d - t - j)
+                for p1, p2, v in _blowdown_kernel(0, 0, t):
+                    key = (p1 + j, p2 + d - t - j)
+                    Q[d][key] = Q[d].get(key, 0) + u * v
+    # the link faces on H's support, grown one ray at a time: H^m needs
+    # |lam| <= m, and a face's rays all lie on faces one smaller
+    rays = [r for r in step.pre.ray_ids if g[r] and r != r1 and r != r2]
+    level: list[tuple[str, ...]] = [()]
+    faces = [()]
+    for _ in range(max_codim - 2):
+        level = [
+            lam + (r,)
+            for lam in level
+            for r in rays
+            if (not lam or r > lam[-1]) and tuple(sorted(lam + (r, r1, r2))) in cones
+        ]
+        rays = sorted({r for lam in level for r in lam})
+        faces += level
+    for lam in faces:
+        # r1 < r2: slot (r1, p1) and (r2, p2) in where the support has them
+        i1 = sum(r < r1 for r in lam)
+        i2 = sum(r < r2 for r in lam)
+        for m in range(len(lam), max_codim - 1):
+            for a, multinomial in _compositions(m, len(lam)):
+                hv = multinomial
+                for r, x in zip(lam, a):
+                    hv *= g[r] ** x
+                h = tuple(zip(lam, a))
+                head, mid, tail = h[:i1], h[i1:i2], h[i2:]
+                for d in range(2, max_codim - m + 1):
+                    w = comb(m + d, m) * hv
+                    for (p1, p2), qv in Q[d].items():
+                        mono = head + ((r1, p1),) + mid + ((r2, p2),) + tail
+                        acc[mono] = acc.get(mono, 0) + w * qv
+
+
+def _pushed_G_powers(
+    c: ConeComplex,
+    trace: Sequence[SubdivisionStep],
+    total: PLFunction,
+    max_codim: int,
+) -> ChowClass:
+    """sum_(i=2..max_codim) pi_*(G^i) on the base, as the sum over the steps
+    of pi_(<s)*(R_s^i) (see _segre_by_projection).
+
+    One dict carries every degree: from the last bending step down, it is
+    pushed through step s (``chowring._push_step``) and gains R_s
+    (``_bending``).
+    """
+    g = dict.fromkeys(c.ray_ids, 0)
+    bends = []
+    for step in trace:
+        r1, r2 = step.center
+        e = step.new_ray
+        bends.append(total.get(r1) + total.get(r2) - total.get(e))
+        g[e] = g[r1] + g[r2] + bends[-1]
+    acc: dict = {}
+    for step, bend in reversed(list(zip(trace, bends))):
+        if acc:
+            _push_step(acc, step)
+        if bend:
+            _bending(acc, step, bend, g, max_codim)
+    return _finish(acc, c)
+
+
 def _segre_by_projection(
     c: ConeComplex,
     trace: Sequence[SubdivisionStep],
     total: PLFunction,
     max_codim: int,
 ) -> ChowClass:
-    """The pushforward of E/(1+E) through max_codim, with only G pushed down.
+    """The pushforward of E/(1+E) through max_codim, with only the steps'
+    bendings pushed down.
 
     E, the divisor of total upstairs, splits as pi^*D - G: D has total's
     values on the base rays, pi^*D extends them along the trace by
@@ -274,29 +377,28 @@ def _segre_by_projection(
     1/(1+E) = sum_i G^i (1+pi^*D)^-(i+1) and using pi_*(pi^*a b) = a pi_*b,
     pi_*1 = 1 and pi_*x_e = 0 gives
         s = [D/(1+D)] - sum_(i>=2) pi_*(G^i) sum_n (-1)^n C(i+n, n) D^n,
-    truncated at max_codim. pi_*(G^i) and D^n are the degree parts of the
-    two series, with their alternating signs undone; the product is formed
-    on the base in one dict.
+    truncated at max_codim. Let G_s be sum g_rho x_rho over the rays present
+    after step s, so G_0 = 0. Then G_s = pi_s^*G_(s-1) + c_s x_e, with the
+    step's bending c_s = total(r1) + total(r2) - total(e) <= 0, since total
+    is a minimum of linear functions. Expanding G_s^i and pushing it through
+    step s gives pi_s*(G_s^i) = G_(s-1)^i + R_s^i, with
+        R_s^i = sum_(t=2..i) C(i, t) c_s^t G_(s-1)^(i-t) pi_s*(x_e^t),
+    so pi_*(G^i) = sum_s pi_(<s)*(R_s^i) (``_pushed_G_powers``), and a step
+    with c_s = 0 adds nothing. The product with the powers of D is formed on
+    the base in one dict.
     """
     series_D = _power_series_part(divisor_of_pl(total, c), max_codim)
-    val = {r: total.get(r) for r in c.ray_ids}
-    g = {}
-    for step in trace:
-        r1, r2 = step.center
-        e = step.new_ray
-        val[e] = val[r1] + val[r2]
-        g[((e, 1),)] = val[e] - total.get(e)
-    if not any(g.values()):
+    pushed = _pushed_G_powers(c, trace, total, max_codim)
+    if pushed.is_zero():
         return series_D
-    G = _finish(g, trace[-1].post)
-    pushed_G = pushforward(_power_series_part(G, max_codim), *trace)
-    # G^i pushed down, and D^n, by degree; the series carry (-1)^(j-1)
+    # pi_*(G^i) and D^n, by degree; the series of D carries (-1)^(j-1)
     G_pow: list[list] = [[] for _ in range(max_codim + 1)]
     D_pow: list[list] = [[((), 1)]] + [[] for _ in range(max_codim)]
-    for pows, series in ((G_pow, pushed_G), (D_pow, series_D)):
-        for m, v in series.terms:
-            j = _mono_degree(m)
-            pows[j].append((m, v if j % 2 else -v))
+    for m, v in pushed.terms:
+        G_pow[_mono_degree(m)].append((m, v))
+    for m, v in series_D.terms:
+        j = _mono_degree(m)
+        D_pow[j].append((m, v if j % 2 else -v))
     acc = dict(series_D.terms)
     for i in range(2, max_codim + 1):
         for n in range(max_codim - i + 1):

@@ -17,6 +17,17 @@ from punctref.puncture import monomial_ideal, normalized_ideal, segre_class
 from conftest import random_complex
 
 
+def test_newton_names_new_rays_past_the_base_ids():
+    # the base already holds e0 and e2, so the new rays are e1, e3, e4, ...
+    c = build_complex(["e0", "e2"], [["e0", "e2"]])
+    ideal = monomial_ideal(c, [{"e0": 3, "e2": 1}, {"e0": 1, "e2": 4}])
+    trace = principalize_newton(c, ideal)[1]
+    assert len(trace) >= 3
+    assert [s.new_ray for s in trace] == ["e1"] + [
+        f"e{k}" for k in range(3, len(trace) + 2)
+    ]
+
+
 def test_staircase_drops_dominated_points():
     assert _staircase_vertices({(2, 0), (0, 1), (5, 5)}) == [(0, 1), (2, 0)]
     assert _staircase_vertices({(2, 2), (1, 0)}) == [(1, 0)]

@@ -8,7 +8,9 @@ import punctref.aluffi
 import punctref.chowring
 import punctref.puncture
 from punctref.chowring import (
+    ChowClass,
     _finish,
+    _mono_degree,
     divisor_of_pl,
     multiply,
     pullback,
@@ -30,6 +32,7 @@ from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
     _power_series_part,
+    _pushed_G_powers,
     monomial_ideal,
     normalized_ideal,
     principalize,
@@ -336,6 +339,26 @@ def test_principalize_matches_reference_on_ladder(index):
     assert_principalize_matches_reference(c, normalized_ideal(c, pd))
 
 
+def test_principalize_names_new_rays_past_the_base_ids():
+    # the base already holds e0 and e2, so the new rays are e1, e3, e4, ...
+    c = build_complex(["e0", "e2", "z"], [["e0", "e2", "z"]])
+    pd = puncturing_data(
+        {
+            "p1.1": {"e0": 3, "e2": 1, "z": 2},
+            "p2.1": {"e0": 1, "e2": 4, "z": 1},
+            "p3.1": {"e0": 2, "e2": 2, "z": 3},
+        }
+    )
+    ideal = normalized_ideal(c, pd)
+    trace = principalize(c, ideal)[1]
+    assert len(trace) >= 3
+    assert [s.new_ray for s in trace] == ["e1"] + [
+        f"e{k}" for k in range(3, len(trace) + 2)
+    ]
+    for seed in (None, 1, 7):
+        assert_principalize_matches_reference(c, ideal, seed)
+
+
 @pytest.mark.ladder
 def test_principalize_matches_reference_on_a_long_two_ray_chart():
     # (a^5000 b, a^2 b^5) normalizes to (a^2500 b, a b^5): 628 steps
@@ -361,14 +384,18 @@ def reference_power_series(E, max_codim):
     return _finish(acc, E.complex)
 
 
-def assert_series_matches_reference(E, max_codim):
-    got = _power_series_part(E, max_codim)
-    expected = reference_power_series(E, max_codim)
+def assert_same_class(got, expected):
     assert got == expected
     # == on Fractions forgives 2 == Fraction(2); the types must agree too
     assert [(m, type(v)) for m, v in got.terms] == [
         (m, type(v)) for m, v in expected.terms
     ]
+
+
+def assert_series_matches_reference(E, max_codim):
+    assert_same_class(
+        _power_series_part(E, max_codim), reference_power_series(E, max_codim)
+    )
 
 
 def principalized_divisor(c, pd):
@@ -522,12 +549,48 @@ def assert_segre_matches_reference(c, ideal, max_codim, choice_seed=None):
     """Checks the class and returns the length of the trace behind it."""
     got = segre_class(c, ideal, max_codim, choice_seed=choice_seed)
     expected, trace = reference_segre(c, ideal, max_codim, choice_seed)
-    assert got == expected
-    # == on Fractions forgives 2 == Fraction(2); the types must agree too
-    assert [(m, type(v)) for m, v in got.terms] == [
-        (m, type(v)) for m, v in expected.terms
-    ]
+    assert_same_class(got, expected)
     return len(trace)
+
+
+def reference_pushed_G(c, trace, total, max_codim):
+    """G/(1+G) formed upstairs and pushed down the whole trace, the form the
+    push-down of each step's bending replaced; kept as the reference it is
+    checked against."""
+    val = {r: total.get(r) for r in c.ray_ids}
+    g = {}
+    for step in trace:
+        r1, r2 = step.center
+        e = step.new_ray
+        val[e] = val[r1] + val[r2]
+        g[((e, 1),)] = val[e] - total.get(e)
+    if not any(g.values()):
+        return zero(c)
+    G = _finish(g, trace[-1].post)
+    return pushforward(_power_series_part(G, max_codim), *trace)
+
+
+def bendings(trace, total):
+    """Each step's bending c_s = total(r1) + total(r2) - total(e)."""
+    return [
+        total.get(s.center[0]) + total.get(s.center[1]) - total.get(s.new_ray)
+        for s in trace
+    ]
+
+
+def assert_pushed_G_matches_reference(c, ideal, max_codim, choice_seed=None):
+    """Checks every pi_*(G^i) and the sign of every bending; returns the
+    bendings."""
+    _, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    bends = bendings(trace, total)
+    assert all(b <= 0 for b in bends)
+    series = reference_pushed_G(c, trace, total, max_codim)
+    # the series carries (-1)^(i-1) on pi_*(G^i)
+    expected = ChowClass(
+        c, tuple((m, v if _mono_degree(m) % 2 else -v) for m, v in series.terms)
+    )
+    assert_same_class(_pushed_G_powers(c, trace, total, max_codim), expected)
+    return bends
 
 
 def test_segre_matches_reference_on_fixtures():
@@ -537,16 +600,10 @@ def test_segre_matches_reference_on_fixtures():
         ideal = normalized_ideal(c, fx.offsets)
         for max_codim in {*range(c.dim() + 2), fx.offsets.k_P}:
             assert_segre_matches_reference(c, ideal, max_codim)
+            assert_pushed_G_matches_reference(c, ideal, max_codim)
 
 
-def test_segre_matches_reference_on_seeded_charts(monkeypatch):
-    pushes = []
-
-    def counting(a, *steps):
-        pushes.append(steps)
-        return pushforward(a, *steps)
-
-    monkeypatch.setattr(punctref.puncture, "pushforward", counting)
+def test_segre_matches_reference_on_seeded_charts():
     rng = random.Random(7)
     seeded = 0
     kinds = set()
@@ -557,12 +614,42 @@ def test_segre_matches_reference_on_seeded_charts(monkeypatch):
         seeded += seed is not None
         ideal = normalized_ideal(c, pd)
         for max_codim in {c.dim(), pd.k_P}:
-            before = len(pushes)
             steps = assert_segre_matches_reference(c, ideal, max_codim, seed)
-            kinds.add((steps > 0, len(pushes) > before))
+            bends = assert_pushed_G_matches_reference(c, ideal, max_codim, seed)
+            kinds.add((steps > 0, any(bends)))
     assert seeded >= 16
-    # an empty trace, a trace with G = 0 and a trace with G != 0 all occur
+    # no trace, a trace without a bending step and a trace with one all occur
     assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_trace_without_bending_pushes_nothing(monkeypatch):
+    pushes = []
+    push_step = punctref.puncture._push_step
+
+    def counting(acc, step):
+        pushes.append(step)
+        push_step(acc, step)
+
+    monkeypatch.setattr(punctref.puncture, "_push_step", counting)
+    # (x^2 y, x y^2, x y) = (x y): the first pair crosses, but x y divides
+    # both, so total is linear on every cone the trace makes
+    c = build_complex(["x", "y"], [["x", "y"]])
+    ideal = monomial_ideal(c, [{"x": 2, "y": 1}, {"x": 1, "y": 2}, {"x": 1, "y": 1}])
+    _, trace, total = principalize(c, ideal)
+    assert trace and bendings(trace, total) == [0] * len(trace)
+    D = divisor_of_pl(total, c)
+    for max_codim in range(5):
+        assert_same_class(
+            segre_class(c, ideal, max_codim), _power_series_part(D, max_codim)
+        )
+    assert pushes == []
+    # the patched helper is the one a trace with two bending steps reads
+    c, pd = orthant_chart(random.Random(1), 3, 2, 3)
+    ideal = normalized_ideal(c, pd)
+    _, trace, total = principalize(c, ideal)
+    assert sum(b != 0 for b in bendings(trace, total)) >= 2
+    segre_class(c, ideal)
+    assert pushes
 
 
 @pytest.mark.ladder
@@ -572,6 +659,7 @@ def test_segre_matches_reference_on_ladder(index):
     ideal = normalized_ideal(c, pd)
     for max_codim in {c.dim(), pd.k_P}:
         assert_segre_matches_reference(c, ideal, max_codim)
+        assert_pushed_G_matches_reference(c, ideal, max_codim)
 
 
 @pytest.mark.ladder
@@ -579,6 +667,7 @@ def test_segre_matches_reference_on_a_long_two_ray_chart():
     c = build_complex(["a", "b"], [["a", "b"]])
     pd = puncturing_data({"p1.1": {"a": 5000, "b": 1}, "p2.1": {"a": 2, "b": 5}})
     assert_segre_matches_reference(c, normalized_ideal(c, pd), 2)
+    assert_pushed_G_matches_reference(c, normalized_ideal(c, pd), 2)
 
 
 def pulled_back(a, trace):
