@@ -30,13 +30,16 @@ _HOMES = {
         "segre_class", "refined_class", "refined_class_excess",
     ),
     "aluffi": ("AluffiDomainError", "principalize_newton", "segre_newton"),
-    "tropmaps": (
+    "tropdata": (
         "NumericalData", "TargetModel", "VertexDecor", "EdgeDecor",
-        "TropicalType", "TypeCone", "EnumerationBoundError", "BalancingError",
+        "TropicalType", "EnumerationBoundError", "BalancingError",
         "NonSmoothConeError", "numerical_data", "target_model",
-        "validate_numerical_data", "slopes_from_balancing", "enumerate_types",
-        "canonical_key", "cone_of_type", "realizable", "specializations",
-        "assemble_complex", "positivize", "positivize_type",
+        "validate_numerical_data", "positivize",
+    ),
+    "tropmaps": (
+        "TypeCone", "slopes_from_balancing", "enumerate_types", "canonical_key",
+        "cone_of_type", "realizable", "specializations", "assemble_complex",
+        "positivize_type",
     ),
     "gerby": (
         "RootingData", "rooting_data", "derive_source_roots", "validate_rooting",

@@ -11,20 +11,14 @@ computes both refined classes and their difference, which need not vanish.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .chowring import pushforward as chow_pushforward, serialize
-from .conecx import ConeComplex, Ray, SubdivisionStep, build_complex, star_subdivide
+from .conecx import ConeComplex, Ray, SubdivisionStep, _Record, build_complex
+from .conecx import star_subdivide
 from .lattice import is_unimodular, primitive
 from .puncture import PuncturingData, refined_class
-from .tropmaps import (
-    EnumerationBoundError,
-    NumericalData,
-    TargetModel,
-    enumerate_types,
-    target_model,
-)
+from .tropdata import EnumerationBoundError, NumericalData, TargetModel, target_model
 
 __all__ = [
     "BlowupStep",
@@ -39,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(_Record):
     """Blowup of the stratum cut out by the divisors in ``center``.
 
     The exceptional divisor is prepended: direction 0 of a lifted vector is
@@ -48,13 +41,12 @@ class BlowupStep:
     forward by a_j = a'_j + a'_0 for j in the center and a_j = a'_j else.
     """
 
-    center: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.center:
+    def __init__(self, center: tuple[int, ...]) -> None:
+        if not center:
             raise ValueError("blowup center must be nonempty")
-        if list(self.center) != sorted(set(self.center)) or self.center[0] < 1:
+        if list(center) != sorted(set(center)) or center[0] < 1:
             raise ValueError("center must be strictly increasing positive indices")
+        object.__setattr__(self, "center", center)
 
     def push_vector(self, lifted: Sequence[int]) -> tuple[int, ...]:
         k = len(lifted) - 1
@@ -64,16 +56,18 @@ class BlowupStep:
         )
 
 
-@dataclass(frozen=True)
-class LiftedData:
+class LiftedData(_Record):
     """A faithful lift: the new data plus per-marking bookkeeping."""
 
-    step: BlowupStep
-    nd: NumericalData
-    cases: tuple[str, ...]
-    chosen: tuple[int, ...]
-    mult_before: tuple[int, ...]
-    mult_after: tuple[int, ...]
+    def __init__(self, step: BlowupStep, nd: NumericalData, cases: tuple[str, ...],
+                 chosen: tuple[int, ...], mult_before: tuple[int, ...],
+                 mult_after: tuple[int, ...]) -> None:
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "nd", nd)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "chosen", chosen)
+        object.__setattr__(self, "mult_before", mult_before)
+        object.__setattr__(self, "mult_after", mult_after)
 
 
 def _multiplicity(alpha: Sequence[int]) -> int:
@@ -244,6 +238,8 @@ def check_slope_sensitivity(
     J-coordinates. Rank below two is vacuously sensitive. Enumeration bound
     failures propagate.
     """
+    from .tropmaps import enumerate_types
+
     prims = [r.primitive for r in fan.rays]
     if any(p is None or len(p) != nd.k for p in prims):
         raise ValueError("subdivision rank differs from the data")

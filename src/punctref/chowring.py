@@ -20,13 +20,12 @@ both Segre backends build their classes from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
-from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact
+from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact, _Record
 
 __all__ = [
     "Monomial",
@@ -68,12 +67,13 @@ def _term_key(t: tuple[Monomial, int | Fraction]) -> tuple:
     return (_mono_degree(t[0]), t[0])
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(_Record):
     """A reduced Stanley-Reisner element attached to its complex."""
 
-    complex: ConeComplex
-    terms: tuple[tuple[Monomial, int | Fraction], ...]
+    def __init__(self, complex: ConeComplex,
+                 terms: tuple[tuple[Monomial, int | Fraction], ...]) -> None:
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "terms", terms)
 
     def coeff(self, exps: Mapping[str, int]) -> int | Fraction:
         return dict(self.terms).get(_norm_monomial(exps), 0)

@@ -8,7 +8,9 @@ malformed input with a JSON-path diagnostic on stderr, as for a usage error
 such as a flag the subcommand does not read. Output is byte-identical across
 runs; --threads is accepted for interface stability but execution is always
 sequential, which costs nothing at corpus scale. The handlers that call
-``gerby`` and ``blowups`` import them, so no other subcommand loads them.
+``gerby``, ``blowups`` or the enumeration of ``tropmaps`` import them, so no
+other subcommand loads them: on a fixture with a complex, only ``enumerate``
+and ``sensitivity`` load ``tropmaps``.
 """
 from __future__ import annotations
 
@@ -39,12 +41,10 @@ from .puncture import (
     normalized_ideal,
     refined_class,
 )
-from .tropmaps import (
+from .tropdata import (
     BalancingError,
     EnumerationBoundError,
     NonSmoothConeError,
-    assemble_complex,
-    enumerate_types,
     positivize,
     validate_numerical_data,
 )
@@ -85,6 +85,8 @@ def _complex_and_offsets(fixture: Fixture):
     if fixture.complex is not None and fixture.offsets is not None:
         return _checked_complex(fixture.complex), fixture.offsets
     if fixture.data is not None and fixture.model is not None:
+        from .tropmaps import assemble_complex, enumerate_types
+
         types = enumerate_types(fixture.data, fixture.model)
         return assemble_complex(fixture.data, types)
     raise SchemaError(
@@ -110,6 +112,8 @@ def _cmd_validate(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(fixture: Fixture, args) -> tuple[dict, int]:
+    from .tropmaps import assemble_complex, enumerate_types
+
     _require(fixture, "data+model")
     types = enumerate_types(fixture.data, fixture.model)
     c, pd = assemble_complex(fixture.data, types)

@@ -13,9 +13,9 @@ that are no cone's facet, a rule that assumes face-closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .lattice import is_unimodular
@@ -33,26 +33,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ray:
+class _Record:
+    """An immutable record, the base of every value type of the package.
+
+    The fields are the parameters of the subclass's ``__init__``, which sets
+    each one once through ``object.__setattr__``. As for a frozen dataclass,
+    records of one class are equal when their field tuples are, the hash is
+    the field tuple's, the repr lists the fields outside ``_hidden``, and
+    assigning or deleting an attribute raises AttributeError. Instances keep
+    a ``__dict__``, where some records cache derived data.
+    """
+
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        fields = code.co_varnames[1 : code.co_argcount]
+        get = attrgetter(*fields)
+        # of one field, attrgetter gives the bare value, not a 1-tuple
+        cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+        cls._shown = tuple(f for f in fields if f not in cls._hidden)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ray(_Record):
     """A ray of a cone complex: canonical id plus optional primitive vector."""
 
-    id: str
-    primitive: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, primitive: Optional[Sequence[int]] = None) -> None:
+        if not id:
             raise ValueError("ray id must be a nonempty string")
-        if self.primitive is not None:
-            object.__setattr__(self, "primitive", tuple(int(x) for x in self.primitive))
+        if primitive is not None:
+            primitive = tuple(int(x) for x in primitive)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "primitive", primitive)
 
 
 def _sorted_cone(rays: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(rays))
 
 
-@dataclass(frozen=True)
-class ConeComplex:
+class ConeComplex(_Record):
     """A face-closed simplicial cone complex on named rays.
 
     ``cones`` is the set of every cone (including the empty cone and all
@@ -60,11 +97,9 @@ class ConeComplex:
     a frozenset. Maximal cones are derived from it, so it must be face-closed.
     """
 
-    rays: tuple[Ray, ...]
-    cones: frozenset[tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cones", frozenset(self.cones))
+    def __init__(self, rays: tuple[Ray, ...], cones: Iterable[tuple[str, ...]]) -> None:
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "cones", frozenset(cones))
 
     @property
     def mode(self) -> str:
@@ -199,18 +234,21 @@ def validate_complex(c: ConeComplex) -> dict:
     return {"ok": not violations, "violations": violations}
 
 
-@dataclass(frozen=True)
-class SubdivisionStep:
+class SubdivisionStep(_Record):
     """One stellar subdivision at a two-ray center.
 
     Carries references to the complexes before and after the step so that
-    pullback and pushforward need no further context.
+    pullback and pushforward need no further context; the repr leaves them out.
     """
 
-    center: tuple[str, str]
-    new_ray: str
-    pre: ConeComplex = field(repr=False)
-    post: ConeComplex = field(repr=False)
+    _hidden = ("pre", "post")
+
+    def __init__(self, center: tuple[str, str], new_ray: str, pre: ConeComplex,
+                 post: ConeComplex) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "new_ray", new_ray)
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "post", post)
 
 
 def _fresh_ray_ids(c: ConeComplex) -> Iterator[str]:
@@ -270,15 +308,12 @@ def _exact(v: int | Fraction | float | str) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(_Record):
     """Integer-or-rational values on rays, one linear function per cone."""
 
-    values: tuple[tuple[str, int | Fraction], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, values: Iterable[tuple[str, int | Fraction]]) -> None:
         # integral values are held as ints however the function is built
-        object.__setattr__(self, "values", tuple((k, _exact(v)) for k, v in self.values))
+        object.__setattr__(self, "values", tuple((k, _exact(v)) for k, v in values))
 
     def _map(self) -> dict[str, int | Fraction]:
         m = self.__dict__.get("_map_cache")

@@ -8,19 +8,12 @@ diagnostics; serializers emit the same shapes the loaders accept.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from .conecx import ConeComplex, Ray, build_complex
+from .conecx import ConeComplex, Ray, _Record, build_complex
 from .puncture import PuncturingData, puncturing_data
-from .tropmaps import (
-    NumericalData,
-    TargetModel,
-    TropicalType,
-    cone_of_type,
-    numerical_data,
-    target_model,
-)
+from .tropdata import NumericalData, TargetModel, TropicalType
+from .tropdata import numerical_data, target_model
 
 __all__ = [
     "SchemaError",
@@ -44,14 +37,17 @@ class SchemaError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class Fixture:
-    data: Optional[NumericalData]
-    model: Optional[TargetModel]
-    complex: Optional[ConeComplex]
-    offsets: Optional[PuncturingData]
-    trace: Optional[tuple[dict, ...]]
-    lifted_offsets: Optional[PuncturingData]
+class Fixture(_Record):
+    def __init__(self, data: Optional[NumericalData], model: Optional[TargetModel],
+                 complex: Optional[ConeComplex], offsets: Optional[PuncturingData],
+                 trace: Optional[tuple[dict, ...]],
+                 lifted_offsets: Optional[PuncturingData]) -> None:
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "lifted_offsets", lifted_offsets)
 
 
 def _expect(obj: Any, kind: type, path: str, what: str) -> Any:
@@ -309,6 +305,8 @@ def data_to_json(nd: NumericalData) -> dict:
 
 
 def types_to_json(nd: NumericalData, types: Sequence[TropicalType]) -> list[dict]:
+    from .tropmaps import cone_of_type
+
     out = []
     for t in types:
         cone = cone_of_type(nd, t)

@@ -11,15 +11,14 @@ in direction j.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .chowring import ChowClass, reduce as chow_reduce, serialize
-from .conecx import ConeComplex
+from .conecx import ConeComplex, _Record
 from .puncture import PuncturingData, puncturing_data, refined_class
-from .tropmaps import NumericalData, TargetModel, assemble_complex, enumerate_types
+from .tropdata import NumericalData, TargetModel
 
 __all__ = [
     "RootingData",
@@ -36,22 +35,19 @@ __all__ = [
 _OFFSET_ID = re.compile(r"^p(\d+)\.(\d+)$")
 
 
-@dataclass(frozen=True)
-class RootingData:
+class RootingData(_Record):
     """Rooting orders r_j per target divisor, optional source orders s_i."""
 
-    target_roots: tuple[int, ...]
-    source_roots: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if not self.target_roots or any(
-            not isinstance(r, int) or r < 1 for r in self.target_roots
-        ):
+    def __init__(self, target_roots: tuple[int, ...],
+                 source_roots: Optional[tuple[int, ...]] = None) -> None:
+        if not target_roots or any(not isinstance(r, int) or r < 1 for r in target_roots):
             raise ValueError("target roots must be positive integers")
-        if self.source_roots is not None and any(
-            not isinstance(s, int) or s < 1 for s in self.source_roots
+        if source_roots is not None and any(
+            not isinstance(s, int) or s < 1 for s in source_roots
         ):
             raise ValueError("source roots must be positive integers")
+        object.__setattr__(self, "target_roots", target_roots)
+        object.__setattr__(self, "source_roots", source_roots)
 
 
 def rooting_data(
@@ -267,6 +263,8 @@ def check_pushforward_identity(
     violations only annotate the report, since the identity holds regardless
     on the examples of record.
     """
+    from .tropmaps import assemble_complex, enumerate_types
+
     report = _checked_rooting(nd, rd)
     types = enumerate_types(nd, tm)
     c, pd = assemble_complex(nd, types)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, gcd
 from typing import Iterable, Mapping, Optional, Sequence
@@ -50,6 +49,7 @@ from .conecx import (
     PLFunction,
     SubdivisionStep,
     _fresh_ray_ids,
+    _Record,
     pl_function,
     star_subdivide,
 )
@@ -72,7 +72,8 @@ __all__ = [
 
 class PrincipalizationError(RuntimeError):
     """Raised when principalization exhausts its step budget or ends on a
-    non-principal cone.
+    non-principal cone, or when the Segre class it feeds could pass
+    MAX_SEGRE_TERMS terms.
 
     The budget is not a proof of a bug: the step count grows with the
     offsets. On the 2-ray chart with offsets (a^N b, a^2 b^5), normalized
@@ -82,26 +83,32 @@ class PrincipalizationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class PuncturingData:
+MAX_SEGRE_TERMS = 10**6
+"""The largest term bound a Segre class may have; ``_segre`` refuses a larger
+one before any work. A class through codim m on c has at most
+1 + sum_tau C(m, |tau|) terms, over the nonempty cones tau of c: C(m, |tau|)
+monomials of degree 1..m have support exactly tau. On f1-blowup the bound is
+4711 at m = 30 and 50701 at m = 100."""
+
+
+class PuncturingData(_Record):
     """Puncturing offsets: one nonnegative integer PL function per negative direction.
 
     Offset ids follow the "p{i}.{j}" convention for marking i, coordinate j,
     but any distinct ids are accepted.
     """
 
-    offsets: tuple[tuple[str, PLFunction], ...]
-
-    def __post_init__(self) -> None:
-        ids = [pid for pid, _ in self.offsets]
+    def __init__(self, offsets: tuple[tuple[str, PLFunction], ...]) -> None:
+        ids = [pid for pid, _ in offsets]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate puncture ids in offsets")
-        for pid, f in self.offsets:
+        for pid, f in offsets:
             if not f.nonnegative:
                 raise ValueError(f"offset {pid!r} takes a negative value")
             for rid, v in f.values:
                 if v.denominator != 1:
                     raise ValueError(f"offset {pid!r} is not integral at ray {rid!r}")
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def k_P(self) -> int:
@@ -116,26 +123,24 @@ def puncturing_data(offsets: Mapping[str, Mapping[str, int]]) -> PuncturingData:
     return PuncturingData(items)
 
 
-@dataclass(frozen=True)
-class MonomialIdealOnComplex:
+class MonomialIdealOnComplex(_Record):
     """A monomial ideal presented by generators, one exponent vector per generator.
 
     Each generator is a nonnegative integer PL-data vector on the rays; its
     monomial is the product of ray variables to those exponents.
     """
 
-    complex: ConeComplex
-    generators: tuple[PLFunction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, complex: ConeComplex, generators: tuple[PLFunction, ...]) -> None:
+        if not generators:
             raise ValueError("monomial ideal needs at least one generator")
-        for g in self.generators:
+        for g in generators:
             for rid, v in g.values:
                 if v < 0 or v.denominator != 1:
                     raise ValueError("generator exponents must be nonnegative integers")
-                if rid not in self.complex.ray_ids:
+                if rid not in complex.ray_ids:
                     raise ValueError(f"generator mentions unknown ray {rid!r}")
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "generators", generators)
 
 
 def monomial_ideal(
@@ -422,6 +427,12 @@ def _segre(
         raise ValueError(f"unknown backend {backend!r}")
     if max_codim < 0:
         raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
+    bound = 1 + sum(comb(max_codim, len(cone)) for cone in c.cones if cone)
+    if bound > MAX_SEGRE_TERMS:
+        raise PrincipalizationError(
+            f"a Segre class through codim {max_codim} may have {bound} terms, "
+            f"over the budget of {MAX_SEGRE_TERMS}"
+        )
     _, trace, total = principalize(c, ideal, choice_seed=choice_seed)
     s = _segre_by_projection(c, trace, total, max_codim)
     if backend == "aluffi-crosscheck":
@@ -447,20 +458,22 @@ def segre_class(
     down powers of the part G of E on the new rays. The aluffi-crosscheck
     backend recomputes the class from the Newton regions of the restricted
     ideal and fails hard on any disagreement. A negative max_codim raises
-    ValueError.
+    ValueError, and one whose class could pass MAX_SEGRE_TERMS terms raises
+    PrincipalizationError before any subdivision.
     """
     if max_codim is None:
         max_codim = c.dim()
     return _segre(c, ideal, max_codim, backend, choice_seed)[0]
 
 
-@dataclass(frozen=True)
-class RefinedClassResult:
+class RefinedClassResult(_Record):
     """Refined class plus the subdivision trace and puncturing components."""
 
-    cls: ChowClass
-    trace: tuple[SubdivisionStep, ...]
-    components: tuple[tuple[str, ...], ...]
+    def __init__(self, cls: ChowClass, trace: tuple[SubdivisionStep, ...],
+                 components: tuple[tuple[str, ...], ...]) -> None:
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "components", components)
 
 
 def refined_class(

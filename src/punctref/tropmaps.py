@@ -1,4 +1,4 @@
-"""Numerical data, genus-zero tropical type enumeration, and complex assembly.
+"""Genus-zero tropical type enumeration and complex assembly.
 
 Types are decorated trees: per-vertex image face and curve class drawn from a
 user-supplied target model, per-edge slopes forced by balancing. Each type
@@ -7,31 +7,24 @@ with the edge lengths; the cone is built once and kept on the type, and its
 faces are decoded and keyed once. Realizability, a cone point with every length and face
 coordinate positive, is tested once per isomorphism class. Assembly glues the
 cones along specialization and reads the offsets off primitive ray generators.
+The data these functions read and the types they return are ``tropdata``'s.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .conecx import ConeComplex, Ray, build_complex
+from . import tropdata
+from .conecx import ConeComplex, Ray, _Record, build_complex
 from .lattice import is_unimodular, kernel, primitive, rank
 from .puncture import PuncturingData, puncturing_data
+from .tropdata import BalancingError, EdgeDecor, EnumerationBoundError, NonSmoothConeError
+from .tropdata import NumericalData, TargetModel, TropicalType, VertexDecor
+from .tropdata import positivize, validate_numerical_data
 
 __all__ = [
-    "NumericalData",
-    "TargetModel",
-    "VertexDecor",
-    "EdgeDecor",
-    "TropicalType",
     "TypeCone",
-    "EnumerationBoundError",
-    "BalancingError",
-    "NonSmoothConeError",
-    "numerical_data",
-    "target_model",
-    "validate_numerical_data",
     "slopes_from_balancing",
     "enumerate_types",
     "canonical_key",
@@ -39,155 +32,12 @@ __all__ = [
     "realizable",
     "specializations",
     "assemble_complex",
-    "positivize",
     "positivize_type",
 ]
 
-
-class EnumerationBoundError(RuntimeError):
-    """Enumeration cannot certify completeness; never silent."""
-
-
-class BalancingError(ValueError):
-    """A decorated graph admits no consistent slope assignment."""
-
-
-class NonSmoothConeError(RuntimeError):
-    """A type cone is not simplicial-unimodular; carries the offending type."""
-
-    def __init__(self, message: str, tp: "TropicalType"):
-        super().__init__(message)
-        self.type = tp
-
-
-@dataclass(frozen=True)
-class NumericalData:
-    """Degrees and tangency vectors of a genus-zero punctured-map problem."""
-
-    k: int
-    degrees: tuple[int, ...]
-    markings: tuple[tuple[int, ...], ...]
-    genus: int = 0
-
-    def __post_init__(self) -> None:
-        if self.genus != 0:
-            raise ValueError("only genus zero is supported")
-        if len(self.degrees) != self.k:
-            raise ValueError("degree vector length differs from k")
-        for a in self.markings:
-            if len(a) != self.k:
-                raise ValueError("marking vector length differs from k")
-
-    @property
-    def ordinary(self) -> tuple[int, ...]:
-        return tuple(
-            i + 1 for i, a in enumerate(self.markings) if all(x >= 0 for x in a)
-        )
-
-    @property
-    def punctures(self) -> tuple[int, ...]:
-        return tuple(
-            i + 1 for i, a in enumerate(self.markings) if any(x < 0 for x in a)
-        )
-
-    def rank(self, i: int) -> int:
-        """Number of negative tangency coordinates of marking i (1-based)."""
-        if not 1 <= i <= len(self.markings):
-            raise ValueError(f"marking index {i} outside 1..{len(self.markings)}")
-        return sum(1 for x in self.markings[i - 1] if x < 0)
-
-    @property
-    def k_P(self) -> int:
-        return sum(self.rank(i) for i in range(1, len(self.markings) + 1))
-
-
-def numerical_data(
-    k: int, degrees: Iterable[int], markings: Iterable[Iterable[int]]
-) -> NumericalData:
-    return NumericalData(
-        k, tuple(int(x) for x in degrees), tuple(tuple(int(x) for x in a) for a in markings)
-    )
-
-
-def validate_numerical_data(nd: NumericalData) -> dict:
-    """Check global balancing and report the marking partition and ranks."""
-    violations = [
-        j + 1
-        for j in range(nd.k)
-        if sum(a[j] for a in nd.markings) != nd.degrees[j]
-    ]
-    ranks = {i: nd.rank(i) for i in range(1, len(nd.markings) + 1)}
-    return {
-        "ok": not violations,
-        "violations": violations,
-        "O": list(nd.ordinary),
-        "P": list(nd.punctures),
-        "k_i": ranks,
-        "k_P": nd.k_P,
-        "virtual_codimension": nd.k_P,
-    }
-
-
-@dataclass(frozen=True)
-class TargetModel:
-    """Admissible vertex classes per face of the orthant, as pairing vectors."""
-
-    k: int
-    strata: tuple[tuple[frozenset, tuple[tuple[tuple[int, ...], str], ...]], ...]
-
-    def classes_at(self, face: frozenset) -> tuple[tuple[tuple[int, ...], str], ...]:
-        for f, classes in self.strata:
-            if f == face:
-                return classes
-        return ()
-
-
-def target_model(
-    k: int,
-    strata: Mapping[frozenset, Sequence[tuple[Sequence[int], str]]]
-    | Sequence[tuple[Iterable[int], Sequence[tuple[Sequence[int], str]]]],
-) -> TargetModel:
-    items = strata.items() if isinstance(strata, Mapping) else strata
-    rows = []
-    for face, classes in items:
-        fs = frozenset(int(j) for j in face)
-        if any(j < 1 or j > k for j in fs):
-            raise ValueError(f"face {sorted(fs)} outside 1..{k}")
-        if any(fs == f for f, _ in rows):
-            raise ValueError(f"face {sorted(fs)} listed twice")
-        cl = tuple((tuple(int(x) for x in p), str(lab)) for p, lab in classes)
-        for p, _ in cl:
-            if len(p) != k:
-                raise ValueError("pairing vector length differs from k")
-        rows.append((fs, cl))
-    rows.sort(key=lambda r: (len(r[0]), sorted(r[0])))
-    return TargetModel(k, tuple(rows))
-
-
-@dataclass(frozen=True)
-class VertexDecor:
-    face: frozenset
-    pairing: tuple[int, ...]
-    label: str
-    legs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EdgeDecor:
-    ends: tuple[int, int]
-    face: frozenset
-    slope: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TropicalType:
-    k: int
-    vertices: tuple[VertexDecor, ...]
-    edges: tuple[EdgeDecor, ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+# the data constructors stay readable here, for callers that build a datum
+# and enumerate it through this one module
+numerical_data, target_model = tropdata.numerical_data, tropdata.target_model
 
 
 def canonical_key(t: TropicalType) -> tuple:
@@ -304,17 +154,22 @@ def slopes_from_balancing(
     return TropicalType(nd.k, tuple(vertices), tuple(out_edges))
 
 
-@dataclass(frozen=True)
-class TypeCone:
+class TypeCone(_Record):
     """The cone of a tropical type in root-position and edge-length coordinates."""
 
-    type: TropicalType
-    variables: tuple[str, ...]
-    rays: tuple[tuple[int, ...], ...]
-    dim: int
-    unimodular: bool
-    ineq_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    positions: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
+    _hidden = ("ineq_rows", "positions")
+
+    def __init__(self, type: TropicalType, variables: tuple[str, ...],
+                 rays: tuple[tuple[int, ...], ...], dim: int, unimodular: bool,
+                 ineq_rows: tuple[tuple[int, ...], ...],
+                 positions: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "unimodular", unimodular)
+        object.__setattr__(self, "ineq_rows", ineq_rows)
+        object.__setattr__(self, "positions", positions)
 
     def position(self, vertex: int, j: int, z: Sequence[int]) -> int:
         row = self.positions[vertex][j - 1]
@@ -730,15 +585,6 @@ def assemble_complex(
                     if val:
                         offsets[f"p{i}.{j}"][ray_names[key]] = val
     return complex_, puncturing_data(offsets)
-
-
-def positivize(nd: NumericalData) -> NumericalData:
-    """Zero out puncture tangencies and absorb them into the degrees."""
-    markings = tuple(tuple(max(x, 0) for x in a) for a in nd.markings)
-    degrees = tuple(
-        nd.degrees[j] - sum(min(a[j], 0) for a in nd.markings) for j in range(nd.k)
-    )
-    return NumericalData(nd.k, degrees, markings, nd.genus)
 
 
 def positivize_type(nd: NumericalData, t: TropicalType) -> TropicalType:

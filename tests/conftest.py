@@ -10,7 +10,7 @@ from punctref.chowring import reduce as chow_reduce
 from punctref.conecx import build_complex, star_subdivide, Ray
 from punctref.fixtureio import load_fixture_file
 from punctref.puncture import monomial_ideal, puncturing_data
-from punctref.tropmaps import numerical_data, target_model
+from punctref.tropdata import numerical_data, target_model
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 

@@ -26,14 +26,12 @@ from punctref.puncture import (
     refined_class_excess,
     segre_class,
 )
+from punctref.tropdata import NumericalData, numerical_data, positivize
 from punctref.tropmaps import (
-    NumericalData,
     assemble_complex,
     canonical_key,
     cone_of_type,
     enumerate_types,
-    numerical_data,
-    positivize,
     positivize_type,
     realizable,
 )

@@ -14,7 +14,7 @@ from punctref.blowups import (
     trivial_subdivision,
 )
 from punctref.conecx import validate_complex
-from punctref.tropmaps import EnumerationBoundError, numerical_data, target_model
+from punctref.tropdata import EnumerationBoundError, numerical_data, target_model
 
 from conftest import p2_data_model, pr_data_model
 

@@ -550,6 +550,21 @@ def test_bad_flag_values_exit_2(capsys):
     assert code == 2 and "max-codim" in err
 
 
+@pytest.mark.parametrize("fixture,max_codim,bound", [
+    ("p2-two-lines", "2147483648000", "4611686018431682871296001"),
+    ("f1-blowup", "999999999", "4999999996999999999"),
+])
+def test_oversized_max_codim_is_refused_in_one_line(capsys, fixture, max_codim, bound):
+    """The term bound of the class refuses it before any subdivision, where
+    these values used to run out of memory."""
+    code, out, err = run_cli(capsys, "segre", fixture_path(fixture), "--max-codim", max_codim)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"inconsistency: a Segre class through codim {max_codim} may have {bound} "
+        "terms, over the budget of 1000000"
+    ]
+
+
 def run_usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exit_:
         main(list(argv))

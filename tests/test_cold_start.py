@@ -49,6 +49,14 @@ def test_cli_import_leaves_gerby_and_blowups():
     assert "gerby" not in loaded and "blowups" not in loaded
 
 
+def test_cli_import_loads_neither_dataclasses_nor_tropmaps():
+    proc = fresh("-c", "import json, sys, punctref.cli\nprint(json.dumps(sorted("
+                 "m for m in ('dataclasses', 'inspect', 'punctref.tropmaps') "
+                 "if m in sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_namespace_lists_binds_and_refuses():
     code = (
         "import json, punctref\n"
@@ -75,7 +83,8 @@ def test_namespace_lists_binds_and_refuses():
     }
 
 
-@pytest.mark.parametrize("argv", [
+# one run of each subcommand, on fixtures with a complex
+ARGVS = [
     ["validate", fixture_path("pr-hyperplane")],
     ["enumerate", fixture_path("pr-hyperplane")],
     ["refined-class", fixture_path("pr-hyperplane")],
@@ -84,8 +93,23 @@ def test_namespace_lists_binds_and_refuses():
     ["compare-blowup", fixture_path("f1-counterexample")],
     ["positivize", fixture_path("pr-hyperplane")],
     ["sensitivity", fixture_path("pr-hyperplane")],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
 def test_fresh_subcommand_matches_in_process(argv, capsys):
     proc = fresh("-m", "punctref.cli", *argv)
     code = main(argv)
     assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+def test_only_enumerating_subcommands_load_tropmaps(argv):
+    """The data layer lives in tropdata: a subcommand that enumerates no
+    types, on a fixture with a complex, never compiles tropmaps."""
+    loaded = loaded_after(
+        "import contextlib, io, json\nfrom punctref.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    main({argv!r})"
+    )
+    assert ("tropmaps" in loaded) == (argv[0] in ("enumerate", "sensitivity"))
+    assert "tropdata" in loaded

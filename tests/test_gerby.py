@@ -15,7 +15,7 @@ from punctref.gerby import (
     validate_rooting,
 )
 from punctref.puncture import puncturing_data
-from punctref.tropmaps import numerical_data
+from punctref.tropdata import numerical_data
 
 from conftest import p2_data_model, pr_data_model
 

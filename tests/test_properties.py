@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from punctref.blowups import faithful_lift, stabilize_rank
 from punctref.chowring import multiply, pullback, pushforward
 from punctref.puncture import monomial_ideal, puncturing_data, refined_class, segre_class
-from punctref.tropmaps import NumericalData
+from punctref.tropdata import NumericalData
 
 import conftest
 from conftest import (

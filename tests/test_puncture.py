@@ -520,6 +520,20 @@ def test_segre_max_codim_truncates(p2):
     assert s1 == reduce([({"Z0": 1}, 1)], p2.complex)
 
 
+def test_segre_term_budget_refuses_before_principalizing(f1, monkeypatch):
+    """On f1-blowup the class through codim 30 has at most 4711 terms: the
+    budget admits it at 4711 and refuses it, without a subdivision, at 4710."""
+    ideal = normalized_ideal(f1.complex, f1.offsets)
+    expected = segre_class(f1.complex, ideal, max_codim=30)
+    assert len(expected.terms) <= 4711
+    monkeypatch.setattr(punctref.puncture, "MAX_SEGRE_TERMS", 4711)
+    assert segre_class(f1.complex, ideal, max_codim=30) == expected
+    monkeypatch.setattr(punctref.puncture, "MAX_SEGRE_TERMS", 4710)
+    monkeypatch.setattr(punctref.puncture, "principalize", None)
+    with pytest.raises(PrincipalizationError, match="may have 4711 terms"):
+        segre_class(f1.complex, ideal, max_codim=30)
+
+
 def test_segre_rejects_unknown_backend(p2):
     ideal = normalized_ideal(p2.complex, p2.offsets)
     with pytest.raises(ValueError, match="backend"):

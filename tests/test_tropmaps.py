@@ -17,6 +17,18 @@ from punctref.blowups import _restrict_data, _restrict_model
 from punctref.conecx import Ray, build_complex
 from punctref.fixtureio import complex_to_json, types_to_json
 from punctref.puncture import puncturing_data
+from punctref.tropdata import (
+    BalancingError,
+    EdgeDecor,
+    EnumerationBoundError,
+    NonSmoothConeError,
+    TropicalType,
+    VertexDecor,
+    numerical_data,
+    positivize,
+    target_model,
+    validate_numerical_data,
+)
 from punctref.tropmaps import (
     _decode,
     _face_candidates,
@@ -24,25 +36,15 @@ from punctref.tropmaps import (
     _level_types,
     _position_rows,
     _trees,
-    BalancingError,
-    EdgeDecor,
-    EnumerationBoundError,
-    NonSmoothConeError,
-    TropicalType,
     TypeCone,
-    VertexDecor,
     assemble_complex,
     canonical_key,
     cone_of_type,
     enumerate_types,
-    numerical_data,
-    positivize,
     positivize_type,
     realizable,
     slopes_from_balancing,
     specializations,
-    target_model,
-    validate_numerical_data,
 )
 
 from conftest import p2_data_model, pr_data_model
