@@ -7,12 +7,17 @@ are integral and Fractions after a division; no float enters a class.
 ``multiply`` is the plain polynomial product, and ``_finish``, the one place
 that drops zero and non-cone terms, reduces it. Pullback along a stellar
 subdivision step implements the blowup formula for a two-ray center.
-``_push_step`` is the one push-down through a step: in place on a dict of
-terms, it rewrites only the terms that meet the center or the new ray, each
-through a cached blowdown kernel, a two-variable integer polynomial in the
-center rays. ``pushforward(a, *steps)`` runs it once per step on one dict
-and normalizes once at the end; the Segre chain of ``puncture`` runs it on a
-dict that gains each step's bending between steps. ``_power_series_part``
+``_push_step`` is the one push-down through a step. It works in place on a
+dict of packed monomials (``_Layout``): each ray of the chain owns a W-bit
+field of a Python int, with W the bit length of the chain's top degree, so
+an exponent is a shift and a mask and a product of monomials is a sum of
+ints. It moves only the terms that hold the new ray or have center degree
+at least 2, each through a cached blowdown kernel, a two-variable integer
+polynomial in the center rays; every other term pushes down to itself.
+``pushforward(a, *steps)`` packs its class, runs it once per step on one
+dict, and unpacks and normalizes once at the end; the Segre chain of
+``puncture`` runs it on a packed dict that gains each step's bending
+between steps. ``_power_series_part``
 writes the series E/(1+E) of a linear class E term by term, in closed form;
 both Segre backends build their classes from it.
 """
@@ -280,54 +285,116 @@ def _blowdown_kernel(a1: int, a2: int, ae: int) -> tuple[tuple[int, int, int], .
     return tuple((p1, p2, v) for (p1, p2), v in sorted(acc.items()) if v)
 
 
-def _push_step(acc: dict[Monomial, int | Fraction], step: SubdivisionStep) -> None:
-    """Push the terms in acc down one subdivision step, in place.
+class _Layout:
+    """The packed form of the monomials of one chain of subdivision steps.
+
+    Each ray of the chain owns a field of ``width`` bits in a Python int: the
+    source complex's rays first, sorted, then the new rays in trace order. So
+    a monomial on the source's rays unpacks to sorted pairs, the form cones
+    are stored in, whatever order the complex lists its rays in. The width is
+    the bit length of the highest degree a term of the chain can have, so no
+    exponent overflows its field, and a product of monomials is the sum of
+    their ints. Pushing down keeps the degree, so the bound holds down the
+    whole chain.
+    """
+
+    __slots__ = ("names", "shift", "width", "low", "high")
+
+    def __init__(self, source: Iterable[str], new: Iterable[str], degree: int) -> None:
+        self.names = tuple(sorted(source)) + tuple(new)
+        self.width = w = max(1, degree.bit_length())
+        self.shift = {r: i * w for i, r in enumerate(self.names)}
+        # 1 in the lowest bit of every field
+        ones = ((1 << len(self.names) * w) - 1) // ((1 << w) - 1)
+        self.low = ones * ((1 << w - 1) - 1)
+        self.high = ones << w - 1
+
+    def pack(self, mono: Monomial) -> int:
+        shift = self.shift
+        return sum([e << shift[r] for r, e in mono])
+
+    def unpack(self, m: int) -> Monomial:
+        """The (ray, exponent) pairs of a packed monomial, in field order."""
+        names, width = self.names, self.width
+        out = []
+        while m:
+            i = (m.bit_length() - 1) // width
+            out.append((names[i], m >> i * width))
+            m &= (1 << i * width) - 1
+        out.reverse()
+        return tuple(out)
+
+    def finish(self, acc: Mapping[int, int | Fraction], c: ConeComplex) -> ChowClass:
+        """The class of packed terms on the rays of c, the chain's source
+        complex: they own the first fields, in sorted order, so each term
+        unpacks to a normalized monomial."""
+        return _finish({self.unpack(m): v for m, v in acc.items()}, c)
+
+
+def _push_step(
+    acc: dict[int, int | Fraction], step: SubdivisionStep, layout: _Layout
+) -> None:
+    """Push the packed terms in acc down one subdivision step, in place.
 
     The terms are supported on cones of the step's refined complex, and
     afterwards on cones of its source; they are neither merged with zeros
-    dropped nor sorted. A term whose support misses the center rays r1, r2
-    and the new ray e stays as it is: its support is a cone of the refined
-    complex without e, hence a cone of the source. A touched term
-    base x_r1^a1 x_r2^a2 x_e^ae keeps itself when ae = 0 and gains
-    base * _blowdown_kernel(a1, a2, ae), a block whose monomials all have
-    support supp(base) + {r1, r2}, so one cone check keeps or drops the
-    whole block.
+    dropped nor sorted. Write a term as base x_r1^a1 x_r2^a2 x_e^ae, for the
+    center rays r1, r2 and the new ray e. It pushes down to itself plus
+    base * _blowdown_kernel(a1, a2, ae) when ae = 0, and to that block alone
+    when ae > 0. K(a1, a2, 0) = 0 when a1 + a2 <= 1, so a term moves only
+    when it holds e or has center degree a1 + a2 >= 2; a term that moves
+    nothing stays as it is. Every block monomial has support
+    supp(base) + {r1, r2}, so one cone check keeps or drops the whole block;
+    blocks on one support share that check within a step. Each block
+    monomial is base plus a packed offset.
     """
     r1, r2 = step.center
-    e = step.new_ray
-    cones = step.pre.cones
-    affected = {r1, r2, e}
-    touched = []
+    shift, mask = layout.shift, (1 << layout.width) - 1
+    s1, s2, se = shift[r1], shift[r2], shift[step.new_ray]
+    center = mask << s1 | mask << s2 | mask << se
+    moved = []
     for m, v in acc.items():
-        for r, _ in m:
-            if r in affected:
-                touched.append((m, v))
-                break
-    for mono, coeff in touched:
-        base, a1, a2, ae = _split_center(mono, r1, r2, e)
+        if m & center:
+            a1, a2, ae = m >> s1 & mask, m >> s2 & mask, m >> se & mask
+            if ae or a1 + a2 > 1:
+                moved.append((m, v, a1, a2, ae))
+    cones, low, high = step.pre.cones, layout.low, layout.high
+    tested: dict[int, bool] = {}
+    blocks: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for m, coeff, a1, a2, ae in moved:
         if ae:
-            del acc[mono]
-        kernel = _blowdown_kernel(a1, a2, ae)
-        if not coeff or not kernel:
+            del acc[m]
+        if not coeff:
             continue
-        support = tuple(sorted([r for r, _ in base] + [r1, r2]))
-        if support not in cones:
+        block = blocks.get((a1, a2, ae))
+        if block is None:
+            block = blocks[a1, a2, ae] = [
+                ((p1 << s1) + (p2 << s2), v) for p1, p2, v in _blowdown_kernel(a1, a2, ae)
+            ]
+        if not block:
             continue
-        # r1 < r2, so each block monomial is base with (r1, p1) and
-        # (r2, p2) slotted in where the support has them
-        i1, i2 = support.index(r1), support.index(r2) - 1
-        head, mid, tail = base[:i1], base[i1:i2], base[i2:]
-        for p1, p2, v in kernel:
-            m = head + ((r1, p1),) + mid + ((r2, p2),) + tail
-            acc[m] = acc.get(m, 0) + coeff * v
+        base = m & ~center
+        # the top bit of each nonzero field: the adds carry into no next field
+        key = ((base & low) + low | base) & high
+        ok = tested.get(key)
+        if ok is None:
+            support = [r for r, _ in layout.unpack(key)] + [r1, r2]
+            ok = tested[key] = tuple(sorted(support)) in cones
+        if not ok:
+            continue
+        for offset, v in block:
+            k = base + offset
+            acc[k] = acc.get(k, 0) + coeff * v
 
 
 def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
     """Push a class forward along a chain of subdivision steps, last step first.
 
     The class lives on the last step's refined complex, and each step's
-    refined complex is the next step's source. The terms go down in one
-    dict, one ``_push_step`` per step, and are normalized once, at the end.
+    refined complex is the next step's source. The terms are packed once in
+    the chain's ``_Layout``, whose width comes from the class's top degree,
+    go down in one dict, one ``_push_step`` per step, and are unpacked and
+    normalized once, at the end.
     """
     if not steps:
         return a
@@ -336,10 +403,12 @@ def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
     for s, t in zip(steps, steps[1:]):
         if s.post != t.pre:
             raise ValueError("steps do not form a chain")
-    acc: dict[Monomial, int | Fraction] = dict(a.terms)
+    top = max([_mono_degree(m) for m, _ in a.terms], default=0)
+    layout = _Layout(steps[0].pre.ray_ids, [s.new_ray for s in steps], top)
+    acc = {layout.pack(m): v for m, v in a.terms}
     for step in reversed(steps):
-        _push_step(acc, step)
-    return _finish(acc, steps[0].pre)
+        _push_step(acc, step, layout)
+    return layout.finish(acc, steps[0].pre)
 
 
 def truncate(a: ChowClass, degree: int) -> ChowClass:

@@ -32,6 +32,7 @@ from .chowring import (
     _blowdown_kernel,
     _compositions,
     _finish,
+    _Layout,
     _mono_degree,
     _mono_mul,
     _power_series_part,
@@ -238,8 +239,13 @@ def principalize(
 
     The generators are read once into one table of per-ray rows; a new ray's
     row is the sum of the center rows. A generator divides the others on a
-    cone when it attains the row minimum on each of its rays. New rays are
-    named e0, e1, ... from a counter that skips the ids of c.
+    cone when it attains the row minimum on each of its rays. The active
+    pair's crossing two-cones come from one scan of the cones when the pair
+    becomes active; after that each step updates them. Its only lost
+    two-cone is the center, and it gains (x, e) for x = r1, r2 and each ray
+    of the center's link; only rays x with d_e d_x < 0 are tested for the
+    link. New rays are named e0, e1, ... from a counter that skips the ids
+    of c.
 
     Returns the refined complex, the subdivision trace, and the total
     transform as a PL function: the raywise minimum of the generators, which
@@ -254,7 +260,8 @@ def principalize(
     current = c
     trace: list[SubdivisionStep] = []
     for a, b in itertools.combinations(gens, 2):
-        while faces := _crossing_faces(table, a, b, current):
+        faces = _crossing_faces(table, a, b, current)
+        while faces:
             if len(trace) == max_steps:
                 raise PrincipalizationError(f"step budget {max_steps} exhausted")
             if rng is None:
@@ -263,8 +270,21 @@ def principalize(
                 chosen = rng.choice(sorted(faces))
             current, step = star_subdivide(current, chosen, next(names))
             r1, r2 = step.center
-            table[step.new_ray] = [x + y for x, y in zip(table[r1], table[r2])]
+            e = step.new_ray
+            table[e] = row = [x + y for x, y in zip(table[r1], table[r2])]
             trace.append(step)
+            # the step's only lost two-cone is the center; it gains (x, e)
+            # for x = r1, r2 and each ray of the center's link, and (x, e)
+            # crosses when d_e d_x < 0
+            del faces[chosen]
+            cones = step.pre.cones
+            de = row[a] - row[b]
+            for x, rx in table.items():
+                dx = rx[a] - rx[b]
+                if de * dx < 0 and (
+                    x == r1 or x == r2 or tuple(sorted((x, r1, r2))) in cones
+                ):
+                    faces[tuple(sorted((x, e)))] = abs(de - dx)
     ray_min = {r: min(row) for r, row in table.items()}
     for cone in current.maximal_cones():
         if not any(all(table[r][i] == ray_min[r] for r in cone) for i in gens):
@@ -276,11 +296,12 @@ def principalize(
 
 
 def _bending(
-    acc: dict,
+    acc: dict[int, int],
     step: SubdivisionStep,
     bend: int,
     g: Mapping[str, int],
     max_codim: int,
+    layout: _Layout,
 ) -> None:
     """Add one step's R^i = pi_s*(G_s^i) - G_(s-1)^i, i = 2..max_codim, to acc.
 
@@ -292,10 +313,13 @@ def _bending(
     Every monomial of Q_d has both center rays, so only the terms of H^m on a
     face lam of the center's link survive, those with lam + {r1, r2} a cone
     of the step's source. They are written in closed form, as in
-    _power_series_part.
+    _power_series_part, and packed in the chain's layout: a product of
+    monomials is the sum of their ints.
     """
     r1, r2 = step.center
     cones = step.pre.cones
+    shift = layout.shift
+    s1, s2 = shift[r1], shift[r2]
     g1, g2 = g[r1], g[r2]
     Q: list[dict] = [{} for _ in range(max_codim + 1)]
     for d in range(2, max_codim + 1):
@@ -304,7 +328,7 @@ def _bending(
             for j in range(d - t + 1):
                 u = w * comb(d - t, j) * g1**j * g2 ** (d - t - j)
                 for p1, p2, v in _blowdown_kernel(0, 0, t):
-                    key = (p1 + j, p2 + d - t - j)
+                    key = (p1 + j << s1) + (p2 + d - t - j << s2)
                     Q[d][key] = Q[d].get(key, 0) + u * v
     # the link faces on H's support, grown one ray at a time: H^m needs
     # |lam| <= m, and a face's rays all lie on faces one smaller
@@ -321,21 +345,16 @@ def _bending(
         rays = sorted({r for lam in level for r in lam})
         faces += level
     for lam in faces:
-        # r1 < r2: slot (r1, p1) and (r2, p2) in where the support has them
-        i1 = sum(r < r1 for r in lam)
-        i2 = sum(r < r2 for r in lam)
         for m in range(len(lam), max_codim - 1):
             for a, multinomial in _compositions(m, len(lam)):
-                hv = multinomial
+                hv, h = multinomial, 0
                 for r, x in zip(lam, a):
                     hv *= g[r] ** x
-                h = tuple(zip(lam, a))
-                head, mid, tail = h[:i1], h[i1:i2], h[i2:]
+                    h += x << shift[r]
                 for d in range(2, max_codim - m + 1):
                     w = comb(m + d, m) * hv
-                    for (p1, p2), qv in Q[d].items():
-                        mono = head + ((r1, p1),) + mid + ((r2, p2),) + tail
-                        acc[mono] = acc.get(mono, 0) + w * qv
+                    for q, qv in Q[d].items():
+                        acc[h + q] = acc.get(h + q, 0) + w * qv
 
 
 def _pushed_G_powers(
@@ -347,9 +366,10 @@ def _pushed_G_powers(
     """sum_(i=2..max_codim) pi_*(G^i) on the base, as the sum over the steps
     of pi_(<s)*(R_s^i) (see _segre_by_projection).
 
-    One dict carries every degree: from the last bending step down, it is
-    pushed through step s (``chowring._push_step``) and gains R_s
-    (``_bending``).
+    One dict of packed terms carries every degree, in the layout of the
+    chain at width max_codim: from the last bending step down, it is pushed
+    through step s (``chowring._push_step``) and gains R_s (``_bending``).
+    Nothing is packed when no step bends.
     """
     g = dict.fromkeys(c.ray_ids, 0)
     bends = []
@@ -358,13 +378,16 @@ def _pushed_G_powers(
         e = step.new_ray
         bends.append(total.get(r1) + total.get(r2) - total.get(e))
         g[e] = g[r1] + g[r2] + bends[-1]
-    acc: dict = {}
+    if not any(bends):
+        return zero(c)
+    layout = _Layout(c.ray_ids, [s.new_ray for s in trace], max_codim)
+    acc: dict[int, int] = {}
     for step, bend in reversed(list(zip(trace, bends))):
         if acc:
-            _push_step(acc, step)
+            _push_step(acc, step, layout)
         if bend:
-            _bending(acc, step, bend, g, max_codim)
-    return _finish(acc, c)
+            _bending(acc, step, bend, g, max_codim, layout)
+    return layout.finish(acc, c)
 
 
 def _segre_by_projection(
@@ -390,28 +413,48 @@ def _segre_by_projection(
         R_s^i = sum_(t=2..i) C(i, t) c_s^t G_(s-1)^(i-t) pi_s*(x_e^t),
     so pi_*(G^i) = sum_s pi_(<s)*(R_s^i) (``_pushed_G_powers``), and a step
     with c_s = 0 adds nothing. The product with the powers of D is formed on
-    the base in one dict.
+    the base in one dict. Both factors are grouped by support, and only the
+    pairs of supports whose union is a cone are multiplied, so the dict grows
+    with the class, not with the product of the factors' sizes; when c is
+    one cone, as an orthant chart is, no pair is tested.
     """
     series_D = _power_series_part(divisor_of_pl(total, c), max_codim)
     pushed = _pushed_G_powers(c, trace, total, max_codim)
     if pushed.is_zero():
         return series_D
-    # pi_*(G^i) and D^n, by degree; the series of D carries (-1)^(j-1)
-    G_pow: list[list] = [[] for _ in range(max_codim + 1)]
-    D_pow: list[list] = [[((), 1)]] + [[] for _ in range(max_codim)]
-    for m, v in pushed.terms:
-        G_pow[_mono_degree(m)].append((m, v))
+    # pi_*(G^i) and D^n as (degree, monomial, coefficient), in the graded
+    # order of their classes, which the break below needs; the series of D
+    # carries (-1)^(j-1). They are grouped by support unless c is one cone:
+    # then every union is a cone, and grouping and testing would only add work
+    G_pow = [(_mono_degree(m), m, v) for m, v in pushed.terms]
+    D_pow = [(0, (), 1)]
     for m, v in series_D.terms:
         j = _mono_degree(m)
-        D_pow[j].append((m, v if j % 2 else -v))
+        D_pow.append((j, m, v if j % 2 else -v))
+    grouped = tuple(sorted(c.ray_ids)) not in c.cones
+    G_by, D_by = {(): G_pow}, {(): D_pow}
+    if grouped:
+        G_by, D_by = {}, {}
+        for by, terms in ((G_by, G_pow), (D_by, D_pow)):
+            for t in terms:
+                by.setdefault(tuple([r for r, _ in t[1]]), []).append(t)
+    factor = [
+        [(-1) ** (n + 1) * comb(i + n, n) for n in range(max_codim - i + 1)]
+        for i in range(max_codim + 1)
+    ]
     acc = dict(series_D.terms)
-    for i in range(2, max_codim + 1):
-        for n in range(max_codim - i + 1):
-            factor = (-1) ** (n + 1) * comb(i + n, n)
-            for m1, v1 in G_pow[i]:
-                for m2, v2 in D_pow[n]:
+    for support1, terms1 in G_by.items():
+        for support2, terms2 in D_by.items():
+            if grouped and tuple(sorted({*support1, *support2})) not in c.cones:
+                continue
+            for i, m1, v1 in terms1:
+                f = factor[i]
+                top = len(f)
+                for n, m2, v2 in terms2:
+                    if n >= top:
+                        break
                     m = _mono_mul(m1, m2)
-                    acc[m] = acc.get(m, 0) + factor * v1 * v2
+                    acc[m] = acc.get(m, 0) + f[n] * v1 * v2
     return _finish(acc, c)
 
 

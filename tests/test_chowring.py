@@ -9,8 +9,10 @@ from punctref.chowring import (
     ChowClass,
     _blowdown_kernel,
     _finish,
+    _Layout,
     _mono_mul,
     _norm_monomial,
+    _push_step,
     _split_center,
     divisor_of_pl,
     multiply,
@@ -25,7 +27,7 @@ from punctref.chowring import (
     zero,
 )
 from punctref.blowups import _replay_trace
-from punctref.conecx import build_complex, pl_function, star_subdivide
+from punctref.conecx import ConeComplex, build_complex, pl_function, star_subdivide
 from punctref.puncture import (
     _power_series_part,
     normalized_ideal,
@@ -241,6 +243,87 @@ def test_blowdown_kernel_matches_the_triple_loop(blown):
                     pushed[mono] = pushed.get(mono, 0) + 1
                 expected = reference_pushforward(ChowClass(post, ((mono, 1),)), step)
                 assert _finish(pushed, pre) == expected, (a1, a2, ae)
+
+
+def test_push_step_moves_only_what_the_step_changes():
+    pre = build_complex(["a", "b", "c", "d"], [["a", "b", "c"], ["b", "d"]])
+    _, step = star_subdivide(pre, ("a", "b"), new_ray="e")
+    layout = _Layout(pre.ray_ids, ["e"], 3)
+    assert layout.width == 2
+    pack = layout.pack
+    kept = Fraction(5, 3)
+    acc = {
+        pack((("a", 1), ("c", 1))): kept,  # center degree 1: K(1, 0, 0) = 0
+        pack((("a", 2), ("c", 1))): 2,  # gains -2 x_a x_b x_c
+        pack((("c", 1), ("e", 2))): 7,  # replaced by -7 x_a x_b x_c
+        pack((("c", 1), ("e", 1))): 4,  # pi_* x_e = 0
+        pack((("b", 2), ("d", 1))): 3,  # its block x_a x_b x_d is no cone
+    }
+    _push_step(acc, step, layout)
+    assert acc[pack((("a", 1), ("c", 1)))] is kept
+    assert {layout.unpack(m): v for m, v in acc.items()} == {
+        (("a", 1), ("c", 1)): kept,
+        (("a", 2), ("c", 1)): 2,
+        (("a", 1), ("b", 1), ("c", 1)): -9,
+        (("b", 2), ("d", 1)): 3,
+    }
+
+
+def seeded_chain(rng, k, steps):
+    """The k-ray orthant subdivided at seeded two-cones: the top complex and
+    the trace."""
+    rays = [f"z{j}" for j in range(k)]
+    c = build_complex(rays, [rays])
+    trace = []
+    for _ in range(steps):
+        c, step = star_subdivide(c, rng.choice(sorted(x for x in c.cones if len(x) == 2)))
+        trace.append(step)
+    return c, trace
+
+
+def test_chain_pushforward_matches_steps_at_the_field_width_edges():
+    # a class of top degree 2^w - 1 fills its w-bit fields; one of degree 2^w
+    # needs w + 1 bits
+    rng = random.Random(11)
+    for i in range(18):
+        top, trace = seeded_chain(rng, 2 + i % 3, rng.randint(1, 6))
+        cones = top.maximal_cones()
+        for w in (1, 2, 3):
+            for degree in (2**w - 1, 2**w):
+                terms = []
+                for cone in rng.sample(cones, min(3, len(cones))):
+                    terms.append(({rng.choice(cone): degree}, rng.choice([1, -2])))
+                    exps = dict.fromkeys(cone, 0)
+                    for _ in range(degree):
+                        exps[rng.choice(cone)] += 1
+                    terms.append((exps, rng.choice([3, Fraction(-1, 2)])))
+                    terms.append(({rng.choice(cone): degree - 1}, 1))
+                up = reduce(terms, top)
+                assert pushforward(up, *trace) == reference_push_down(up, trace), i
+
+
+def test_chain_pushforward_on_rays_listed_out_of_order():
+    # cones are sorted tuples whatever order a complex lists its rays in
+    rng = random.Random(5)
+    for i in range(8):
+        k = 3 + i % 2
+        c = build_complex([f"z{j}" for j in range(k)], [[f"z{j}" for j in range(k)]])
+        top = ConeComplex(tuple(reversed(c.rays)), c.cones)
+        trace = []
+        for _ in range(rng.randint(1, 4)):
+            two_cones = sorted(x for x in top.cones if len(x) == 2)
+            top, step = star_subdivide(top, rng.choice(two_cones))
+            trace.append(step)
+        terms = []
+        for cone in top.maximal_cones():
+            exps = dict.fromkeys(cone, 0)
+            for _ in range(k):
+                exps[rng.choice(cone)] += 1
+            terms.append((exps, rng.choice([1, -2, 3])))
+        up = reduce(terms, top)
+        got = pushforward(up, *trace)
+        assert got == reference_push_down(up, trace), i
+        assert any(len(m) > 1 for m, _ in got.terms), i
 
 
 def upstairs_series(c, pd, max_codim, choice_seed=None):

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -563,6 +564,29 @@ def test_oversized_max_codim_is_refused_in_one_line(capsys, fixture, max_codim, 
         f"inconsistency: a Segre class through codim {max_codim} may have {bound} "
         "terms, over the budget of 1000000"
     ]
+
+
+def test_max_codim_within_the_bound_runs_in_bounded_memory():
+    """f1-blowup through codim 100 passes the term bound (50701); its
+    10100-term class once ran out of a 600 MB address space on the
+    intermediates of the Segre product."""
+    limit = 600_000 * 1024
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "punctref.cli", "segre", fixture_path("f1-blowup"),
+         "--max-codim", "100"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=cap_memory,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert len(json.loads(proc.stdout)["result"]["class"]) == 10100
 
 
 def run_usage_error(capsys, *argv):

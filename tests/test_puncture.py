@@ -22,6 +22,7 @@ from punctref.chowring import (
     zero,
 )
 from punctref.conecx import (
+    ConeComplex,
     PLFunction,
     build_complex,
     pl_function,
@@ -617,6 +618,42 @@ def test_segre_matches_reference_on_fixtures():
             assert_pushed_G_matches_reference(c, ideal, max_codim)
 
 
+def test_segre_matches_reference_at_every_field_width():
+    # the chain packs each exponent in bit_length(max_codim) bits: these
+    # codims sit on both sides of each width from 1 to 5 bits, and 40 runs
+    # the grouped product well past the class dimension
+    widths = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 40)
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        ideal = normalized_ideal(fx.complex, fx.offsets)
+        for max_codim in widths:
+            assert_segre_matches_reference(fx.complex, ideal, max_codim)
+    rng = random.Random(3)
+    kinds = set()
+    for i in range(6):
+        k = 2 + i % 2
+        c, pd = orthant_chart(rng, k, rng.randint(2, 3), (9, 5)[k - 2])
+        ideal = normalized_ideal(c, pd)
+        for max_codim in widths[:6]:
+            assert_segre_matches_reference(c, ideal, max_codim)
+            bends = assert_pushed_G_matches_reference(c, ideal, max_codim)
+            kinds.add(sum(b != 0 for b in bends) > 1)
+    # some chain pushes one bending through another
+    assert True in kinds
+
+
+def test_segre_does_not_depend_on_the_order_rays_are_listed_in():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        c = fx.complex
+        listed = ConeComplex(tuple(reversed(c.rays)), c.cones)
+        for max_codim in (2, c.dim() + 1):
+            expected = segre_class(c, normalized_ideal(c, fx.offsets), max_codim)
+            got = segre_class(listed, normalized_ideal(listed, fx.offsets), max_codim)
+            assert got.terms == expected.terms, (name, max_codim)
+            assert_segre_matches_reference(listed, normalized_ideal(listed, fx.offsets), max_codim)
+
+
 def test_segre_matches_reference_on_seeded_charts():
     rng = random.Random(7)
     seeded = 0
@@ -640,9 +677,9 @@ def test_trace_without_bending_pushes_nothing(monkeypatch):
     pushes = []
     push_step = punctref.puncture._push_step
 
-    def counting(acc, step):
-        pushes.append(step)
-        push_step(acc, step)
+    def counting(*args):
+        pushes.append(args[1])
+        push_step(*args)
 
     monkeypatch.setattr(punctref.puncture, "_push_step", counting)
     # (x^2 y, x y^2, x y) = (x y): the first pair crosses, but x y divides
