@@ -2,11 +2,12 @@
 
 Classes are elements of the Stanley-Reisner presentation: rational linear
 combinations of monomials in the ray variables, with every monomial whose
-ray-support is not a cone reduced to zero. Coefficients are ints while they
-are integral and Fractions after a division; no float enters a class.
+ray-support is not a cone reduced to zero. Coefficients are ints when they
+are integral and Fractions otherwise; no float enters a class.
 ``multiply`` is the plain polynomial product, and ``_finish``, the one place
-that drops zero and non-cone terms, reduces it. Pullback along a stellar
-subdivision step implements the blowup formula for a two-ray center.
+that drops zero and non-cone terms and turns integral Fractions into ints,
+reduces it. Pullback along a stellar subdivision step implements the blowup
+formula for a two-ray center.
 ``_push_step`` is the one push-down through a step. It works in place on a
 dict of packed monomials (``_Layout``): each ray of the chain owns a W-bit
 field of a Python int, with W the bit length of the chain's top degree, so
@@ -140,9 +141,12 @@ def reduce(
 
 def _finish(acc: Mapping[Monomial, int | Fraction], c: ConeComplex) -> ChowClass:
     """The class of normalized, merged terms: the one place that drops zero
-    and non-cone terms and sorts into graded-lex order."""
+    and non-cone terms, holds integral coefficients as ints and sorts into
+    graded-lex order."""
     kept = [
-        (m, v) for m, v in acc.items() if v and tuple([r for r, _ in m]) in c.cones
+        (m, v if type(v) is int or v.denominator != 1 else v.numerator)
+        for m, v in acc.items()
+        if v and tuple([r for r, _ in m]) in c.cones
     ]
     kept.sort(key=_term_key)
     return ChowClass(c, tuple(kept))
@@ -201,8 +205,9 @@ def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
     non-cone monomials dropped. Every monomial supported on a cone tau of E's
     support has all its divisors on faces of tau, so no relation touches its
     coefficient: x^a, for a composition a of j over the rays of tau, gets
-    (-1)^(j-1) j! / prod a_r! prod L_r^(a_r). The terms of each degree are
-    distinct, so sorting each degree by its monomials gives graded-lex order.
+    (-1)^(j-1) j! / prod a_r! prod L_r^(a_r), an int when it is integral, as
+    in ``_finish``. The terms of each degree are distinct, so sorting each
+    degree by its monomials gives graded-lex order.
     """
     L: dict = {}
     for m, v in E.terms:
@@ -221,6 +226,8 @@ def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
                 v = sign * multinomial
                 for r, e in zip(cone, a):
                     v *= L[r] ** e
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
                 buckets[j].append((tuple(zip(cone, a)), v))
     terms = []
     for bucket in buckets:

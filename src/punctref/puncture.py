@@ -3,13 +3,13 @@
 The pipeline: puncturing offsets define a monomial ideal on the cone complex;
 stellar subdivisions at two-ray centers make its total transform E Cartier;
 the Segre class of the puncturing substack is the pushforward of E/(1+E); and
-the refined class is the degree-k_P part of the Chern/Segre product. E splits
-as pi^*D - G with G on the new rays, and by the projection formula only the
-powers of G are pushed down (``_segre_by_projection``). Step s changes G by
-its bending c_s x_e, c_s = total(r1) + total(r2) - total(e) <= 0, so
-pi_*(G^i) is the sum over the steps of the pushed-down
-R_s^i = sum_(t>=2) C(i, t) c_s^t G_(s-1)^(i-t) pi_s*(x_e^t): only what the
-bending adds goes down, from the step that adds it (``_pushed_G_powers``).
+the refined class is the degree-k_P part of the Chern/Segre product. With
+G_s = -E_s on the complex after step s, step s changes G by its bending
+c_s x_e, c_s = total(r1) + total(r2) - total(e) <= 0, so pi_*(G^i) is
+(-D)^i, for D the divisor of total on the base, plus the sum over the steps
+of the pushed-down R_s^i = sum_(t>=2) C(i, t) c_s^t G_(s-1)^(i-t)
+pi_s*(x_e^t): only what the bending adds goes down, from the step that adds
+it, and the Segre class is D/(1+D) minus that sum (``_segre_by_bending``).
 The series of a linear class comes term by term from
 ``chowring._power_series_part``. Each D_p upstairs is pulled back from the
 base, so by the projection formula that product is formed on the base
@@ -33,8 +33,6 @@ from .chowring import (
     _compositions,
     _finish,
     _Layout,
-    _mono_degree,
-    _mono_mul,
     _power_series_part,
     _push_step,
     divisor_of_pl,
@@ -305,8 +303,9 @@ def _bending(
 ) -> None:
     """Add one step's R^i = pi_s*(G_s^i) - G_(s-1)^i, i = 2..max_codim, to acc.
 
-    G_s = pi_s^*G_(s-1) + bend x_e. Write G_(s-1) = g1 x_r1 + g2 x_r2 + H,
-    with H on the other rays of the step's source; g holds G's coefficients.
+    G = -E, so G_s = pi_s^*G_(s-1) + bend x_e (see _segre_by_bending). Write
+    G_(s-1) = g1 x_r1 + g2 x_r2 + H, with H on the other rays of the step's
+    source; g holds G's coefficients, -total on every ray.
     After the binomial expansion,
         R^i = sum_(m+d=i, d>=2) C(i, m) H^m Q_d,
         Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x_r1 + g2 x_r2)^(d-t) pi_s*(x_e^t).
@@ -357,40 +356,7 @@ def _bending(
                         acc[h + q] = acc.get(h + q, 0) + w * qv
 
 
-def _pushed_G_powers(
-    c: ConeComplex,
-    trace: Sequence[SubdivisionStep],
-    total: PLFunction,
-    max_codim: int,
-) -> ChowClass:
-    """sum_(i=2..max_codim) pi_*(G^i) on the base, as the sum over the steps
-    of pi_(<s)*(R_s^i) (see _segre_by_projection).
-
-    One dict of packed terms carries every degree, in the layout of the
-    chain at width max_codim: from the last bending step down, it is pushed
-    through step s (``chowring._push_step``) and gains R_s (``_bending``).
-    Nothing is packed when no step bends.
-    """
-    g = dict.fromkeys(c.ray_ids, 0)
-    bends = []
-    for step in trace:
-        r1, r2 = step.center
-        e = step.new_ray
-        bends.append(total.get(r1) + total.get(r2) - total.get(e))
-        g[e] = g[r1] + g[r2] + bends[-1]
-    if not any(bends):
-        return zero(c)
-    layout = _Layout(c.ray_ids, [s.new_ray for s in trace], max_codim)
-    acc: dict[int, int] = {}
-    for step, bend in reversed(list(zip(trace, bends))):
-        if acc:
-            _push_step(acc, step, layout)
-        if bend:
-            _bending(acc, step, bend, g, max_codim, layout)
-    return layout.finish(acc, c)
-
-
-def _segre_by_projection(
+def _segre_by_bending(
     c: ConeComplex,
     trace: Sequence[SubdivisionStep],
     total: PLFunction,
@@ -399,63 +365,46 @@ def _segre_by_projection(
     """The pushforward of E/(1+E) through max_codim, with only the steps'
     bendings pushed down.
 
-    E, the divisor of total upstairs, splits as pi^*D - G: D has total's
-    values on the base rays, pi^*D extends them along the trace by
-    val[e] = val[r1] + val[r2], and G lives on the new rays only. Expanding
-    1/(1+E) = sum_i G^i (1+pi^*D)^-(i+1) and using pi_*(pi^*a b) = a pi_*b,
-    pi_*1 = 1 and pi_*x_e = 0 gives
-        s = [D/(1+D)] - sum_(i>=2) pi_*(G^i) sum_n (-1)^n C(i+n, n) D^n,
-    truncated at max_codim. Let G_s be sum g_rho x_rho over the rays present
-    after step s, so G_0 = 0. Then G_s = pi_s^*G_(s-1) + c_s x_e, with the
-    step's bending c_s = total(r1) + total(r2) - total(e) <= 0, since total
-    is a minimum of linear functions. Expanding G_s^i and pushing it through
-    step s gives pi_s*(G_s^i) = G_(s-1)^i + R_s^i, with
+    E_s is the divisor of total on the complex after step s, and G_s = -E_s,
+    so G_0 = -D for D the divisor of total on the base. The pullback along
+    step s gives x_e the coefficient g(r1) + g(r2), so
+    G_s = pi_s^*G_(s-1) + c_s x_e, with the step's bending
+    c_s = total(r1) + total(r2) - total(e) <= 0, since total is a minimum of
+    linear functions. Expanding G_s^i and pushing it through step s, with
+    pi_s*(pi_s^*a b) = a pi_s*b, pi_s*1 = 1 and pi_s*x_e = 0, gives
+    pi_s*(G_s^i) = G_(s-1)^i + R_s^i, with
         R_s^i = sum_(t=2..i) C(i, t) c_s^t G_(s-1)^(i-t) pi_s*(x_e^t),
-    so pi_*(G^i) = sum_s pi_(<s)*(R_s^i) (``_pushed_G_powers``), and a step
-    with c_s = 0 adds nothing. The product with the powers of D is formed on
-    the base in one dict. Both factors are grouped by support, and only the
-    pairs of supports whose union is a cone are multiplied, so the dict grows
-    with the class, not with the product of the factors' sizes; when c is
-    one cone, as an orthant chart is, no pair is tested.
+    so pi_*(G^i) = (-D)^i + sum_s pi_(<s)*(R_s^i), and a step with c_s = 0
+    adds nothing. As E^i = (-1)^i G^i,
+        s = sum_(i>=1) (-1)^(i-1) pi_*(E^i)
+          = D/(1+D) - sum_(i>=2) sum_s pi_(<s)*(R_s^i),
+    truncated at max_codim. One dict of packed terms carries every degree of
+    the sum, in the layout of the chain at width max_codim: from the last
+    bending step down, it is pushed through step s (``chowring._push_step``)
+    and gains R_s (``_bending``). It is subtracted from the series of D in
+    one ``_finish``; nothing is packed when no step bends.
     """
-    series_D = _power_series_part(divisor_of_pl(total, c), max_codim)
-    pushed = _pushed_G_powers(c, trace, total, max_codim)
-    if pushed.is_zero():
-        return series_D
-    # pi_*(G^i) and D^n as (degree, monomial, coefficient), in the graded
-    # order of their classes, which the break below needs; the series of D
-    # carries (-1)^(j-1). They are grouped by support unless c is one cone:
-    # then every union is a cone, and grouping and testing would only add work
-    G_pow = [(_mono_degree(m), m, v) for m, v in pushed.terms]
-    D_pow = [(0, (), 1)]
-    for m, v in series_D.terms:
-        j = _mono_degree(m)
-        D_pow.append((j, m, v if j % 2 else -v))
-    grouped = tuple(sorted(c.ray_ids)) not in c.cones
-    G_by, D_by = {(): G_pow}, {(): D_pow}
-    if grouped:
-        G_by, D_by = {}, {}
-        for by, terms in ((G_by, G_pow), (D_by, D_pow)):
-            for t in terms:
-                by.setdefault(tuple([r for r, _ in t[1]]), []).append(t)
-    factor = [
-        [(-1) ** (n + 1) * comb(i + n, n) for n in range(max_codim - i + 1)]
-        for i in range(max_codim + 1)
+    series = _power_series_part(divisor_of_pl(total, c), max_codim)
+    bends = [
+        total.get(s.center[0]) + total.get(s.center[1]) - total.get(s.new_ray)
+        for s in trace
     ]
-    acc = dict(series_D.terms)
-    for support1, terms1 in G_by.items():
-        for support2, terms2 in D_by.items():
-            if grouped and tuple(sorted({*support1, *support2})) not in c.cones:
-                continue
-            for i, m1, v1 in terms1:
-                f = factor[i]
-                top = len(f)
-                for n, m2, v2 in terms2:
-                    if n >= top:
-                        break
-                    m = _mono_mul(m1, m2)
-                    acc[m] = acc.get(m, 0) + f[n] * v1 * v2
-    return _finish(acc, c)
+    if not any(bends):
+        return series
+    layout = _Layout(c.ray_ids, [s.new_ray for s in trace], max_codim)
+    # G_s's coefficients: g(e) = g(r1) + g(r2) + c_s keeps g = -total
+    g = {r: -total.get(r) for r in layout.names}
+    acc: dict[int, int] = {}
+    for step, bend in reversed(list(zip(trace, bends))):
+        if acc:
+            _push_step(acc, step, layout)
+        if bend:
+            _bending(acc, step, bend, g, max_codim, layout)
+    terms = dict(series.terms)
+    for m, v in acc.items():
+        k = layout.unpack(m)
+        terms[k] = terms.get(k, 0) - v
+    return _finish(terms, c)
 
 
 def _segre(
@@ -477,7 +426,7 @@ def _segre(
             f"over the budget of {MAX_SEGRE_TERMS}"
         )
     _, trace, total = principalize(c, ideal, choice_seed=choice_seed)
-    s = _segre_by_projection(c, trace, total, max_codim)
+    s = _segre_by_bending(c, trace, total, max_codim)
     if backend == "aluffi-crosscheck":
         if aluffi.segre_newton(c, ideal, max_codim) != s:
             raise ArithmeticError(
@@ -497,8 +446,9 @@ def segre_class(
 
     Principalizes by stellar subdivisions and pushes E/(1+E), for the
     exceptional total transform E, down the trace through max_codim (the
-    dimension of c by default): D/(1+D) on the base, corrected by the pushed
-    down powers of the part G of E on the new rays. The aluffi-crosscheck
+    dimension of c by default): D/(1+D) on the base, for D the divisor of
+    the total transform there, corrected by what each step's bending adds to
+    the powers of E, pushed down from that step. The aluffi-crosscheck
     backend recomputes the class from the Newton regions of the restricted
     ideal and fails hard on any disagreement. A negative max_codim raises
     ValueError, and one whose class could pass MAX_SEGRE_TERMS terms raises

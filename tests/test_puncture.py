@@ -8,9 +8,7 @@ import punctref.aluffi
 import punctref.chowring
 import punctref.puncture
 from punctref.chowring import (
-    ChowClass,
     _finish,
-    _mono_degree,
     divisor_of_pl,
     multiply,
     pullback,
@@ -33,7 +31,7 @@ from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
     _power_series_part,
-    _pushed_G_powers,
+    _segre_by_bending,
     monomial_ideal,
     normalized_ideal,
     principalize,
@@ -568,23 +566,6 @@ def assert_segre_matches_reference(c, ideal, max_codim, choice_seed=None):
     return len(trace)
 
 
-def reference_pushed_G(c, trace, total, max_codim):
-    """G/(1+G) formed upstairs and pushed down the whole trace, the form the
-    push-down of each step's bending replaced; kept as the reference it is
-    checked against."""
-    val = {r: total.get(r) for r in c.ray_ids}
-    g = {}
-    for step in trace:
-        r1, r2 = step.center
-        e = step.new_ray
-        val[e] = val[r1] + val[r2]
-        g[((e, 1),)] = val[e] - total.get(e)
-    if not any(g.values()):
-        return zero(c)
-    G = _finish(g, trace[-1].post)
-    return pushforward(_power_series_part(G, max_codim), *trace)
-
-
 def bendings(trace, total):
     """Each step's bending c_s = total(r1) + total(r2) - total(e)."""
     return [
@@ -593,18 +574,34 @@ def bendings(trace, total):
     ]
 
 
-def assert_pushed_G_matches_reference(c, ideal, max_codim, choice_seed=None):
-    """Checks every pi_*(G^i) and the sign of every bending; returns the
-    bendings."""
+def bends_over_base_rays(c, trace, total):
+    """Whether a bending step's center has a base ray with nonzero total in
+    its link: there G = -E is nonzero on a ray the step did not make, so
+    _bending grows the link faces over it."""
+    return any(
+        bend
+        and any(
+            total.get(r) and tuple(sorted((r, *step.center))) in step.pre.cones
+            for r in c.ray_ids
+            if r not in step.center
+        )
+        for step, bend in zip(trace, bendings(trace, total))
+    )
+
+
+def assert_pushed_part_matches_reference(c, ideal, max_codim, choice_seed=None):
+    """Checks the part the steps' bendings add to D/(1+D), for D the divisor
+    of total on the base, against reference_segre - D/(1+D), and the sign of
+    every bending; returns the bendings."""
     _, trace, total = principalize(c, ideal, choice_seed=choice_seed)
     bends = bendings(trace, total)
     assert all(b <= 0 for b in bends)
-    series = reference_pushed_G(c, trace, total, max_codim)
-    # the series carries (-1)^(i-1) on pi_*(G^i)
-    expected = ChowClass(
-        c, tuple((m, v if _mono_degree(m) % 2 else -v) for m, v in series.terms)
-    )
-    assert_same_class(_pushed_G_powers(c, trace, total, max_codim), expected)
+    series_D = _power_series_part(divisor_of_pl(total, c), max_codim)
+    pushed = _segre_by_bending(c, trace, total, max_codim) - series_D
+    expected = reference_segre(c, ideal, max_codim, choice_seed)[0] - series_D
+    assert_same_class(pushed, expected)
+    if not any(bends):
+        assert pushed.is_zero()
     return bends
 
 
@@ -615,13 +612,13 @@ def test_segre_matches_reference_on_fixtures():
         ideal = normalized_ideal(c, fx.offsets)
         for max_codim in {*range(c.dim() + 2), fx.offsets.k_P}:
             assert_segre_matches_reference(c, ideal, max_codim)
-            assert_pushed_G_matches_reference(c, ideal, max_codim)
+            assert_pushed_part_matches_reference(c, ideal, max_codim)
 
 
 def test_segre_matches_reference_at_every_field_width():
     # the chain packs each exponent in bit_length(max_codim) bits: these
     # codims sit on both sides of each width from 1 to 5 bits, and 40 runs
-    # the grouped product well past the class dimension
+    # the bending recursion well past the class dimension
     widths = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 40)
     for name in FIXTURE_NAMES:
         fx = load(name)
@@ -636,7 +633,7 @@ def test_segre_matches_reference_at_every_field_width():
         ideal = normalized_ideal(c, pd)
         for max_codim in widths[:6]:
             assert_segre_matches_reference(c, ideal, max_codim)
-            bends = assert_pushed_G_matches_reference(c, ideal, max_codim)
+            bends = assert_pushed_part_matches_reference(c, ideal, max_codim)
             kinds.add(sum(b != 0 for b in bends) > 1)
     # some chain pushes one bending through another
     assert True in kinds
@@ -666,11 +663,15 @@ def test_segre_matches_reference_on_seeded_charts():
         ideal = normalized_ideal(c, pd)
         for max_codim in {c.dim(), pd.k_P}:
             steps = assert_segre_matches_reference(c, ideal, max_codim, seed)
-            bends = assert_pushed_G_matches_reference(c, ideal, max_codim, seed)
-            kinds.add((steps > 0, any(bends)))
+            bends = assert_pushed_part_matches_reference(c, ideal, max_codim, seed)
+            _, trace, total = principalize(c, ideal, choice_seed=seed)
+            kinds.add((steps > 0, any(bends), bends_over_base_rays(c, trace, total)))
     assert seeded >= 16
-    # no trace, a trace without a bending step and a trace with one all occur
-    assert kinds == {(False, False), (True, False), (True, True)}
+    # no trace, a trace without a bending step and a trace with one all
+    # occur, and some bending step has a base ray with nonzero total in its
+    # link
+    assert {kind[:2] for kind in kinds} == {(False, False), (True, False), (True, True)}
+    assert (True, True, True) in kinds
 
 
 def test_trace_without_bending_pushes_nothing(monkeypatch):
@@ -710,7 +711,7 @@ def test_segre_matches_reference_on_ladder(index):
     ideal = normalized_ideal(c, pd)
     for max_codim in {c.dim(), pd.k_P}:
         assert_segre_matches_reference(c, ideal, max_codim)
-        assert_pushed_G_matches_reference(c, ideal, max_codim)
+        assert_pushed_part_matches_reference(c, ideal, max_codim)
 
 
 @pytest.mark.ladder
@@ -718,7 +719,7 @@ def test_segre_matches_reference_on_a_long_two_ray_chart():
     c = build_complex(["a", "b"], [["a", "b"]])
     pd = puncturing_data({"p1.1": {"a": 5000, "b": 1}, "p2.1": {"a": 2, "b": 5}})
     assert_segre_matches_reference(c, normalized_ideal(c, pd), 2)
-    assert_pushed_G_matches_reference(c, normalized_ideal(c, pd), 2)
+    assert_pushed_part_matches_reference(c, normalized_ideal(c, pd), 2)
 
 
 def pulled_back(a, trace):
@@ -728,10 +729,11 @@ def pulled_back(a, trace):
 
 
 def assert_projection_formula_along_trace(c, pd, choice_seed=None):
-    """pi_*(pi^*a b) = a pi_*b down the whole trace, for the classes the
-    Segre split rests on: a in {1, D, D^2, each offset divisor} and
-    b in {G/(1+G), E/(1+E)}, with E = pi^*D - G. Both sides are graded, so
-    b is cut at the degree the product needs, max_codim - deg a."""
+    """pi_*(pi^*a b) = a pi_*b down the whole trace, for classes the Segre
+    chain and the refined class rest on: a in {1, D, D^2, each offset
+    divisor} and b in {G/(1+G), E/(1+E)}, with G = pi^*D - E, which lives
+    on the new rays. Both sides are graded, so b is cut at the degree the
+    product needs, max_codim - deg a."""
     c2, trace, total = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
     max_codim = max(c.dim(), pd.k_P)
     E = divisor_of_pl(total, c2)
@@ -776,14 +778,14 @@ def test_projection_formula_along_traces_on_ladder(index):
     assert_projection_formula_along_trace(*ladder_chart(index))
 
 
-def test_crosscheck_catches_wrong_projection_segre(p2, monkeypatch):
-    split = punctref.puncture._segre_by_projection
+def test_crosscheck_catches_wrong_resolution_segre(p2, monkeypatch):
+    right = punctref.puncture._segre_by_bending
 
     def wrong(c, trace, total, max_codim):
-        return split(c, trace, total, max_codim) + unit(c)
+        return right(c, trace, total, max_codim) + unit(c)
 
-    monkeypatch.setattr(punctref.puncture, "_segre_by_projection", wrong)
-    # p2 has an empty trace; this k = 2 chart a trace of 3 steps with G != 0
+    monkeypatch.setattr(punctref.puncture, "_segre_by_bending", wrong)
+    # p2 has an empty trace; this k = 2 chart a trace of 3 steps that bends
     chart = orthant_chart(random.Random(3), 2, 3, 6)
     for c, pd in ((p2.complex, p2.offsets), chart):
         ideal = normalized_ideal(c, pd)
