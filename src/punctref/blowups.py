@@ -11,7 +11,7 @@ computes both refined classes and their difference, which need not vanish.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .chowring import pushforward as chow_pushforward, serialize
 from .conecx import ConeComplex, Ray, SubdivisionStep, _Record, build_complex
@@ -283,12 +283,12 @@ def check_slope_sensitivity(
 
 
 def _replay_trace(
-    c: ConeComplex, trace: Sequence[Mapping]
+    c: ConeComplex, trace: Sequence[tuple[Sequence[str], Optional[str]]]
 ) -> tuple[ConeComplex, list[SubdivisionStep]]:
     steps = []
     current = c
-    for entry in trace:
-        current, step = star_subdivide(current, entry["center"], new_ray=entry.get("new"))
+    for center, new in trace:
+        current, step = star_subdivide(current, center, new_ray=new)
         steps.append(step)
     return current, steps
 
@@ -296,15 +296,15 @@ def _replay_trace(
 def compare_under_subdivision(
     c: ConeComplex,
     pd: PuncturingData,
-    trace: Sequence[Mapping],
+    trace: Sequence[tuple[Sequence[str], Optional[str]]],
     lifted_pd: PuncturingData,
 ) -> dict:
     """Refined class downstairs versus pushforward of the lifted one.
 
-    The trace, star subdivisions as {"center", "new"} mappings with "new"
-    optional, is replayed on the complex; the lifted offsets live on the
-    result. Reports both classes, the difference (pushed minus original),
-    and equality.
+    The trace, star subdivisions as (center, new) pairs with new None for
+    the default name, is replayed on the complex; the lifted offsets live on
+    the result. Reports both classes, the difference (pushed minus
+    original), and equality.
     """
     upstairs_complex, steps = _replay_trace(c, trace)
     original = refined_class(c, pd).cls

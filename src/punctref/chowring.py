@@ -7,7 +7,7 @@ are integral and Fractions otherwise; no float enters a class.
 ``multiply`` is the plain polynomial product, and ``_finish``, the one place
 that drops zero and non-cone terms and turns integral Fractions into ints,
 reduces it. Pullback along a stellar subdivision step implements the blowup
-formula for a two-ray center.
+formula for a two-ray center; it replays the step on the class's complex.
 ``_push_step`` is the one push-down through a step. It works in place on a
 dict of packed monomials (``_Layout``): each ray of the chain owns a W-bit
 field of a Python int, with W the bit length of the chain's top degree, so
@@ -15,12 +15,12 @@ an exponent is a shift and a mask and a product of monomials is a sum of
 ints. It moves only the terms that hold the new ray or have center degree
 at least 2, each through a cached blowdown kernel, a two-variable integer
 polynomial in the center rays; every other term pushes down to itself.
-``pushforward(a, *steps)`` packs its class, runs it once per step on one
-dict, and unpacks and normalizes once at the end; the Segre chain of
-``puncture`` runs it on a packed dict that gains each step's bending
-between steps. ``_power_series_part``
-writes the series E/(1+E) of a linear class E term by term, in closed form;
-both Segre backends build their classes from it.
+``pushforward(a, *steps)`` undoes the steps from its class's complex, runs
+it once per step on one dict, and unpacks and normalizes once at the end;
+the Segre chain of ``puncture`` runs it on a packed dict that gains each
+step's bending between steps. ``_power_series_part`` writes the series
+E/(1+E) of a linear class E term by term, in closed form; both Segre
+backends build their classes from it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact, _Record
+from .conecx import star_subdivide
 
 __all__ = [
     "Monomial",
@@ -245,13 +246,24 @@ def _split_center(
     return tuple(exps.items()), a1, a2, ae
 
 
+def _replay(c: ConeComplex, step: SubdivisionStep) -> ConeComplex | None:
+    """The refined complex of the step replayed on c, or None when c is not
+    its source: the replay fails or records another link."""
+    try:
+        post, replayed = star_subdivide(c, step.center, step.new_ray)
+    except ValueError:
+        return None
+    return post if replayed == step else None
+
+
 def pullback(a: ChowClass, step: SubdivisionStep) -> ChowClass:
-    """Pull a class back along a subdivision step.
+    """Pull a class back along a subdivision step, replayed on its complex.
 
     The ring morphism sends x_rho to x_rho + x_e for the two center rays and
     fixes every other ray variable.
     """
-    if a.complex != step.pre:
+    post = _replay(a.complex, step)
+    if post is None:
         raise ValueError("class does not live on the step's source complex")
     r1, r2 = step.center
     e = step.new_ray
@@ -263,7 +275,7 @@ def pullback(a: ChowClass, step: SubdivisionStep) -> ChowClass:
                 split = _norm_monomial({r1: a1 - i1, r2: a2 - i2, e: i1 + i2})
                 m = _mono_mul(base, split)
                 acc[m] = acc.get(m, 0) + coeff * comb(a1, i1) * comb(a2, i2)
-    return _finish(acc, step.post)
+    return _finish(acc, post)
 
 
 @lru_cache(maxsize=None)
@@ -331,12 +343,6 @@ class _Layout:
         out.reverse()
         return tuple(out)
 
-    def finish(self, acc: Mapping[int, int | Fraction], c: ConeComplex) -> ChowClass:
-        """The class of packed terms on the rays of c, the chain's source
-        complex: they own the first fields, in sorted order, so each term
-        unpacks to a normalized monomial."""
-        return _finish({self.unpack(m): v for m, v in acc.items()}, c)
-
 
 def _push_step(
     acc: dict[int, int | Fraction], step: SubdivisionStep, layout: _Layout
@@ -351,9 +357,9 @@ def _push_step(
     when ae > 0. K(a1, a2, 0) = 0 when a1 + a2 <= 1, so a term moves only
     when it holds e or has center degree a1 + a2 >= 2; a term that moves
     nothing stays as it is. Every block monomial has support
-    supp(base) + {r1, r2}, so one cone check keeps or drops the whole block;
-    blocks on one support share that check within a step. Each block
-    monomial is base plus a packed offset.
+    supp(base) + {r1, r2}, so one test of supp(base) in the step's link
+    keeps or drops the whole block; blocks on one support share that test
+    within a step. Each block monomial is base plus a packed offset.
     """
     r1, r2 = step.center
     shift, mask = layout.shift, (1 << layout.width) - 1
@@ -365,7 +371,7 @@ def _push_step(
             a1, a2, ae = m >> s1 & mask, m >> s2 & mask, m >> se & mask
             if ae or a1 + a2 > 1:
                 moved.append((m, v, a1, a2, ae))
-    cones, low, high = step.pre.cones, layout.low, layout.high
+    link, low, high = step.link, layout.low, layout.high
     tested: dict[int, bool] = {}
     blocks: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for m, coeff, a1, a2, ae in moved:
@@ -385,8 +391,7 @@ def _push_step(
         key = ((base & low) + low | base) & high
         ok = tested.get(key)
         if ok is None:
-            support = [r for r, _ in layout.unpack(key)] + [r1, r2]
-            ok = tested[key] = tuple(sorted(support)) in cones
+            ok = tested[key] = tuple(sorted(r for r, _ in layout.unpack(key))) in link
         if not ok:
             continue
         for offset, v in block:
@@ -397,25 +402,31 @@ def _push_step(
 def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
     """Push a class forward along a chain of subdivision steps, last step first.
 
-    The class lives on the last step's refined complex, and each step's
-    refined complex is the next step's source. The terms are packed once in
-    the chain's ``_Layout``, whose width comes from the class's top degree,
-    go down in one dict, one ``_push_step`` per step, and are unpacked and
-    normalized once, at the end.
+    The steps are undone from the class's complex, last first: drop the new
+    ray, the last one, and swap the cones through it back for tau + center,
+    tau in the link; replaying the step must give the complex back. The
+    terms are packed once in the chain's ``_Layout``, whose width comes from
+    the class's top degree, go down in one dict, one ``_push_step`` per
+    step, and are unpacked and normalized once, on the first step's source.
     """
     if not steps:
         return a
-    if a.complex != steps[-1].post:
-        raise ValueError("class does not live on the step's refined complex")
-    for s, t in zip(steps, steps[1:]):
-        if s.post != t.pre:
-            raise ValueError("steps do not form a chain")
+    c = a.complex
+    for i, step in enumerate(reversed(steps)):
+        cones = [x for x in c.cones if step.new_ray not in x]
+        cones += [tuple(sorted(t + step.center)) for t in step.link]
+        source = ConeComplex(c.rays[:-1], cones)
+        if _replay(source, step) != c:
+            if i:
+                raise ValueError("steps do not form a chain")
+            raise ValueError("class does not live on the step's refined complex")
+        c = source
     top = max([_mono_degree(m) for m, _ in a.terms], default=0)
-    layout = _Layout(steps[0].pre.ray_ids, [s.new_ray for s in steps], top)
+    layout = _Layout(c.ray_ids, [s.new_ray for s in steps], top)
     acc = {layout.pack(m): v for m, v in a.terms}
     for step in reversed(steps):
         _push_step(acc, step, layout)
-    return layout.finish(acc, steps[0].pre)
+    return _finish({layout.unpack(m): v for m, v in acc.items()}, c)
 
 
 def truncate(a: ChowClass, degree: int) -> ChowClass:

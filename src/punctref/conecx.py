@@ -7,7 +7,8 @@ verified). All values are immutable; every operation is a pure function.
 The cones form a set: membership is the one cone test, and an order is
 imposed only where output needs one, by ``maximal_cones()`` and
 ``validate_complex``. Maximal cones are derived from the set, as the cones
-that are no cone's facet, a rule that assumes face-closure.
+that are no cone's facet, a rule that assumes face-closure. A subdivision
+step holds its center's link, not a complex; the new ray comes last.
 """
 
 from __future__ import annotations
@@ -235,20 +236,18 @@ def validate_complex(c: ConeComplex) -> dict:
 
 
 class SubdivisionStep(_Record):
-    """One stellar subdivision at a two-ray center.
+    """One stellar subdivision at a two-ray center, by what it changes: each
+    sorted cone tau of ``link``, with tau + center a cone of the source, swaps
+    tau + center for tau + e, tau + e + r1 and tau + e + r2, for e the new
+    ray, and every other cone stays. The repr leaves the link out."""
 
-    Carries references to the complexes before and after the step so that
-    pullback and pushforward need no further context; the repr leaves them out.
-    """
+    _hidden = ("link",)
 
-    _hidden = ("pre", "post")
-
-    def __init__(self, center: tuple[str, str], new_ray: str, pre: ConeComplex,
-                 post: ConeComplex) -> None:
+    def __init__(self, center: tuple[str, str], new_ray: str,
+                 link: frozenset[tuple[str, ...]]) -> None:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "new_ray", new_ray)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "post", post)
+        object.__setattr__(self, "link", link)
 
 
 def _fresh_ray_ids(c: ConeComplex) -> Iterator[str]:
@@ -267,8 +266,8 @@ def star_subdivide(
     """Stellar subdivision at a two-ray center.
 
     Every cone containing both center rays is replaced by the star pattern on
-    the new ray; all other cones survive unchanged. In embedded mode the new
-    primitive is the sum of the center primitives.
+    the new ray, appended last; all other cones survive unchanged. In embedded
+    mode the new primitive is the sum of the center primitives.
     """
     ctr = _sorted_cone(center)
     if len(ctr) != 2:
@@ -286,18 +285,17 @@ def star_subdivide(
         p1 = c.ray(r1).primitive
         p2 = c.ray(r2).primitive
         prim = tuple(a + b for a, b in zip(p1, p2, strict=True))
-    new_rays = sorted(list(c.rays) + [Ray(new_ray, prim)], key=lambda r: r.id)
     # the closure transforms cone by cone, so no re-closing is needed: a cone
     # through the center contributes its two replacement children plus its
     # center-stripped extension by the new ray, everything else survives
     star = [cone for cone in c.cones if r1 in cone and r2 in cone]
     new_cones = set(c.cones).difference(star)
-    for cone in star:
-        rest = [x for x in cone if x != r1 and x != r2] + [new_ray]
+    link = frozenset(tuple(x for x in cone if x != r1 and x != r2) for cone in star)
+    for tau in link:
+        rest = [*tau, new_ray]
         new_cones.update(map(_sorted_cone, (rest + [r1], rest + [r2], rest)))
-    post = ConeComplex(tuple(new_rays), new_cones)
-    step = SubdivisionStep(center=(r1, r2), new_ray=new_ray, pre=c, post=post)
-    return post, step
+    post = ConeComplex((*c.rays, Ray(new_ray, prim)), new_cones)
+    return post, SubdivisionStep((r1, r2), new_ray, link)
 
 
 def _exact(v: int | Fraction | float | str) -> int | Fraction:

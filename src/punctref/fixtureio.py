@@ -40,7 +40,7 @@ class SchemaError(ValueError):
 class Fixture(_Record):
     def __init__(self, data: Optional[NumericalData], model: Optional[TargetModel],
                  complex: Optional[ConeComplex], offsets: Optional[PuncturingData],
-                 trace: Optional[tuple[dict, ...]],
+                 trace: Optional[tuple[tuple, ...]],
                  lifted_offsets: Optional[PuncturingData]) -> None:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "model", model)
@@ -166,7 +166,7 @@ def _load_complex(obj: Any, path: str) -> tuple[ConeComplex, Any]:
     return c, obj.get("offsets")
 
 
-def _load_trace(obj: Any, path: str) -> tuple[dict, ...]:
+def _load_trace(obj: Any, path: str) -> tuple[tuple, ...]:
     _expect(obj, list, path, "an array of steps")
     steps = []
     for i, entry in enumerate(obj):
@@ -180,7 +180,7 @@ def _load_trace(obj: Any, path: str) -> tuple[dict, ...]:
         new = entry.get("new")
         if new is not None:
             _expect(new, str, f"{p}.new", "a string")
-        steps.append({"center": tuple(center), "new": new})
+        steps.append((tuple(center), new))
     return tuple(steps)
 
 
@@ -210,8 +210,7 @@ def load_fixture(doc: Any, path: str = "$") -> Fixture:
                 f"{path}.lifted_offsets", "lifted offsets need a complex and a trace"
             )
         upstairs_ids = list(cx.ray_ids)
-        for i, step in enumerate(trace):
-            name = step["new"]
+        for i, (_, name) in enumerate(trace):
             if name is None:
                 raise SchemaError(
                     f"{path}.trace[{i}].new",

@@ -240,10 +240,10 @@ def principalize(
     cone when it attains the row minimum on each of its rays. The active
     pair's crossing two-cones come from one scan of the cones when the pair
     becomes active; after that each step updates them. Its only lost
-    two-cone is the center, and it gains (x, e) for x = r1, r2 and each ray
-    of the center's link; only rays x with d_e d_x < 0 are tested for the
-    link. New rays are named e0, e1, ... from a counter that skips the ids
-    of c.
+    two-cone is the center, and it gains (x, e), crossing when d_e d_x < 0,
+    for x = r1, r2 and each one-face x of the step's link; only such x are
+    looked up in the link. New rays are named e0, e1, ... from a counter
+    that skips the ids of c.
 
     Returns the refined complex, the subdivision trace, and the total
     transform as a PL function: the raywise minimum of the generators, which
@@ -271,17 +271,11 @@ def principalize(
             e = step.new_ray
             table[e] = row = [x + y for x, y in zip(table[r1], table[r2])]
             trace.append(step)
-            # the step's only lost two-cone is the center; it gains (x, e)
-            # for x = r1, r2 and each ray of the center's link, and (x, e)
-            # crosses when d_e d_x < 0
             del faces[chosen]
-            cones = step.pre.cones
             de = row[a] - row[b]
             for x, rx in table.items():
                 dx = rx[a] - rx[b]
-                if de * dx < 0 and (
-                    x == r1 or x == r2 or tuple(sorted((x, r1, r2))) in cones
-                ):
+                if de * dx < 0 and (x == r1 or x == r2 or (x,) in step.link):
                     faces[tuple(sorted((x, e)))] = abs(de - dx)
     ray_min = {r: min(row) for r, row in table.items()}
     for cone in current.maximal_cones():
@@ -310,13 +304,11 @@ def _bending(
         R^i = sum_(m+d=i, d>=2) C(i, m) H^m Q_d,
         Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x_r1 + g2 x_r2)^(d-t) pi_s*(x_e^t).
     Every monomial of Q_d has both center rays, so only the terms of H^m on a
-    face lam of the center's link survive, those with lam + {r1, r2} a cone
-    of the step's source. They are written in closed form, as in
-    _power_series_part, and packed in the chain's layout: a product of
+    face lam of the step's link survive. They are written in closed form, as
+    in _power_series_part, and packed in the chain's layout: a product of
     monomials is the sum of their ints.
     """
     r1, r2 = step.center
-    cones = step.pre.cones
     shift = layout.shift
     s1, s2 = shift[r1], shift[r2]
     g1, g2 = g[r1], g[r2]
@@ -331,7 +323,7 @@ def _bending(
                     Q[d][key] = Q[d].get(key, 0) + u * v
     # the link faces on H's support, grown one ray at a time: H^m needs
     # |lam| <= m, and a face's rays all lie on faces one smaller
-    rays = [r for r in step.pre.ray_ids if g[r] and r != r1 and r != r2]
+    rays = [lam[0] for lam in step.link if len(lam) == 1 and g[lam[0]]]
     level: list[tuple[str, ...]] = [()]
     faces = [()]
     for _ in range(max_codim - 2):
@@ -339,7 +331,7 @@ def _bending(
             lam + (r,)
             for lam in level
             for r in rays
-            if (not lam or r > lam[-1]) and tuple(sorted(lam + (r, r1, r2))) in cones
+            if (not lam or r > lam[-1]) and lam + (r,) in step.link
         ]
         rays = sorted({r for lam in level for r in lam})
         faces += level

@@ -112,6 +112,15 @@ def random_step(rng, c):
     return star_subdivide(c, center)
 
 
+def replay(c, trace):
+    """c and the refined complex after each step of trace, by replaying the
+    steps: a step holds its center's link, not its complexes."""
+    complexes = [c]
+    for step in trace:
+        complexes.append(star_subdivide(complexes[-1], step.center, step.new_ray)[0])
+    return complexes
+
+
 def random_triple(rng):
     c = random_complex(rng)
     a = random_class(rng, c)

@@ -105,3 +105,15 @@ def test_segre_newton_matches_resolution_seeded():
             gens = [{c.ray_ids[0]: 1}]
         ideal = monomial_ideal(c, gens)
         assert segre_newton(c, ideal, 2) == segre_class(c, ideal, max_codim=2)
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("n", [1000, 5000, 10001])
+def test_crosscheck_matches_resolution_on_large_offset_charts(n):
+    """(a^N b, a^2 b^5) on the 2-ray chart: the resolution backend takes 128
+    steps at N = 1000 and 2503 at N = 10001; the newton backend pushes its
+    own trace down through the public pushforward."""
+    c = build_complex(["a", "b"], [["a", "b"]])
+    ideal = monomial_ideal(c, [{"a": n, "b": 1}, {"a": 2, "b": 5}])
+    expected = segre_class(c, ideal)
+    assert segre_class(c, ideal, backend="aluffi-crosscheck") == expected

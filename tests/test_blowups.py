@@ -253,6 +253,6 @@ def test_compare_rejects_bad_trace(f1ce):
         compare_under_subdivision(
             f1ce.complex,
             f1ce.offsets,
-            [{"center": ("Z2", "Z3"), "new": "Q"}],
+            [(("Z2", "Z3"), "Q")],
             f1ce.lifted_offsets,
         )

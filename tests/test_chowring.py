@@ -36,7 +36,7 @@ from punctref.puncture import (
     segre_class,
 )
 
-from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart
+from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart, replay
 
 
 @pytest.fixture()
@@ -201,11 +201,12 @@ def test_domain_checks(blown):
         pushforward(unit(pre), step)
 
 
-def reference_pushforward(a, step):
+def reference_pushforward(a, step, pre):
     """The one-step pushforward as a triple loop over (i1, i2, t), the form
     the chain pushforward replaced; kept as the reference it is checked
-    against."""
-    if a.complex != step.post:
+    against. pre is the step's source complex."""
+    post, replayed = star_subdivide(pre, step.center, step.new_ray)
+    if a.complex != post or replayed != step:
         raise ValueError("class does not live on the step's refined complex")
     r1, r2 = step.center
     e = step.new_ray
@@ -229,12 +230,13 @@ def reference_pushforward(a, step):
                 for t in range(j - 1):
                     m = _mono_mul(down, _norm_monomial({r1: t + 1, r2: j - 1 - t}))
                     acc[m] = acc.get(m, 0) - cf
-    return _finish(acc, step.pre)
+    return _finish(acc, pre)
 
 
-def reference_push_down(a, trace):
-    for step in reversed(trace):
-        a = reference_pushforward(a, step)
+def reference_push_down(a, trace, base):
+    """a pushed down the trace, step by step, to base, its first source."""
+    for step, pre in reversed(list(zip(trace, replay(base, trace)))):
+        a = reference_pushforward(a, step, pre)
     return a
 
 
@@ -255,7 +257,7 @@ def test_blowdown_kernel_matches_the_triple_loop(blown):
                 pushed = {((r1, p1), (r2, p2)): v for p1, p2, v in kernel}
                 if not ae:
                     pushed[mono] = pushed.get(mono, 0) + 1
-                expected = reference_pushforward(ChowClass(post, ((mono, 1),)), step)
+                expected = reference_pushforward(ChowClass(post, ((mono, 1),)), step, pre)
                 assert _finish(pushed, pre) == expected, (a1, a2, ae)
 
 
@@ -284,15 +286,15 @@ def test_push_step_moves_only_what_the_step_changes():
 
 
 def seeded_chain(rng, k, steps):
-    """The k-ray orthant subdivided at seeded two-cones: the top complex and
-    the trace."""
+    """The k-ray orthant subdivided at seeded two-cones: the orthant, the top
+    complex and the trace."""
     rays = [f"z{j}" for j in range(k)]
-    c = build_complex(rays, [rays])
+    base = c = build_complex(rays, [rays])
     trace = []
     for _ in range(steps):
         c, step = star_subdivide(c, rng.choice(sorted(x for x in c.cones if len(x) == 2)))
         trace.append(step)
-    return c, trace
+    return base, c, trace
 
 
 def test_chain_pushforward_matches_steps_at_the_field_width_edges():
@@ -300,7 +302,7 @@ def test_chain_pushforward_matches_steps_at_the_field_width_edges():
     # needs w + 1 bits
     rng = random.Random(11)
     for i in range(18):
-        top, trace = seeded_chain(rng, 2 + i % 3, rng.randint(1, 6))
+        base, top, trace = seeded_chain(rng, 2 + i % 3, rng.randint(1, 6))
         cones = top.maximal_cones()
         for w in (1, 2, 3):
             for degree in (2**w - 1, 2**w):
@@ -313,7 +315,8 @@ def test_chain_pushforward_matches_steps_at_the_field_width_edges():
                     terms.append((exps, rng.choice([3, Fraction(-1, 2)])))
                     terms.append(({rng.choice(cone): degree - 1}, 1))
                 up = reduce(terms, top)
-                assert same_class(pushforward(up, *trace), reference_push_down(up, trace)), i
+                expected = reference_push_down(up, trace, base)
+                assert same_class(pushforward(up, *trace), expected), i
 
 
 def test_chain_pushforward_on_rays_listed_out_of_order():
@@ -322,7 +325,7 @@ def test_chain_pushforward_on_rays_listed_out_of_order():
     for i in range(8):
         k = 3 + i % 2
         c = build_complex([f"z{j}" for j in range(k)], [[f"z{j}" for j in range(k)]])
-        top = ConeComplex(tuple(reversed(c.rays)), c.cones)
+        base = top = ConeComplex(tuple(reversed(c.rays)), c.cones)
         trace = []
         for _ in range(rng.randint(1, 4)):
             two_cones = sorted(x for x in top.cones if len(x) == 2)
@@ -336,7 +339,7 @@ def test_chain_pushforward_on_rays_listed_out_of_order():
             terms.append((exps, rng.choice([1, -2, 3])))
         up = reduce(terms, top)
         got = pushforward(up, *trace)
-        assert got == reference_push_down(up, trace), i
+        assert got == reference_push_down(up, trace, base), i
         assert any(len(m) > 1 for m, _ in got.terms), i
 
 
@@ -352,7 +355,8 @@ def test_chain_pushforward_matches_steps_on_fixtures():
         fx = load(name)
         for max_codim in {fx.complex.dim(), fx.offsets.k_P}:
             up, trace = upstairs_series(fx.complex, fx.offsets, max_codim)
-            assert pushforward(up, *trace) == reference_push_down(up, trace), name
+            expected = reference_push_down(up, trace, fx.complex)
+            assert pushforward(up, *trace) == expected, name
 
 
 def test_chain_pushforward_matches_steps_on_seeded_charts():
@@ -368,7 +372,7 @@ def test_chain_pushforward_matches_steps_on_seeded_charts():
             up = up.scale(Fraction(rng.choice([-3, 1, 2]), rng.choice([2, 5, 7])))
             scaled += 1
         seeded += seed is not None
-        assert pushforward(up, *trace) == reference_push_down(up, trace), i
+        assert pushforward(up, *trace) == reference_push_down(up, trace, c), i
     assert seeded >= 30 and scaled >= 30
 
 
@@ -394,7 +398,7 @@ def test_chain_pushforward_matches_steps_on_ladder(index):
     full = None
     for max_codim in (c.dim(), pd.k_P):
         up, trace = upstairs_series(c, pd, max_codim)
-        expected = reference_push_down(up, trace)
+        expected = reference_push_down(up, trace, c)
         assert pushforward(up, *trace) == expected
         assert segre_class(c, ideal, max_codim) == expected
         full = expected
@@ -449,10 +453,12 @@ def reference_multiply(a, b):
     return _finish(acc, a.complex)
 
 
-def reference_pullback(a, step):
+def reference_pullback(a, step, pre):
     """The pullback that kept a term missing both center rays as it was,
-    the form the one general loop replaced."""
-    if a.complex != step.pre:
+    the form the one general loop replaced. pre is the step's source
+    complex."""
+    post, replayed = star_subdivide(pre, step.center, step.new_ray)
+    if a.complex != pre or replayed != step:
         raise ValueError("class does not live on the step's source complex")
     r1, r2 = step.center
     e = step.new_ray
@@ -467,7 +473,7 @@ def reference_pullback(a, step):
                 split = _norm_monomial({r1: a1 - i1, r2: a2 - i2, e: i1 + i2})
                 m = reference_mono_mul(base, split)
                 acc[m] = acc.get(m, 0) + coeff * comb(a1, i1) * comb(a2, i2)
-    return _finish(acc, step.post)
+    return _finish(acc, post)
 
 
 def same_class(x, y):
@@ -497,18 +503,17 @@ def random_cone_class(rng, c, fractions):
     return reduce(terms, c)
 
 
-def check_pullbacks(classes, steps):
-    """Pull each class back along the chain, and a unit, ray and stratum class
-    at every step, against the reference."""
-    for step in steps:
-        pre = step.pre
+def check_pullbacks(classes, steps, base):
+    """Pull each class back along the chain from base, and a unit, ray and
+    stratum class at every step, against the reference."""
+    for step, pre in zip(steps, replay(base, steps)):
         fresh = [zero(pre), unit(pre)] + [ray_class(pre, r) for r in pre.ray_ids]
         fresh += [stratum_class(pre, cone) for cone in sorted(pre.cones)]
         for cls in fresh:
-            assert same_class(pullback(cls, step), reference_pullback(cls, step))
+            assert same_class(pullback(cls, step), reference_pullback(cls, step, pre))
         pulled = [pullback(cls, step) for cls in classes]
         for cls, up in zip(classes, pulled):
-            assert same_class(up, reference_pullback(cls, step))
+            assert same_class(up, reference_pullback(cls, step, pre))
         classes = pulled
 
 
@@ -529,9 +534,9 @@ def test_plain_product_and_pullback_match_the_references_on_fixtures():
         c2, trace, total = principalize(c, ideal)
         up = _power_series_part(divisor_of_pl(total, c2), c2.dim())
         assert same_class(multiply(up, up), reference_multiply(up, up)), name
-        check_pullbacks(divisors + [zero(c), classes[-1]], trace)
+        check_pullbacks(divisors + [zero(c), classes[-1]], trace, c)
         if fx.trace:
-            check_pullbacks(divisors + [zero(c)], _replay_trace(c, fx.trace)[1])
+            check_pullbacks(divisors + [zero(c)], _replay_trace(c, fx.trace)[1], c)
 
 
 def test_plain_product_and_pullback_match_the_references_on_seeded_charts():
@@ -548,6 +553,6 @@ def test_plain_product_and_pullback_match_the_references_on_seeded_charts():
                 assert same_class(multiply(a, b), reference_multiply(a, b)), i
                 dead += dead_pairs(a, b)
         base = [random_cone_class(rng, c, f) for f in (False, True)]
-        check_pullbacks(base + [divisor_of_pl(f, c) for _, f in pd.offsets], trace)
+        check_pullbacks(base + [divisor_of_pl(f, c) for _, f in pd.offsets], trace, c)
     # the retired support skip had pairs to skip
     assert dead > 0

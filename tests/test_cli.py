@@ -566,27 +566,48 @@ def test_oversized_max_codim_is_refused_in_one_line(capsys, fixture, max_codim, 
     ]
 
 
-def test_max_codim_within_the_bound_runs_in_bounded_memory():
-    """f1-blowup through codim 100 passes the term bound (50701); its
-    10100-term class once ran out of a 600 MB address space on the
-    intermediates of the Segre product."""
-    limit = 600_000 * 1024
+def run_capped(limit_kib, *argv):
+    """The CLI in a fresh process under an address-space limit of limit_kib KiB."""
+    limit = limit_kib * 1024
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "punctref.cli", "segre", fixture_path("f1-blowup"),
-         "--max-codim", "100"],
+    return subprocess.run(
+        [sys.executable, "-m", "punctref.cli", *argv],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=path),
         preexec_fn=cap_memory,
         timeout=120,
     )
+
+
+def test_max_codim_within_the_bound_runs_in_bounded_memory():
+    """f1-blowup through codim 100 passes the term bound (50701); its
+    10100-term class once ran out of a 600 MB address space on the
+    intermediates of the Segre product."""
+    proc = run_capped(600_000, "segre", fixture_path("f1-blowup"), "--max-codim", "100")
     assert proc.returncode == 0, proc.stderr[-400:]
     assert len(json.loads(proc.stdout)["result"]["class"]) == 10100
+
+
+def test_long_trace_runs_in_bounded_memory(tmp_path):
+    """(a^10001 b, a^2 b^5) on the 2-ray chart takes 2503 subdivision steps.
+    A trace that kept every step's two complexes ran out of a 200 MB address
+    space; a step that holds its center's link does not."""
+    path = write_fixture(tmp_path, {"complex": {
+        "rays": [{"id": "a"}, {"id": "b"}],
+        "cones": [["a", "b"]],
+        "offsets": [
+            {"puncture": "p1.1", "values": {"a": 10001, "b": 1}},
+            {"puncture": "p2.1", "values": {"a": 2, "b": 5}},
+        ],
+    }})
+    proc = run_capped(200_000, "segre", path)
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert json.loads(proc.stdout)["command"] == "segre"
 
 
 def run_usage_error(capsys, *argv):

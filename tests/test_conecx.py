@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from punctref.chowring import pushforward, unit
 from punctref.conecx import (
     ConeComplex,
     Ray,
@@ -19,7 +20,7 @@ from punctref.conecx import (
 from punctref.lattice import is_unimodular as _is_unimodular
 from punctref.puncture import normalized_ideal, principalize
 
-from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart
+from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart, replay
 
 
 def test_face_closure_and_lookup():
@@ -145,7 +146,8 @@ def test_star_subdivide_replaces_cones():
     assert post.has_cone(("a", "e0"))
     assert post.has_cone(("b", "e0"))
     assert post.has_cone(("b", "c"))
-    assert step.pre is c and step.post is post
+    assert step.link == {()}
+    assert post.rays == c.rays + (Ray("e0"),)
 
 
 def test_star_subdivide_auto_name_skips_existing():
@@ -223,8 +225,10 @@ def reference_maximal_cones(c):
 
 
 def assert_facet_rule_along_principalization(c, pd, choice_seed=None):
-    _, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
-    for cx in [c] + [step.post for step in trace]:
+    top, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    complexes = replay(c, trace)
+    assert complexes[-1] == top
+    for cx in complexes:
         assert cx.maximal_cones() == reference_maximal_cones(cx)
 
 
@@ -270,26 +274,44 @@ def reference_star_subdivide(c, center, new_ray=None):
     prim = None
     if c.mode == "embedded":
         prim = tuple(a + b for a, b in zip(c.ray(r1).primitive, c.ray(r2).primitive))
-    new_rays = sorted(list(c.rays) + [Ray(new_ray, prim)], key=lambda r: r.id)
+    # the new ray comes last, and the step records the link of its center
+    new_rays = c.rays + (Ray(new_ray, prim),)
     new_cones = set()
+    link = set()
     for cone in c.cones:
         s = set(cone)
         if r1 in s and r2 in s:
             new_cones.add(tuple(sorted((s - {r1}) | {new_ray})))
             new_cones.add(tuple(sorted((s - {r2}) | {new_ray})))
             new_cones.add(tuple(sorted((s - {r1, r2}) | {new_ray})))
+            link.add(tuple(sorted(s - {r1, r2})))
         else:
             new_cones.add(cone)
     post = ConeComplex(tuple(new_rays), frozenset(new_cones))
-    return post, SubdivisionStep(center=(r1, r2), new_ray=new_ray, pre=c, post=post)
+    return post, SubdivisionStep(center=(r1, r2), new_ray=new_ray, link=frozenset(link))
+
+
+def assert_step_record(source, post, step):
+    """The step holds the link of its center in source, post lists the rays
+    of source and then the new ray, and undoing the step from post gives
+    source back."""
+    center = set(step.center)
+    assert step.link == {
+        tuple(x for x in cone if x not in center) for cone in source.cones if center <= set(cone)
+    }
+    assert post.rays == source.rays + (post.ray(step.new_ray),)
+    assert pushforward(unit(post), step).complex == source
 
 
 def assert_star_subdivide_along_principalization(c, pd, choice_seed=None):
-    _, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    top, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
     for step in trace:
-        post, ref_step = reference_star_subdivide(step.pre, step.center)
-        assert step.post == post
+        post, ref_step = reference_star_subdivide(c, step.center)
+        assert star_subdivide(c, step.center, step.new_ray) == (post, step)
         assert step == ref_step
+        assert_step_record(c, post, step)
+        c = post
+    assert c == top
     return len(trace)
 
 
@@ -318,6 +340,7 @@ def test_star_subdivide_matches_reference_on_embedded_and_named_centers():
     for center, name in ((("b", "a"), None), (("a", "d"), "m")):
         post, step = star_subdivide(c, center, new_ray=name)
         assert (post, step) == reference_star_subdivide(c, center, new_ray=name)
+        assert_step_record(c, post, step)
         c = post
     assert c.ray("m").primitive == (2, 1, 1)
     assert validate_complex(c)["ok"]

@@ -49,6 +49,7 @@ from conftest import (
     load,
     orthant_chart,
     random_puncturing,
+    replay,
 )
 
 
@@ -581,11 +582,11 @@ def bends_over_base_rays(c, trace, total):
     return any(
         bend
         and any(
-            total.get(r) and tuple(sorted((r, *step.center))) in step.pre.cones
+            total.get(r) and tuple(sorted((r, *step.center))) in pre.cones
             for r in c.ray_ids
             if r not in step.center
         )
-        for step, bend in zip(trace, bendings(trace, total))
+        for step, pre, bend in zip(trace, replay(c, trace), bendings(trace, total))
     )
 
 
