@@ -101,18 +101,26 @@ def principalize_newton(
         # ordered fan of the chart, from (1,0) to (0,1)
         fan: list[tuple[tuple[int, int], str]] = [((1, 0), r1), ((0, 1), r2)]
         for u in required:
-            while all(v != u for v, _ in fan):
-                idx = next(
-                    i
-                    for i in range(len(fan) - 1)
-                    if _cross(fan[i][0], u) > 0 and _cross(u, fan[i + 1][0]) > 0
-                )
+            if any(v == u for v, _ in fan):
+                continue
+            # u's slot: fan[idx] < u < fan[idx + 1] by angle; each mediant
+            # lands in the slot and splits it, until one is u
+            idx = next(
+                i
+                for i in range(len(fan) - 1)
+                if _cross(fan[i][0], u) > 0 and _cross(u, fan[i + 1][0]) > 0
+            )
+            while True:
                 (va, ida), (vb, idb) = fan[idx], fan[idx + 1]
                 m = (va[0] + vb[0], va[1] + vb[1])
                 current, step = star_subdivide(current, (ida, idb), next(names))
                 trace.append(step)
                 new_vecs[step.new_ray] = ((r1, r2), m)
                 fan.insert(idx + 1, (m, step.new_ray))
+                if m == u:
+                    break
+                if _cross(m, u) > 0:
+                    idx += 1
     values = {}
     for rid in current.ray_ids:
         if rid in new_vecs:

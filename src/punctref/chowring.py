@@ -14,7 +14,10 @@ field of a Python int, with W the bit length of the chain's top degree, so
 an exponent is a shift and a mask and a product of monomials is a sum of
 ints. It moves only the terms that hold the new ray or have center degree
 at least 2, each through a cached blowdown kernel, a two-variable integer
-polynomial in the center rays; every other term pushes down to itself.
+polynomial in the center rays, decoded once per step for each packed center
+part; every other term pushes down to itself. A block is kept when the
+support of its base is a face of the step's link, one set lookup of the
+base's top-bit key among the link's.
 ``pushforward(a, *steps)`` undoes the steps from its class's complex, runs
 it once per step on one dict, and unpacks and normalizes once at the end;
 the Segre chain of ``puncture`` runs it on a packed dict that gains each
@@ -356,47 +359,47 @@ def _push_step(
     base * _blowdown_kernel(a1, a2, ae) when ae = 0, and to that block alone
     when ae > 0. K(a1, a2, 0) = 0 when a1 + a2 <= 1, so a term moves only
     when it holds e or has center degree a1 + a2 >= 2; a term that moves
-    nothing stays as it is. Every block monomial has support
-    supp(base) + {r1, r2}, so one test of supp(base) in the step's link
-    keeps or drops the whole block; blocks on one support share that test
-    within a step. Each block monomial is base plus a packed offset.
+    nothing stays as it is. The block depends on the term's packed center
+    part alone, so each center pattern is decoded and its block built once
+    per step. Every block monomial has support supp(base) + {r1, r2}, so one
+    test of supp(base) in the step's link keeps or drops the whole block.
+    The link's faces are packed once per step as top-bit keys, the top bit of
+    each of their rays' fields, so that test is one set lookup of the base's
+    own top-bit key. Each block monomial is base plus a packed offset.
     """
     r1, r2 = step.center
-    shift, mask = layout.shift, (1 << layout.width) - 1
+    shift, width = layout.shift, layout.width
+    mask = (1 << width) - 1
     s1, s2, se = shift[r1], shift[r2], shift[step.new_ray]
     center = mask << s1 | mask << s2 | mask << se
-    moved = []
-    for m, v in acc.items():
-        if m & center:
-            a1, a2, ae = m >> s1 & mask, m >> s2 & mask, m >> se & mask
-            if ae or a1 + a2 > 1:
-                moved.append((m, v, a1, a2, ae))
-    link, low, high = step.link, layout.low, layout.high
-    tested: dict[int, bool] = {}
-    blocks: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for m, coeff, a1, a2, ae in moved:
-        if ae:
-            del acc[m]
-        if not coeff:
-            continue
-        block = blocks.get((a1, a2, ae))
+    moving = [(m, v) for m, v in acc.items() if m & center]
+    if not moving:
+        return
+    top = width - 1
+    link = {sum([1 << shift[r] + top for r in tau]) for tau in step.link}
+    low, high = layout.low, layout.high
+    blocks: dict[int, tuple[bool, list[tuple[int, int]]]] = {}
+    for m, coeff in moving:
+        part = m & center
+        block = blocks.get(part)
         if block is None:
-            block = blocks[a1, a2, ae] = [
-                ((p1 << s1) + (p2 << s2), v) for p1, p2, v in _blowdown_kernel(a1, a2, ae)
-            ]
-        if not block:
+            ae = part >> se & mask
+            kernel = _blowdown_kernel(part >> s1 & mask, part >> s2 & mask, ae)
+            block = blocks[part] = (
+                ae > 0, [((p1 << s1) + (p2 << s2), v) for p1, p2, v in kernel]
+            )
+        holds_e, kernel = block
+        if holds_e:
+            del acc[m]
+        if not coeff or not kernel:
             continue
-        base = m & ~center
+        base = m - part
         # the top bit of each nonzero field: the adds carry into no next field
         key = ((base & low) + low | base) & high
-        ok = tested.get(key)
-        if ok is None:
-            ok = tested[key] = tuple(sorted(r for r, _ in layout.unpack(key))) in link
-        if not ok:
-            continue
-        for offset, v in block:
-            k = base + offset
-            acc[k] = acc.get(k, 0) + coeff * v
+        if key in link:
+            for offset, v in kernel:
+                k = base + offset
+                acc[k] = acc.get(k, 0) + coeff * v
 
 
 def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:

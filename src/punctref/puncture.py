@@ -10,13 +10,14 @@ c_s x_e, c_s = total(r1) + total(r2) - total(e) <= 0, so pi_*(G^i) is
 of the pushed-down R_s^i = sum_(t>=2) C(i, t) c_s^t G_(s-1)^(i-t)
 pi_s*(x_e^t): only what the bending adds goes down, from the step that adds
 it, and the Segre class is D/(1+D) minus that sum (``_segre_by_bending``).
-The series of a linear class comes term by term from
-``chowring._power_series_part``. Each D_p upstairs is pulled back from the
-base, so by the projection formula that product is formed on the base
-complex, against the pushed-down Segre class, one pair of degrees summing to
-k_P at a time. The aluffi-crosscheck backend calls ``aluffi.segre_newton``,
-which pushes down the whole series E/(1+E) of its own principalization and
-needs nothing from this module at run time.
+The pushed-down powers of x_e enter R_s through a closed form in the two
+center rays (``_bending_q``). The series of a linear class comes term by
+term from ``chowring._power_series_part``. Each D_p upstairs is pulled back
+from the base, so by the projection formula that product is formed on the
+base complex, against the pushed-down Segre class, in one pass over the
+pairs of terms whose degrees sum to k_P. The aluffi-crosscheck backend
+calls ``aluffi.segre_newton``, which pushes down the whole series E/(1+E) of
+its own principalization and needs nothing from this module at run time.
 """
 from __future__ import annotations
 
@@ -29,10 +30,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import aluffi
 from .chowring import (
     ChowClass,
-    _blowdown_kernel,
     _compositions,
     _finish,
     _Layout,
+    _mono_degree,
+    _mono_mul,
     _power_series_part,
     _push_step,
     divisor_of_pl,
@@ -241,9 +243,13 @@ def principalize(
     pair's crossing two-cones come from one scan of the cones when the pair
     becomes active; after that each step updates them. Its only lost
     two-cone is the center, and it gains (x, e), crossing when d_e d_x < 0,
-    for x = r1, r2 and each one-face x of the step's link; only such x are
-    looked up in the link. New rays are named e0, e1, ... from a counter
-    that skips the ids of c.
+    for x = r1, r2 and each one-face x of the step's link, the only rays
+    read. The maximal cones are carried through the steps: a maximal
+    tau + center, tau in the link, becomes tau + e + r1 and tau + e + r2,
+    and every other maximal cone stays maximal. The closing check reads
+    them in (dimension, lex) order, and the refined complex caches them as
+    its ``maximal_cones()``, so they are never derived from every cone. New
+    rays are named e0, e1, ... from a counter that skips the ids of c.
 
     Returns the refined complex, the subdivision trace, and the total
     transform as a PL function: the raywise minimum of the generators, which
@@ -256,6 +262,7 @@ def principalize(
     table = {r: [g.get(r) for g in ideal.generators] for r in c.ray_ids}
     names = _fresh_ray_ids(c)
     current = c
+    maximal = set(c.maximal_cones())
     trace: list[SubdivisionStep] = []
     for a, b in itertools.combinations(gens, 2):
         faces = _crossing_faces(table, a, b, current)
@@ -273,18 +280,61 @@ def principalize(
             trace.append(step)
             del faces[chosen]
             de = row[a] - row[b]
-            for x, rx in table.items():
-                dx = rx[a] - rx[b]
-                if de * dx < 0 and (x == r1 or x == r2 or (x,) in step.link):
+            for x in (r1, r2, *[tau[0] for tau in step.link if len(tau) == 1]):
+                dx = table[x][a] - table[x][b]
+                if de * dx < 0:
                     faces[tuple(sorted((x, e)))] = abs(de - dx)
+            for tau in step.link:
+                cone = tuple(sorted(tau + step.center))
+                if cone in maximal:
+                    maximal.remove(cone)
+                    maximal.add(tuple(sorted(tau + (e, r1))))
+                    maximal.add(tuple(sorted(tau + (e, r2))))
+    ordered = tuple(sorted(maximal, key=lambda t: (len(t), t)))
     ray_min = {r: min(row) for r, row in table.items()}
-    for cone in current.maximal_cones():
+    for cone in ordered:
         if not any(all(table[r][i] == ray_min[r] for r in cone) for i in gens):
             raise PrincipalizationError(
                 f"non-principal cone {cone} without a crossing pair"
             )
+    # the complex's own cache, which maximal_cones() would derive from every cone
+    current.__dict__.setdefault("_maximal_cache", ordered)
     total = pl_function({r: v for r, v in ray_min.items() if v})
     return current, tuple(trace), total
+
+
+def _bending_q(g1: int, g2: int, bend: int, top: int) -> list[list[int]]:
+    """Q_d for d = 0..top in the two center rays, as coefficient lists:
+    Q_d[j] is the coefficient of x_r1^j x_r2^(d-j).
+
+    The blowdown formula pushes x_e^t down to
+    -x_r1 x_r2 h_(t-2)(x_r1, x_r2) = (x_r1 x_r2^t - x_r2 x_r1^t) / (x_r1 - x_r2),
+    which is also right for t = 0 (1) and t = 1 (0). With L = g1 x_r1 + g2 x_r2
+    and x1, x2 for the center rays, the binomial sum of Q_d is then
+        Q_d = sum_(t=0..d) C(d, t) bend^t L^(d-t) pi_s*(x_e^t) - L^d
+            = [x1 ((L + bend x2)^d - L^d) - x2 ((L + bend x1)^d - L^d)]
+              / (x1 - x2).
+    The numerator's coefficient of x1^j x2^(d+1-j) is alpha_(j-1) - beta_j,
+    with
+        alpha_j = C(d, j) g1^j ((g2 + bend)^(d-j) - g2^(d-j)),
+        beta_j = C(d, j) g2^(d-j) ((g1 + bend)^j - g1^j),
+    and the division by x1 - x2 is exact, so Q_d[j] is the partial sum
+    sum_(i<=j) beta_i - alpha_(i-1): O(d) products per degree from four
+    power tables. Q_d[0] = Q_d[d] = 0, as every monomial holds both rays.
+    """
+    a, b, g, p = (
+        [x**i for i in range(top + 1)] for x in (g1, g2 + bend, g2, g1 + bend)
+    )
+    out = []
+    for d in range(top + 1):
+        q, run, prev = [], 0, 0
+        for j in range(d + 1):
+            binom = comb(d, j)
+            run += binom * g[d - j] * (p[j] - a[j]) - prev
+            prev = binom * a[j] * (b[d - j] - g[d - j])
+            q.append(run)
+        out.append(q)
+    return out
 
 
 def _bending(
@@ -302,30 +352,27 @@ def _bending(
     source; g holds G's coefficients, -total on every ray.
     After the binomial expansion,
         R^i = sum_(m+d=i, d>=2) C(i, m) H^m Q_d,
-        Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x_r1 + g2 x_r2)^(d-t) pi_s*(x_e^t).
-    Every monomial of Q_d has both center rays, so only the terms of H^m on a
-    face lam of the step's link survive. They are written in closed form, as
-    in _power_series_part, and packed in the chain's layout: a product of
-    monomials is the sum of their ints.
+        Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x_r1 + g2 x_r2)^(d-t) pi_s*(x_e^t),
+    and Q_d has the closed form of ``_bending_q``: O(d) coefficients per
+    degree, not a sum over t and over the kernel of each x_e^t. Every
+    monomial of Q_d has both center rays, so only the terms of H^m on a face
+    lam of the step's link survive. They are written in closed form, as in
+    _power_series_part, and packed in the chain's layout: a product of
+    monomials is the sum of their ints. The weights C(m + d, m) Q_d over d
+    are folded into one packed list per m, once per step.
     """
     r1, r2 = step.center
     shift = layout.shift
     s1, s2 = shift[r1], shift[r2]
-    g1, g2 = g[r1], g[r2]
-    Q: list[dict] = [{} for _ in range(max_codim + 1)]
-    for d in range(2, max_codim + 1):
-        for t in range(2, d + 1):
-            w = comb(d, t) * bend**t
-            for j in range(d - t + 1):
-                u = w * comb(d - t, j) * g1**j * g2 ** (d - t - j)
-                for p1, p2, v in _blowdown_kernel(0, 0, t):
-                    key = (p1 + j << s1) + (p2 + d - t - j << s2)
-                    Q[d][key] = Q[d].get(key, 0) + u * v
+    Q = [
+        [((j << s1) + (d - j << s2), v) for j, v in enumerate(q) if v]
+        for d, q in enumerate(_bending_q(g[r1], g[r2], bend, max_codim))
+    ]
     # the link faces on H's support, grown one ray at a time: H^m needs
     # |lam| <= m, and a face's rays all lie on faces one smaller
     rays = [lam[0] for lam in step.link if len(lam) == 1 and g[lam[0]]]
     level: list[tuple[str, ...]] = [()]
-    faces = [()]
+    faces: list[tuple[str, ...]] = []
     for _ in range(max_codim - 2):
         level = [
             lam + (r,)
@@ -335,17 +382,24 @@ def _bending(
         ]
         rays = sorted({r for lam in level for r in lam})
         faces += level
-    for lam in faces:
-        for m in range(len(lam), max_codim - 1):
+    for m in range(max_codim - 1):
+        # H^0 = 1 lives on the empty face, H^m for m >= 1 on faces of 1..m rays
+        lams = [lam for lam in faces if len(lam) <= m] if m else [()]
+        if not lams:
+            break
+        weighted = [
+            (q, comb(m + d, m) * v)
+            for d in range(2, max_codim - m + 1)
+            for q, v in Q[d]
+        ]
+        for lam in lams:
             for a, multinomial in _compositions(m, len(lam)):
                 hv, h = multinomial, 0
                 for r, x in zip(lam, a):
                     hv *= g[r] ** x
                     h += x << shift[r]
-                for d in range(2, max_codim - m + 1):
-                    w = comb(m + d, m) * hv
-                    for q, qv in Q[d].items():
-                        acc[h + q] = acc.get(h + q, 0) + w * qv
+                for q, w in weighted:
+                    acc[h + q] = acc.get(h + q, 0) + hv * w
 
 
 def _segre_by_bending(
@@ -471,10 +525,12 @@ def refined_class(
     The degree-k_P part of prod_p (1 + D_p) * s(Z) on the base complex, with
     D_p the divisor of the raw offset and s(Z) the Segre class of the
     normalized offsets ideal (the projection formula moves the product down
-    from the principalized complex). With c = prod_p (1 + D_p) it is formed
-    as the sum over j of c_j * s_(k_P - j), so no term above degree k_P is
-    built. Empty puncturing data yields the unit; an empty puncturing
-    substack yields zero.
+    from the principalized complex). With c = prod_p (1 + D_p), a product
+    of ``multiply`` calls, it is the sum over j of c_j * s_(k_P - j): one
+    pass pairs each term of c with the terms of s of the complementary
+    degree, so no term above degree k_P is built, and one ``_finish``
+    normalizes the sum. Empty puncturing data yields the unit; an empty
+    puncturing substack yields zero.
     """
     if pd.k_P == 0:
         return RefinedClassResult(unit(c), (), ((),))
@@ -483,12 +539,15 @@ def refined_class(
         return RefinedClassResult(zero(c), (), ())
     s, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend, None)
     chern = reduce(multiply, [unit(c) + divisor_of_pl(f, c) for _, f in pd.offsets])
-    cls = zero(c)
-    for j in range(pd.k_P + 1):
-        a, b = truncate(chern, j), truncate(s, pd.k_P - j)
-        if a.terms and b.terms:
-            cls = cls + multiply(a, b)
-    return RefinedClassResult(cls, trace, components)
+    segre_by_degree: dict[int, list] = {}
+    for m, v in s.terms:
+        segre_by_degree.setdefault(_mono_degree(m), []).append((m, v))
+    acc: dict = {}
+    for m1, v1 in chern.terms:
+        for m2, v2 in segre_by_degree.get(pd.k_P - _mono_degree(m1), ()):
+            m = _mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + v1 * v2
+    return RefinedClassResult(_finish(acc, c), trace, components)
 
 
 def refined_class_excess(

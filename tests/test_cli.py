@@ -566,8 +566,9 @@ def test_oversized_max_codim_is_refused_in_one_line(capsys, fixture, max_codim, 
     ]
 
 
-def run_capped(limit_kib, *argv):
-    """The CLI in a fresh process under an address-space limit of limit_kib KiB."""
+def run_capped(limit_kib, *argv, timeout=120):
+    """The CLI in a fresh process under an address-space limit of limit_kib
+    KiB, killed after timeout seconds."""
     limit = limit_kib * 1024
 
     def cap_memory():
@@ -580,7 +581,7 @@ def run_capped(limit_kib, *argv):
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=path),
         preexec_fn=cap_memory,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -591,6 +592,17 @@ def test_max_codim_within_the_bound_runs_in_bounded_memory():
     proc = run_capped(600_000, "segre", fixture_path("f1-blowup"), "--max-codim", "100")
     assert proc.returncode == 0, proc.stderr[-400:]
     assert len(json.loads(proc.stdout)["result"]["class"]) == 10100
+
+
+def test_max_codim_250_runs_in_bounded_time_and_memory():
+    """f1-blowup through codim 250 (62750 terms): while each Q_d of the
+    bending step summed blowdown kernels over t and j, the time grew like
+    m^4 and passed the timeout; the closed form grows with the output."""
+    proc = run_capped(
+        600_000, "segre", fixture_path("f1-blowup"), "--max-codim", "250", timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert len(json.loads(proc.stdout)["result"]["class"]) == 62750
 
 
 def test_long_trace_runs_in_bounded_memory(tmp_path):

@@ -1,6 +1,7 @@
 """Offsets, principalization, Segre classes, and refined classes."""
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ import punctref.aluffi
 import punctref.chowring
 import punctref.puncture
 from punctref.chowring import (
+    _blowdown_kernel,
     _finish,
     divisor_of_pl,
     multiply,
@@ -30,6 +32,7 @@ from punctref.conecx import (
 from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
+    _bending_q,
     _power_series_part,
     _segre_by_bending,
     monomial_ideal,
@@ -339,6 +342,23 @@ def test_principalize_matches_reference_on_ladder(index):
     assert_principalize_matches_reference(c, normalized_ideal(c, pd))
 
 
+def test_principalize_matches_reference_on_a_non_pure_complex():
+    # maximal cones of three dimensions; the first center (w, y) is a
+    # maximal two-cone, and a later one, (x, y), a non-maximal face of the
+    # three-cone (x, y, z): its link holds () and (z,), and only
+    # (x, y, z) is a maximal cone through it
+    c = build_complex(["v", "w", "x", "y", "z"], [["x", "y", "z"], ["w", "y"], ["v"]])
+    ideal = monomial_ideal(c, [{"x": 1, "w": 2, "v": 1}, {"y": 1, "z": 1}, {"y": 3}])
+    c2, trace, _ = principalize(c, ideal)
+    links = {s.center: s.link for s in trace}
+    assert trace[0].center == ("w", "y") and links["w", "y"] == {()}
+    assert links["x", "y"] == {(), ("z",)}
+    # the maximal cones principalize carried, against the facet rule
+    assert c2.maximal_cones() == ConeComplex(c2.rays, c2.cones).maximal_cones()
+    for seed in (None, 1, 7):
+        assert_principalize_matches_reference(c, ideal, seed)
+
+
 def test_principalize_names_new_rays_past_the_base_ids():
     # the base already holds e0 and e2, so the new rays are e1, e3, e4, ...
     c = build_complex(["e0", "e2", "z"], [["e0", "e2", "z"]])
@@ -548,6 +568,37 @@ def test_segre_rejects_negative_max_codim(p2):
         with pytest.raises(ValueError, match="max_codim must be nonnegative, got -1"):
             segre_class(p2.complex, ideal, max_codim=-1, backend=backend)
     assert segre_class(p2.complex, ideal, max_codim=0).is_zero()
+
+
+def reference_bending_q(g1, g2, bend, d):
+    """Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x1 + g2 x2)^(d-t) pi*(x_e^t)
+    as {(p1, p2): coefficient}, summed over t, over the binomial terms j and
+    over the blowdown kernel of each x_e^t: the loop the closed form of
+    _bending_q replaced; kept as the reference it is checked against."""
+    out = {}
+    for t in range(2, d + 1):
+        w = comb(d, t) * bend**t
+        for j in range(d - t + 1):
+            u = w * comb(d - t, j) * g1**j * g2 ** (d - t - j)
+            for p1, p2, v in _blowdown_kernel(0, 0, t):
+                key = (p1 + j, p2 + d - t - j)
+                out[key] = out.get(key, 0) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_bending_q_closed_form_matches_reference():
+    rng = random.Random(22)
+    for case in range(400):
+        # zeros in g1 and g2 come up often; the bending is never zero
+        g1, g2 = (rng.choice((0, 0, rng.randint(-9, -1))) for _ in range(2))
+        bend = rng.randint(-9, -1)
+        top = rng.randint(0, 12)
+        Q = _bending_q(g1, g2, bend, top)
+        assert len(Q) == top + 1
+        for d, q in enumerate(Q):
+            assert len(q) == d + 1
+            got = {(j, d - j): v for j, v in enumerate(q) if v}
+            assert got == reference_bending_q(g1, g2, bend, d), (g1, g2, bend, d)
 
 
 def reference_segre(c, ideal, max_codim, choice_seed=None):
@@ -915,6 +966,14 @@ def test_refined_matches_upstairs_on_random_charts():
         assert (res.cls, res.trace) == refined_upstairs(c, pd), seed
         compared += 1
     assert compared >= 100
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_refined_matches_upstairs_on_ladder(index):
+    c, pd = ladder_chart(index)
+    res = refined_class(c, pd)
+    assert (res.cls, res.trace) == refined_upstairs(c, pd)
 
 
 def test_refined_crosscheck_catches_wrong_segre(p2, monkeypatch):
