@@ -7,7 +7,7 @@ are integral and Fractions otherwise; no float enters a class.
 ``multiply`` is the plain polynomial product, and ``_finish``, the one place
 that drops zero and non-cone terms and turns integral Fractions into ints,
 reduces it. Pullback along a stellar subdivision step implements the blowup
-formula for a two-ray center; it replays the step on the class's complex.
+formula for a two-ray center; it runs the step on the class's complex.
 ``_push_step`` is the one push-down through a step. It works in place on a
 dict of packed monomials (``_Layout``): each ray of the chain owns a W-bit
 field of a Python int, with W the bit length of the chain's top degree, so
@@ -18,8 +18,8 @@ polynomial in the center rays, decoded once per step for each packed center
 part; every other term pushes down to itself. A block is kept when the
 support of its base is a face of the step's link, one set lookup of the
 base's top-bit key among the link's.
-``pushforward(a, *steps)`` undoes the steps from its class's complex, runs
-it once per step on one dict, and unpacks and normalizes once at the end;
+``pushforward(a, *steps)`` undoes and checks its steps by ``conecx._undo``,
+runs it once per step on one dict, and unpacks and normalizes once at the end;
 the Segre chain of ``puncture`` runs it on a packed dict that gains each
 step's bending between steps. ``_power_series_part`` writes the series
 E/(1+E) of a linear class E term by term, in closed form; both Segre
@@ -35,7 +35,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact, _Record
-from .conecx import star_subdivide
+from .conecx import _undo, star_subdivide
 
 __all__ = [
     "Monomial",
@@ -110,11 +110,6 @@ class ChowClass(_Record):
     def scale(self, factor: Fraction | int) -> "ChowClass":
         f = _exact(factor)
         return _finish({m: c * f for m, c in self.terms}, self.complex)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.complex == other.complex and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.complex.ray_ids, self.terms))
@@ -249,24 +244,17 @@ def _split_center(
     return tuple(exps.items()), a1, a2, ae
 
 
-def _replay(c: ConeComplex, step: SubdivisionStep) -> ConeComplex | None:
-    """The refined complex of the step replayed on c, or None when c is not
-    its source: the replay fails or records another link."""
-    try:
-        post, replayed = star_subdivide(c, step.center, step.new_ray)
-    except ValueError:
-        return None
-    return post if replayed == step else None
-
-
 def pullback(a: ChowClass, step: SubdivisionStep) -> ChowClass:
-    """Pull a class back along a subdivision step, replayed on its complex.
+    """Pull a class back along a subdivision step, run on its complex.
 
     The ring morphism sends x_rho to x_rho + x_e for the two center rays and
     fixes every other ray variable.
     """
-    post = _replay(a.complex, step)
-    if post is None:
+    try:
+        post, made = star_subdivide(a.complex, step.center, step.new_ray)
+    except ValueError:
+        made = None
+    if made != step:
         raise ValueError("class does not live on the step's source complex")
     r1, r2 = step.center
     e = step.new_ray
@@ -405,25 +393,23 @@ def _push_step(
 def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:
     """Push a class forward along a chain of subdivision steps, last step first.
 
-    The steps are undone from the class's complex, last first: drop the new
-    ray, the last one, and swap the cones through it back for tau + center,
-    tau in the link; replaying the step must give the complex back. The
-    terms are packed once in the chain's ``_Layout``, whose width comes from
-    the class's top degree, go down in one dict, one ``_push_step`` per
-    step, and are unpacked and normalized once, on the first step's source.
+    The steps are undone from the class's complex, last first, each by one
+    ``conecx._undo``, which refuses a step that did not make the complex it
+    is undone from. The terms are packed once in the chain's ``_Layout``,
+    whose width comes from the class's top degree, go down in one dict, one
+    ``_push_step`` per step, and are unpacked and normalized once, on the
+    first step's source.
     """
     if not steps:
         return a
     c = a.complex
     for i, step in enumerate(reversed(steps)):
-        cones = [x for x in c.cones if step.new_ray not in x]
-        cones += [tuple(sorted(t + step.center)) for t in step.link]
-        source = ConeComplex(c.rays[:-1], cones)
-        if _replay(source, step) != c:
+        try:
+            c = _undo(c, step)
+        except ValueError:
             if i:
-                raise ValueError("steps do not form a chain")
-            raise ValueError("class does not live on the step's refined complex")
-        c = source
+                raise ValueError("steps do not form a chain") from None
+            raise ValueError("class does not live on the step's refined complex") from None
     top = max([_mono_degree(m) for m, _ in a.terms], default=0)
     layout = _Layout(c.ray_ids, [s.new_ray for s in steps], top)
     acc = {layout.pack(m): v for m, v in a.terms}

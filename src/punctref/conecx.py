@@ -8,7 +8,8 @@ The cones form a set: membership is the one cone test, and an order is
 imposed only where output needs one, by ``maximal_cones()`` and
 ``validate_complex``. Maximal cones are derived from the set, as the cones
 that are no cone's facet, a rule that assumes face-closure. A subdivision
-step holds its center's link, not a complex; the new ray comes last.
+step holds its center's link, not a complex; the new ray comes last, and
+``_undo`` checks and undoes a step. No other module builds a complex.
 """
 
 from __future__ import annotations
@@ -258,6 +259,18 @@ def _fresh_ray_ids(c: ConeComplex) -> Iterator[str]:
     return (r for r in map("e{}".format, itertools.count()) if r not in taken)
 
 
+def _star(link: Iterable[tuple[str, ...]], center: tuple[str, str], e: str) -> list:
+    """The sorted tau + e, tau + e + r1, tau + e + r2 in place of tau + center."""
+    rest = [(*tau, e) for tau in link]
+    return [_sorted_cone(x + r) for x in rest for r in ((), center[:1], center[1:])]
+
+
+def _new_ray(c: ConeComplex, center: tuple[str, str], new_ray: str) -> Ray:
+    """The ray a step at center adds to c, embedded as the center's sum."""
+    prims = [c.ray(r).primitive for r in center] if c.mode == "embedded" else None
+    return Ray(new_ray, prims and tuple(a + b for a, b in zip(*prims, strict=True)))
+
+
 def star_subdivide(
     c: ConeComplex,
     center: Iterable[str],
@@ -275,27 +288,39 @@ def star_subdivide(
     if not c.has_cone(ctr):
         raise ValueError(f"center {ctr} is not a cone of the complex")
     r1, r2 = ctr
-    existing = set(c.ray_ids)
     if new_ray is None:
         new_ray = next(_fresh_ray_ids(c))
-    if new_ray in existing:
+    if new_ray in c.ray_ids:
         raise ValueError(f"new ray id {new_ray!r} already present")
-    prim: Optional[tuple[int, ...]] = None
-    if c.mode == "embedded":
-        p1 = c.ray(r1).primitive
-        p2 = c.ray(r2).primitive
-        prim = tuple(a + b for a, b in zip(p1, p2, strict=True))
-    # the closure transforms cone by cone, so no re-closing is needed: a cone
-    # through the center contributes its two replacement children plus its
-    # center-stripped extension by the new ray, everything else survives
+    ray = _new_ray(c, ctr, new_ray)
+    # the star of the center swaps for that of the new ray; no re-closing
     star = [cone for cone in c.cones if r1 in cone and r2 in cone]
-    new_cones = set(c.cones).difference(star)
     link = frozenset(tuple(x for x in cone if x != r1 and x != r2) for cone in star)
-    for tau in link:
-        rest = [*tau, new_ray]
-        new_cones.update(map(_sorted_cone, (rest + [r1], rest + [r2], rest)))
-    post = ConeComplex((*c.rays, Ray(new_ray, prim)), new_cones)
-    return post, SubdivisionStep((r1, r2), new_ray, link)
+    cones = c.cones.difference(star).union(_star(link, ctr, new_ray))
+    return ConeComplex((*c.rays, ray), cones), SubdivisionStep(ctr, new_ray, link)
+
+
+def _undo(post: ConeComplex, step: SubdivisionStep) -> ConeComplex:
+    """The source of a step, from its refined complex post: drop the last,
+    new ray and swap its star back for tau + center, tau in the link.
+    ValueError unless star_subdivide on the source gives back post and step;
+    on a face-closed post, one scan of its cones checks that: the center is
+    sorted, () is in the link, each tau + center less the center gives tau
+    back, the cones through e or both center rays are the link's star, and
+    then, with the center rays in the source, e is last, alone and by rule."""
+    r1, r2 = center = step.center
+    e = step.new_ray
+    hits = [x for x in post.cones if e in x or r1 in x and r2 in x]
+    back = [_sorted_cone(tau + center) for tau in step.link]
+    source = ConeComplex(post.rays[:-1], post.cones.difference(hits).union(back))
+    if (
+        center != _sorted_cone(center) or () not in step.link
+        or {tuple(x for x in b if x not in center) for b in back} != step.link
+        or set(hits) != set(_star(step.link, center, e))
+        or e in source.ray_ids or post.rays[-1:] != (_new_ray(source, center, e),)
+    ):
+        raise ValueError(f"the step at {center} did not make this complex")
+    return source
 
 
 def _exact(v: int | Fraction | float | str) -> int | Fraction:

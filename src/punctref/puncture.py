@@ -51,6 +51,7 @@ from .conecx import (
     SubdivisionStep,
     _fresh_ray_ids,
     _Record,
+    _star,
     pl_function,
     star_subdivide,
 )
@@ -288,8 +289,7 @@ def principalize(
                 cone = tuple(sorted(tau + step.center))
                 if cone in maximal:
                     maximal.remove(cone)
-                    maximal.add(tuple(sorted(tau + (e, r1))))
-                    maximal.add(tuple(sorted(tau + (e, r2))))
+                    maximal.update(_star([tau], step.center, e)[1:])
     ordered = tuple(sorted(maximal, key=lambda t: (len(t), t)))
     ray_min = {r: min(row) for r, row in table.items()}
     for cone in ordered:
@@ -356,10 +356,12 @@ def _bending(
     and Q_d has the closed form of ``_bending_q``: O(d) coefficients per
     degree, not a sum over t and over the kernel of each x_e^t. Every
     monomial of Q_d has both center rays, so only the terms of H^m on a face
-    lam of the step's link survive. They are written in closed form, as in
-    _power_series_part, and packed in the chain's layout: a product of
-    monomials is the sum of their ints. The weights C(m + d, m) Q_d over d
-    are folded into one packed list per m, once per step.
+    lam of the step's link survive: () for m = 0, else the link's faces with
+    0 < |lam| <= m <= max_codim - 2 and g nonzero on their rays. They are
+    written in closed form, as in _power_series_part, and packed in the
+    chain's layout: a product of monomials is the sum of their ints. The
+    weights C(m + d, m) Q_d over d are folded into one packed list per m,
+    once per step.
     """
     r1, r2 = step.center
     shift = layout.shift
@@ -368,25 +370,10 @@ def _bending(
         [((j << s1) + (d - j << s2), v) for j, v in enumerate(q) if v]
         for d, q in enumerate(_bending_q(g[r1], g[r2], bend, max_codim))
     ]
-    # the link faces on H's support, grown one ray at a time: H^m needs
-    # |lam| <= m, and a face's rays all lie on faces one smaller
-    rays = [lam[0] for lam in step.link if len(lam) == 1 and g[lam[0]]]
-    level: list[tuple[str, ...]] = [()]
-    faces: list[tuple[str, ...]] = []
-    for _ in range(max_codim - 2):
-        level = [
-            lam + (r,)
-            for lam in level
-            for r in rays
-            if (not lam or r > lam[-1]) and lam + (r,) in step.link
-        ]
-        rays = sorted({r for lam in level for r in lam})
-        faces += level
-    for m in range(max_codim - 1):
-        # H^0 = 1 lives on the empty face, H^m for m >= 1 on faces of 1..m rays
+    faces = [lam for lam in step.link if lam and all(map(g.get, lam))]
+    # H^0 = 1 lives on (), H^m on faces of 1..m rays: faces holds one-faces if any
+    for m in range(max_codim - 1 if faces else 1):
         lams = [lam for lam in faces if len(lam) <= m] if m else [()]
-        if not lams:
-            break
         weighted = [
             (q, comb(m + d, m) * v)
             for d in range(2, max_codim - m + 1)

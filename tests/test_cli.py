@@ -302,6 +302,11 @@ def invalid_complexes():
         "cones": [["a"]],
         "offsets": offsets,
     }, "ray a primitive () not primitive"
+    yield {
+        "rays": [{"id": "a", "primitive": [1, 0]}, {"id": "b"}],
+        "cones": [["a", "b"]],
+        "offsets": offsets,
+    }, "mixed mode: rays without primitives ['b']"
 
 
 @pytest.mark.parametrize(
@@ -529,6 +534,50 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     path.write_bytes(b"\xff\xfe{")
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+TWO_RAYS = {"rays": [{"id": "a"}, {"id": "b"}], "cones": [["a", "b"]]}
+
+
+@pytest.mark.parametrize(
+    "command,doc,err",
+    [
+        (
+            "validate",
+            {"complex": {**TWO_RAYS, "offsets": [{"puncture": "p1.1", "values": {"a": -1}}]}},
+            "$.complex.offsets[0].values.a: offset value -1 is negative",
+        ),
+        ("validate", {"complex": TWO_RAYS, "trace": [{"new": "e"}]}, "$.trace[0].center: missing"),
+        ("validate", {"trace": []}, "$.trace: a trace needs a complex"),
+        (
+            "validate",
+            {"complex": TWO_RAYS, "lifted_offsets": []},
+            "$.lifted_offsets: lifted offsets need a complex and a trace",
+        ),
+        (
+            "validate",
+            {"complex": TWO_RAYS, "trace": [{"center": ["a", "b"]}], "lifted_offsets": []},
+            "$.trace[0].new: steps must name new rays when lifted offsets are given",
+        ),
+        (
+            "refined-class",
+            {"data": {"k": 1, "degrees": [1], "markings": [[2], [-1]]}},
+            "$: need either complex with offsets or data with strata",
+        ),
+    ],
+)
+def test_schema_refusals_name_their_json_path(capsys, tmp_path, command, doc, err):
+    code, out, stderr = run_cli(capsys, command, write_fixture(tmp_path, doc))
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+def test_rooting_file_without_r_exits_2(capsys, tmp_path):
+    rooting = tmp_path / "roots.json"
+    rooting.write_text(json.dumps({"s": [1]}))
+    code, out, err = run_cli(
+        capsys, "twisted-check", fixture_path("pr-hyperplane"), "--rooting", str(rooting)
+    )
+    assert (code, out, err) == (2, "", "error: $.r: missing\n")
 
 
 def test_schema_error_carries_json_path(capsys, tmp_path):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from punctref.blowups import _replay_trace
 from punctref.chowring import pushforward, unit
 from punctref.conecx import (
     ConeComplex,
     Ray,
     SubdivisionStep,
     _face_closure,
+    _undo,
     build_complex,
     pl_function,
     pl_pullback,
@@ -350,3 +352,176 @@ def test_star_subdivide_matches_reference_on_embedded_and_named_centers():
 @pytest.mark.parametrize("index", range(LADDER_SIZE))
 def test_star_subdivide_matches_reference_on_ladder(index):
     assert_star_subdivide_along_principalization(*ladder_chart(index))
+
+
+def reference_undo(post, step):
+    """The source of a step by undo-then-replay, the form _undo replaced:
+    drop the new ray's cones, put tau + center back for tau in the link, and
+    replay the step on the result; None when the replay fails or gives
+    another complex or step. Kept as the reference it is checked against.
+    On an embedded complex that is the step's source, the last ray dropped
+    is a center ray, and the replay's primitive lookup raised KeyError out
+    of pushforward; that counts as a refusal here."""
+    cones = [x for x in post.cones if step.new_ray not in x]
+    cones += [tuple(sorted(t + step.center)) for t in step.link]
+    source = ConeComplex(post.rays[:-1], cones)
+    try:
+        replayed = star_subdivide(source, step.center, step.new_ray)
+    except (ValueError, KeyError):
+        return None
+    return source if replayed == (post, step) else None
+
+
+def assert_undo_matches_reference(post, step):
+    """_undo gives the reference's source, or refuses exactly when it does;
+    returns the reference's answer."""
+    expected = reference_undo(post, step)
+    if expected is None:
+        with pytest.raises(ValueError):
+            _undo(post, step)
+    else:
+        assert _undo(post, step) == expected
+    return expected
+
+
+def mutations(post, step):
+    """(post, step) pairs that break one condition of a step's undo each:
+    a link face dropped or added, an unsorted center, another new ray, an
+    extra cone through the new ray, the center left in post, and a changed
+    embedded primitive."""
+    r1, r2 = step.center
+    e = step.new_ray
+    link = step.link
+    out = []
+    for tau in sorted(link)[:3]:
+        out.append((post, SubdivisionStep(step.center, e, link - {tau})))
+    others = sorted(r for r in post.ray_ids if r not in (r1, r2, e))
+    faces = [(x,) for x in others] + list(itertools.combinations(others, 2))
+    for tau in [tau for tau in faces if tau not in link][:3]:
+        out.append((post, SubdivisionStep(step.center, e, link | {tau})))
+        extra = ConeComplex(post.rays, post.cones | {tuple(sorted(tau + (e,)))})
+        out.append((extra, step))
+    out.append((post, SubdivisionStep((r2, r1), e, link)))
+    for name in ("zz", r1, post.ray_ids[0]):
+        out.append((post, SubdivisionStep(step.center, name, link)))
+    out.append((ConeComplex(post.rays, post.cones | {step.center}), step))
+    last = post.rays[-1]
+    if last.primitive is not None:
+        moved = Ray(e, (last.primitive[0] + 1, *last.primitive[1:]))
+        out.append((ConeComplex((*post.rays[:-1], moved), post.cones), step))
+    return out
+
+
+def assert_undo_along_trace(c, trace, mutate=False):
+    """Undo each step of trace from its refined complex, as the reference
+    does, and each mutation of it when mutate is set; a class on the step's
+    source makes pushforward refuse with its own message. Returns the number
+    of refusals seen on mutated steps."""
+    complexes = replay(c, trace)
+    refused = 0
+    for source, post, step in zip(complexes, complexes[1:], trace):
+        assert assert_undo_matches_reference(post, step) == source
+        assert assert_undo_matches_reference(source, step) is None
+        with pytest.raises(ValueError, match="class does not live on the step's refined complex"):
+            pushforward(unit(source), step)
+        if mutate:
+            for bad_post, bad in mutations(post, step):
+                refused += assert_undo_matches_reference(bad_post, bad) is None
+    return refused
+
+
+def principalization_trace(c, pd, choice_seed=None):
+    return principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)[1]
+
+
+def embedded_orthant_chart(rng, k, n, v):
+    """orthant_chart with the unit vectors as the ray primitives."""
+    c, pd = orthant_chart(rng, k, n, v)
+    rays = [Ray(r.id, tuple(int(i == j) for i in range(k))) for j, r in enumerate(c.rays)]
+    return build_complex(rays, c.maximal_cones()), pd
+
+
+def test_undo_matches_reference_on_fixture_traces():
+    refused = 0
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        refused += assert_undo_along_trace(
+            fx.complex, principalization_trace(fx.complex, fx.offsets), mutate=True
+        )
+        if fx.trace:
+            refused += assert_undo_along_trace(
+                fx.complex, _replay_trace(fx.complex, fx.trace)[1], mutate=True
+            )
+    assert refused
+
+
+def test_undo_matches_reference_on_seeded_charts():
+    rng = random.Random(7)
+    steps = refused = 0
+    for i in range(48):
+        k = 2 + i % 3
+        chart = embedded_orthant_chart if i % 4 == 3 else orthant_chart
+        c, pd = chart(rng, k, rng.randint(2, 4), (9, 5, 3)[k - 2])
+        seed = rng.randrange(1000) if i % 3 == 1 else None
+        trace = principalization_trace(c, pd, seed)
+        refused += assert_undo_along_trace(c, trace, mutate=i % 2 == 0)
+        steps += len(trace)
+    assert steps > 48 and refused > 48
+
+
+def test_undo_refuses_each_mutation_as_the_reference_does():
+    c = build_complex(
+        [Ray("a", (1, 0, 0)), Ray("b", (0, 1, 0)), Ray("c", (0, 0, 1)), Ray("d", (1, 1, 1))],
+        [["a", "b", "c"], ["a", "b", "d"]],
+    )
+    post, step = star_subdivide(c, ("a", "b"), new_ray="e")
+    bad = mutations(post, step)
+    assert len(bad) == 11
+    assert all(assert_undo_matches_reference(p, s) is None for p, s in bad)
+    # the new ray's whole star gone, with an empty link
+    bare = ConeComplex(post.rays, [x for x in post.cones if "e" not in x])
+    assert assert_undo_matches_reference(bare, SubdivisionStep(step.center, "e", frozenset())) is None
+    # a link face through a center ray, with the star it would have
+    through = SubdivisionStep(step.center, "e", step.link | {("a",)})
+    grown = ConeComplex(post.rays, post.cones | {("a", "a", "e"), ("a", "b", "e")})
+    assert assert_undo_matches_reference(grown, through) is None
+    # the new ray listed twice
+    twice = ConeComplex((post.rays[-1], *post.rays), post.cones)
+    assert assert_undo_matches_reference(twice, step) is None
+    # a face of the link listed unsorted
+    square = build_complex(["a", "b", "c", "d"], [["a", "b", "c", "d"]])
+    post, step = star_subdivide(square, ("a", "b"), new_ray="e")
+    unsorted = SubdivisionStep(step.center, "e", step.link - {("c", "d")} | {("d", "c")})
+    assert assert_undo_matches_reference(post, unsorted) is None
+    assert assert_undo_matches_reference(post, step) == square
+    # an abstract post whose new ray carries a primitive
+    abstract = build_complex(["a", "b"], [["a", "b"]])
+    up, st = star_subdivide(abstract, ("a", "b"))
+    wrong = ConeComplex((*abstract.rays, Ray(st.new_ray, (1, 1))), up.cones)
+    assert assert_undo_matches_reference(wrong, st) is None
+
+
+def test_pushforward_keeps_its_messages_on_mutated_chains():
+    c = build_complex(["a", "b", "c"], [["a", "b", "c"]])
+    mid, first = star_subdivide(c, ("a", "b"), new_ray="e")
+    top, last = star_subdivide(mid, ("a", "e"), new_ray="f")
+    assert pushforward(unit(top), first, last) == unit(c)
+    for bad_top, bad in mutations(top, last):
+        assert reference_undo(bad_top, bad) is None
+        with pytest.raises(ValueError, match="class does not live on the step's refined complex"):
+            pushforward(unit(bad_top), first, bad)
+    # a mutated complex in the middle of a chain cannot be passed in
+    for bad_mid, bad in mutations(mid, first):
+        if bad_mid is mid:
+            assert reference_undo(mid, bad) is None
+            with pytest.raises(ValueError, match="steps do not form a chain"):
+                pushforward(unit(top), bad, last)
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("index", range(LADDER_SIZE))
+def test_undo_matches_reference_on_ladder(index):
+    c, pd = ladder_chart(index)
+    trace = principalization_trace(c, pd)
+    # an unsorted center at least is refused at each step
+    assert assert_undo_along_trace(c, trace, mutate=True) >= len(trace)

@@ -235,6 +235,30 @@ def test_enumerate_pr_four_types():
     assert sorted(cone_of_type(nd, t).dim for t in types) == [0, 1, 1, 2]
 
 
+def test_closure_under_specialization_adds_types_no_level_yields():
+    # nothing is listed at the trivial face, so a vertex sits there only in a
+    # specialization of a type with that vertex on H
+    nd = numerical_data(1, (1,), [(2,), (-1,)])
+    tm = target_model(1, [((), []), ((1,), [((1,), "line-in-H")])])
+    types = enumerate_types(nd, tm)
+    assert len(types) == 4
+    candidates = _face_candidates(nd, tm)
+    # the vertex bound B is 2 here
+    leveled = {canonical_key(t) for n in (1, 2) for t in _level_types(nd, candidates, n)}
+    line_at_origin = VertexDecor(frozenset(), (1,), "line-in-H", ())
+    assert [t for t in types if canonical_key(t) not in leveled] == [
+        TropicalType(1, (VertexDecor(frozenset(), (1,), "line-in-H", (1, 2)),), ()),
+        TropicalType(
+            1,
+            (VertexDecor(frozenset({1}), (0,), "0", (1, 2)), line_at_origin),
+            (EdgeDecor((0, 1), frozenset({1}), (-1,)),),
+        ),
+    ]
+    cx, _ = assemble_complex(nd, types)
+    assert cx.ray_ids == ("r1", "r2")
+    assert cx.maximal_cones() == (("r1", "r2"),)
+
+
 def test_enumerate_degree_zero_trivial_only():
     nd = numerical_data(1, (0,), [])
     tm = target_model(1, [((), [((1,), "line")]), ((1,), [((1,), "lineH")])])
