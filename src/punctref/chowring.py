@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterable, Mapping
 
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact, _Record
@@ -187,13 +187,14 @@ def divisor_of_pl(f: PLFunction, c: ConeComplex) -> ChowClass:
 
 @lru_cache(maxsize=None)
 def _compositions(j: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Compositions a of j into k positive parts, each with j! / prod a_r!."""
+    """Compositions a of j into k positive parts, each with j! / prod a_r!,
+    the product of the binomials C(a_r + ... + a_k, a_r)."""
     if not k:
         return (((), 1),) if not j else ()
     out = []
     for cuts in itertools.combinations(range(1, j), k - 1):
         a = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (j,)))
-        out.append((a, factorial(j) // prod(factorial(x) for x in a)))
+        out.append((a, prod(comb(j - lo, x) for lo, x in zip((0,) + cuts, a))))
     return tuple(out)
 
 
@@ -214,7 +215,8 @@ def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
             raise ValueError("E/(1+E) needs a class of pure degree 1")
         if v:
             L[m[0][0]] = v
-    buckets: list[list] = [[] for _ in range(max_codim + 1)]
+    # a bucket per degree that gets a term: max_codim may be huge on no rays
+    buckets: dict[int, list] = {}
     for cone in E.complex.cones:
         k = len(cone)
         if not 1 <= k <= max_codim or any(r not in L for r in cone):
@@ -227,11 +229,10 @@ def _power_series_part(E: ChowClass, max_codim: int) -> ChowClass:
                     v *= L[r] ** e
                 if type(v) is not int and v.denominator == 1:
                     v = v.numerator
-                buckets[j].append((tuple(zip(cone, a)), v))
+                buckets.setdefault(j, []).append((tuple(zip(cone, a)), v))
     terms = []
-    for bucket in buckets:
-        bucket.sort()
-        terms.extend(bucket)
+    for j in sorted(buckets):
+        terms.extend(sorted(buckets[j]))
     return ChowClass(E.complex, tuple(terms))
 
 

@@ -3,16 +3,16 @@
 Types are decorated trees: per-vertex image face and curve class drawn from a
 user-supplied target model, per-edge slopes forced by balancing. Each type
 spans a cone whose coordinates are the root position inside its face together
-with the edge lengths; the cone is built once and kept on the type, and its
-faces are decoded and keyed once. Realizability, a cone point with every length and face
-coordinate positive, is tested once per isomorphism class. Assembly glues the
-cones along specialization and reads the offsets off primitive ray generators.
+with the edge lengths: a plain value, built once and kept on the type beside
+its faces, decoded and keyed once. Realizability, a cone point with every length
+and face coordinate positive, is tested once per isomorphism class. Assembly
+glues the cones along specialization, tests the simplicial ones for
+unimodularity, and reads the offsets off primitive ray generators.
 The data these functions read and the types they return are ``tropdata``'s.
 """
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import tropdata
@@ -39,6 +39,10 @@ __all__ = [
 # and enumerate it through this one module
 numerical_data, target_model = tropdata.numerical_data, tropdata.target_model
 
+# canonical_key compares relabelings, so it refuses types with more vertices;
+# enumerate_types refuses a vertex bound past it before any work
+MAX_KEY_VERTICES = 8
+
 
 def canonical_key(t: TropicalType) -> tuple:
     """Degree-lex minimal adjacency encoding over leg-respecting relabelings.
@@ -47,7 +51,7 @@ def canonical_key(t: TropicalType) -> tuple:
     relabelings that send each vertex to a slot holding its own data compete.
     """
     n = t.n_vertices
-    if n > 8:
+    if n > MAX_KEY_VERTICES:
         raise EnumerationBoundError("canonical form beyond eight vertices")
     vdata = [(v.pairing, tuple(sorted(v.face)), v.legs) for v in t.vertices]
     vrows = tuple(sorted(vdata))
@@ -159,32 +163,18 @@ class TypeCone(_Record):
 
     _hidden = ("ineq_rows", "positions")
 
-    def __init__(self, type: TropicalType, variables: tuple[str, ...],
-                 rays: tuple[tuple[int, ...], ...], dim: int, unimodular: bool,
-                 ineq_rows: tuple[tuple[int, ...], ...],
+    def __init__(self, variables: tuple[str, ...], rays: tuple[tuple[int, ...], ...],
+                 dim: int, ineq_rows: tuple[tuple[int, ...], ...],
                  positions: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
-        object.__setattr__(self, "type", type)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "unimodular", unimodular)
         object.__setattr__(self, "ineq_rows", ineq_rows)
         object.__setattr__(self, "positions", positions)
 
     def position(self, vertex: int, j: int, z: Sequence[int]) -> int:
         row = self.positions[vertex][j - 1]
         return sum(c * x for c, x in zip(row, z))
-
-    @cached_property
-    def faces(self) -> tuple[tuple[tuple[int, ...], TropicalType, tuple], ...]:
-        """Each face as (extreme-ray subset, the type decoded at its ray sum,
-        that type's canonical key)."""
-        out = []
-        for s in _faces_of_cone(self):
-            z = [sum(self.rays[i][c] for i in s) for c in range(len(self.variables))]
-            face = _decode(self.type, self, z)
-            out.append((s, face, canonical_key(face)))
-        return tuple(out)
 
 
 def _position_rows(t: TropicalType) -> list[list[list[int]]]:
@@ -210,13 +200,14 @@ def _position_rows(t: TropicalType) -> list[list[list[int]]]:
 
 
 def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
-    """Extreme rays, dimension, and integral structure of a type's cone.
+    """Extreme rays, dimension, inequality rows and vertex positions of a
+    type's cone; whether it is unimodular is left to assembly.
 
     Variables are the root position (all k coordinates, those outside the
     root face pinned to zero) followed by one length per edge. Equations pin
     every vertex coordinate outside its face; inequalities keep lengths and
     in-face coordinates nonnegative. Nothing is read from ``nd``, so the cone
-    is built once per type object and stored on it.
+    is built once per type object and stored on it; it points nowhere back.
     """
     if "_cone" in t.__dict__:
         return t.__dict__["_cone"]
@@ -260,18 +251,12 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
                 continue
             found.add(primitive(z))
     rays = sorted(found)
-    unimod = bool(rays) and is_unimodular(rays)
     variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
         f"l{i}" for i in range(len(t.edges))
     )
+    positions = tuple(tuple(tuple(r) for r in pr) for pr in pos)
     t.__dict__["_cone"] = TypeCone(
-        type=t,
-        variables=variables,
-        rays=tuple(rays),
-        dim=rank(rays, nv),
-        unimodular=unimod or not rays,
-        ineq_rows=tuple(ineqs),
-        positions=tuple(tuple(tuple(r) for r in pr) for pr in pos),
+        variables, tuple(rays), rank(rays, nv), tuple(ineqs), positions
     )
     return t.__dict__["_cone"]
 
@@ -405,8 +390,10 @@ def enumerate_types(
     key. The output is closed under specialization and sorted by canonical
     form. Class splittings without a sign bound raise EnumerationBoundError.
     An explicit ``bounds={"max_vertices": cap}`` stops at min(cap, B)
-    vertices and, unlike the default, raises it when types exist at cap. A
-    cap below 1 or any other key in ``bounds`` raises ValueError.
+    vertices and, unlike the default, raises it when types exist at cap.
+    When min(cap, B) passes MAX_KEY_VERTICES, the most ``canonical_key``
+    takes, it is raised before the first tree. A cap below 1 or any other
+    key in ``bounds`` raises ValueError.
     """
     cap = (bounds or {}).get("max_vertices")
     if set(bounds or {}) - {"max_vertices"} or (cap is not None and cap < 1):
@@ -426,6 +413,11 @@ def enumerate_types(
     max_v = max(1, 2 * n_classes + len(nd.markings) - 2)
     if cap is not None:
         max_v = min(cap, max_v)
+    if max_v > MAX_KEY_VERTICES:
+        raise EnumerationBoundError(
+            f"vertex bound {max_v} is past the canonical form's cap of "
+            f"{MAX_KEY_VERTICES} vertices"
+        )
     found: dict[tuple, TropicalType] = {}
     for n in range(1, max_v + 1):
         for t in _level_types(nd, candidates, n):
@@ -434,8 +426,9 @@ def enumerate_types(
     # close under specialization
     queue = list(found.values())
     while queue:
-        cone = cone_of_type(nd, queue.pop())
-        for subset, s, key in cone.faces:
+        t = queue.pop()
+        cone = cone_of_type(nd, t)
+        for subset, s, key in _faces(t, cone):
             if len(subset) != len(cone.rays) and key not in found:
                 found[key] = s
                 queue.append(s)
@@ -461,6 +454,20 @@ def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
             if not any(common <= tight[i] for i in range(n) if i not in subset):
                 out.append(subset)
     return out
+
+
+def _faces(t: TropicalType, cone: TypeCone) -> tuple[tuple, ...]:
+    """Each face of t's cone as (extreme-ray subset, the type decoded at its
+    ray sum, that type's canonical key), decoded once and stored on t beside
+    its cone."""
+    if "_faces" not in t.__dict__:
+        out = []
+        for s in _faces_of_cone(cone):
+            z = [sum(cone.rays[i][c] for i in s) for c in range(len(cone.variables))]
+            face = _decode(t, cone, z)
+            out.append((s, face, canonical_key(face)))
+        t.__dict__["_faces"] = tuple(out)
+    return t.__dict__["_faces"]
 
 
 def _decode(t: TropicalType, cone: TypeCone, z: Sequence[int]) -> TropicalType:
@@ -517,7 +524,7 @@ def _decode(t: TropicalType, cone: TypeCone, z: Sequence[int]) -> TropicalType:
 def specializations(nd: NumericalData, t: TropicalType) -> list[TropicalType]:
     """All proper face specializations of a type, one per proper cone face."""
     cone = cone_of_type(nd, t)
-    return [s for subset, s, _ in cone.faces if len(subset) != len(cone.rays)]
+    return [s for subset, s, _ in _faces(t, cone) if len(subset) != len(cone.rays)]
 
 
 def assemble_complex(
@@ -539,7 +546,7 @@ def assemble_complex(
     ray_names = {k: f"r{i + 1}" for i, k in enumerate(ray_keys)}
     names_of: dict[tuple, set] = {}
     for key, cone in cones_of.items():
-        face_keys = [(len(subset), skey) for subset, _, skey in cone.faces]
+        face_keys = [(len(subset), skey) for subset, _, skey in _faces(by_key[key], cone)]
         if any(skey not in by_key for _, skey in face_keys):
             raise ArithmeticError("types are not closed under specialization")
         names_of[key] = {ray_names.get(skey) for size, skey in face_keys if size == 1}
@@ -548,7 +555,7 @@ def assemble_complex(
         cone = cones_of[key]
         if cone.dim == 0:
             continue
-        if len(cone.rays) != cone.dim or not cone.unimodular:
+        if len(cone.rays) != cone.dim or not is_unimodular(cone.rays):
             raise NonSmoothConeError(
                 f"type cone is not simplicial-unimodular (dim {cone.dim}, "
                 f"{len(cone.rays)} rays)",

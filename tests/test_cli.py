@@ -520,6 +520,26 @@ def test_enumeration_bound_maps_to_exit_1(capsys, tmp_path):
     assert "both signs" in err
 
 
+def test_vertex_bound_past_the_canonical_form_exits_1_at_once(tmp_path):
+    """pr in degree 5 with markings (6), (-1) has the vertex bound 10; the
+    enumeration ran for minutes before canonical_key refused a type."""
+    path = write_fixture(
+        tmp_path,
+        {
+            "data": {"k": 1, "degrees": [5], "markings": [[6], [-1]]},
+            "strata": [
+                {"face": [], "classes": [{"pairing": [1], "label": "line"}]},
+                {"face": [1], "classes": [{"pairing": [1], "label": "line-in-H"}]},
+            ],
+        },
+    )
+    proc = run_capped(600_000, "enumerate", path, timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (
+        b"inconsistency: vertex bound 10 is past the canonical form's cap of 8 vertices\n"
+    )
+
+
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "validate", "/nonexistent/fx.json")
     assert code == 2 and out == "" and "cannot read input" in err
@@ -652,6 +672,21 @@ def test_max_codim_250_runs_in_bounded_time_and_memory():
     )
     assert proc.returncode == 0, proc.stderr[-400:]
     assert len(json.loads(proc.stdout)["result"]["class"]) == 62750
+
+
+def test_max_codim_on_an_empty_complex_runs_in_bounded_memory(tmp_path):
+    """With no ray the term bound is 1 for any --max-codim; the power series
+    then kept a list per degree up to it, and ran out of memory."""
+    path = write_fixture(tmp_path, {"complex": {
+        "rays": [], "cones": [], "offsets": [{"puncture": "p1.1", "values": {}}],
+    }})
+    for backend in ("resolution", "aluffi-crosscheck"):
+        proc = run_capped(
+            600_000, "segre", path, "--max-codim", "999999999", "--backend", backend,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["result"]["class"] == []
 
 
 def test_long_trace_runs_in_bounded_memory(tmp_path):

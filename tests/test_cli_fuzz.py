@@ -3,9 +3,10 @@
 Each example applies one to three mutations to a fixture (drop a key, swap a
 value for another JSON type, nudge an integer within |v| <= 50, duplicate an
 array entry, put a line break into a string or a key) and runs one
-subcommand on it in process. The run must end in
-one of two ways: exit 0 or 1 with a JSON document on stdout and nothing on
-stderr, or exit 1 or 2 with nothing on stdout and one line on stderr.
+subcommand on it in process; ``segre`` also draws its ``--max-codim``. The
+run must end in one of two ways: exit 0 or 1 with a JSON document on stdout
+and nothing on stderr, or exit 1 or 2 with nothing on stdout and one line on
+stderr.
 """
 import contextlib
 import copy
@@ -92,6 +93,10 @@ def cases(draw):
     if command == "twisted-check":
         orders = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
         flags = ["--r", *map(str, orders)]
+    if command == "segre":
+        # absent, refused, empty, small, and far past the term budget
+        max_codim = draw(st.sampled_from((None, -1, 0, 3, 999999999)))
+        flags = [] if max_codim is None else ["--max-codim", str(max_codim)]
     return doc, command, flags
 
 

@@ -185,11 +185,9 @@ class TropicalType:
 
 @dataclass(frozen=True)
 class TypeCone:
-    type: TropicalType
     variables: tuple[str, ...]
     rays: tuple[tuple[int, ...], ...]
     dim: int
-    unimodular: bool
     ineq_rows: tuple[tuple[int, ...], ...] = field(repr=False)
     positions: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
 
@@ -298,6 +296,7 @@ def library_records():
         walk(refined_class(fx.complex, fx.offsets))
         if fx.model is not None:
             types = enumerate_types(fx.data, fx.model)
+            walk(types)
             walk(tuple(cone_of_type(fx.data, t) for t in types))
         walk(faithful_lift(fx.data, range(1, fx.data.k + 1)))
     for index in (0, 5, 10, 15, 20):
