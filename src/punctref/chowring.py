@@ -275,25 +275,25 @@ def _blowdown_kernel(a1: int, a2: int, ae: int) -> tuple[tuple[int, int, int], .
     """The pushforward of x_r1^a1 x_r2^a2 x_e^ae minus its ae = 0 self term,
     as (p1, p2, coeff) for the monomials x_r1^p1 x_r2^p2, p1, p2 >= 1.
 
-    The upstairs monomial is rewritten in the exceptional variable with
-    pulled-back coefficients via x_rho = pullback(x_rho) - x_e on the center
-    rays; then x_e^j pushes forward to the identity for j = 0, to zero for
-    j = 1 and to -h_(j-2)(x_r1, x_r2) x_r1 x_r2 for j >= 2. Every monomial has
-    degree a1 + a2 + ae, coefficients are ints and zero ones are dropped.
-    The exponents are bounded by the degree of the class pushed down, so the
-    cache stays small.
+    Upstairs x_r1 x_r2 = 0, so the pushforward is 0 when a1 and a2 are both
+    positive. Else, for r the center ray of exponent a >= 1 and o the other,
+        pi_*(x_r^a x_e^b) = x_r x_o^b (x_r - x_o)^(a-1),
+        pi_*(x_e^b) = -x_r1 x_r2 h_(b-2)(x_r1, x_r2), b >= 2,
+    and pi_*1 = 1, pi_*x_e = 0. Every monomial has degree a1 + a2 + ae,
+    coefficients are ints and zero ones are dropped. The exponents are
+    bounded by the degree of the class pushed down, so the cache stays small.
     """
-    acc: dict[tuple[int, int], int] = {}
-    for i1 in range(a1 + 1):
-        for i2 in range(a2 + 1):
-            j = ae + i1 + i2
-            if j < 2:
-                continue
-            cf = comb(a1, i1) * comb(a2, i2) * (-1) ** (i1 + i2)
-            for t in range(j - 1):
-                key = (a1 - i1 + t + 1, a2 - i2 + j - 1 - t)
-                acc[key] = acc.get(key, 0) - cf
-    return tuple((p1, p2, v) for (p1, p2), v in sorted(acc.items()) if v)
+    if a1 and a2:
+        return () if ae else ((a1, a2, -1),)
+    if not a1 and not a2:
+        return tuple((i, ae - i, -1) for i in range(1, ae))
+    a = a1 or a2
+    # x_r^(k+1) x_o^(ae+a-1-k); without x_e, k = a - 1 is the self term x_r^a
+    terms = [
+        (k + 1, ae + a - 1 - k, (-1) ** (a - 1 - k) * comb(a - 1, k))
+        for k in range(a if ae else a - 1)
+    ]
+    return tuple(sorted(t if a1 else (t[1], t[0], t[2]) for t in terms))
 
 
 class _Layout:

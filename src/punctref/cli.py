@@ -141,7 +141,7 @@ def _cmd_segre(fixture: Fixture, args) -> tuple[dict, int]:
     c, pd = _complex_and_offsets(fixture)
     ideal = normalized_ideal(c, pd)
     max_codim = c.dim() if args.max_codim is None else args.max_codim
-    cls, trace = _segre(c, ideal, max_codim, args.backend, None)
+    cls, trace = _segre(c, ideal, max_codim, args.backend)
     normalized = PuncturingData(
         tuple((oid, gen) for (oid, _), gen in zip(pd.offsets, ideal.generators))
     )

@@ -97,6 +97,7 @@ class ConeComplex(_Record):
     ``cones`` is the set of every cone (including the empty cone and all
     faces), each a sorted tuple of ray ids; any iterable given is coerced to
     a frozenset. Maximal cones are derived from it, so it must be face-closed.
+    They are cached when derived, as are the ray index and the mode.
     """
 
     def __init__(self, rays: tuple[Ray, ...], cones: Iterable[tuple[str, ...]]) -> None:
@@ -105,19 +106,26 @@ class ConeComplex(_Record):
 
     @property
     def mode(self) -> str:
-        if self.rays and all(r.primitive is not None for r in self.rays):
-            return "embedded"
-        return "abstract-smooth"
+        if "_mode_cache" not in self.__dict__:
+            embedded = self.rays and all(r.primitive is not None for r in self.rays)
+            self.__dict__["_mode_cache"] = "embedded" if embedded else "abstract-smooth"
+        return self.__dict__["_mode_cache"]
 
     @property
     def ray_ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self.rays)
 
+    def _ray_index(self) -> dict[str, Ray]:
+        """The rays by id, the first of a repeated id; never changed in place."""
+        if "_ray_cache" not in self.__dict__:
+            self.__dict__["_ray_cache"] = {r.id: r for r in reversed(self.rays)}
+        return self.__dict__["_ray_cache"]
+
     def ray(self, ray_id: str) -> Ray:
-        for r in self.rays:
-            if r.id == ray_id:
-                return r
-        raise KeyError(f"no ray {ray_id!r} in complex")
+        try:
+            return self._ray_index()[ray_id]
+        except KeyError:
+            raise KeyError(f"no ray {ray_id!r} in complex") from None
 
     def has_cone(self, support: Iterable[str]) -> bool:
         return _sorted_cone(support) in self.cones
@@ -150,14 +158,13 @@ def _face_closure(cones: Iterable[Iterable[str]]) -> frozenset[tuple[str, ...]]:
 
 
 def build_complex(
-    rays: Sequence[Ray | str | Mapping],
+    rays: Sequence[Ray | str],
     cones: Iterable[Iterable[str]],
 ) -> ConeComplex:
     """Construct a face-closed complex from rays and generating cones.
 
-    Rays may be Ray objects, bare id strings, or mappings with keys
-    ``id`` and optional ``primitive``. Raises ValueError on malformed input;
-    mathematical violations are left to validate_complex.
+    Rays may be Ray objects or bare id strings. Raises ValueError on
+    malformed input; mathematical violations are left to validate_complex.
     """
     norm_rays: list[Ray] = []
     for r in rays:
@@ -165,9 +172,6 @@ def build_complex(
             norm_rays.append(r)
         elif isinstance(r, str):
             norm_rays.append(Ray(r))
-        elif isinstance(r, Mapping):
-            prim = r.get("primitive")
-            norm_rays.append(Ray(r["id"], tuple(prim) if prim is not None else None))
         else:
             raise ValueError(f"cannot interpret ray {r!r}")
     norm_rays.sort(key=lambda r: r.id)
@@ -192,10 +196,9 @@ def validate_complex(c: ConeComplex) -> dict:
     Returns {"ok": bool, "violations": [str, ...]}.
     """
     violations: list[str] = []
-    ids = [r.id for r in c.rays]
-    if len(set(ids)) != len(ids):
+    index = c._ray_index()
+    if len(index) != len(c.rays):
         violations.append("duplicate ray ids")
-    id_set = set(ids)
     if () not in c.cones:
         violations.append("missing empty cone")
     ordered = sorted(c.cones, key=lambda t: (len(t), t))
@@ -205,7 +208,7 @@ def validate_complex(c: ConeComplex) -> dict:
         if len(set(cone)) != len(cone):
             violations.append(f"cone {cone} repeats a ray")
         for x in cone:
-            if x not in id_set:
+            if x not in index:
                 violations.append(f"cone {cone} uses unknown ray {x}")
         for i in range(len(cone)):
             face = cone[:i] + cone[i + 1 :]
@@ -255,7 +258,7 @@ def _fresh_ray_ids(c: ConeComplex) -> Iterator[str]:
     """The ids e0, e1, ... that c does not use, in order. A chain of steps
     that only adds rays and names them from here gets the names that
     star_subdivide picks by default, without a search from e0 per step."""
-    taken = set(c.ray_ids)
+    taken = c._ray_index()
     return (r for r in map("e{}".format, itertools.count()) if r not in taken)
 
 
@@ -290,14 +293,17 @@ def star_subdivide(
     r1, r2 = ctr
     if new_ray is None:
         new_ray = next(_fresh_ray_ids(c))
-    if new_ray in c.ray_ids:
+    if new_ray in c._ray_index():
         raise ValueError(f"new ray id {new_ray!r} already present")
     ray = _new_ray(c, ctr, new_ray)
     # the star of the center swaps for that of the new ray; no re-closing
     star = [cone for cone in c.cones if r1 in cone and r2 in cone]
     link = frozenset(tuple(x for x in cone if x != r1 and x != r2) for cone in star)
     cones = c.cones.difference(star).union(_star(link, ctr, new_ray))
-    return ConeComplex((*c.rays, ray), cones), SubdivisionStep(ctr, new_ray, link)
+    post = ConeComplex((*c.rays, ray), cones)
+    # the index grows by the new ray, embedded exactly when c is: c's mode
+    post.__dict__.update(_ray_cache={**c._ray_index(), new_ray: ray}, _mode_cache=c.mode)
+    return post, SubdivisionStep(ctr, new_ray, link)
 
 
 def _undo(post: ConeComplex, step: SubdivisionStep) -> ConeComplex:
@@ -317,7 +323,7 @@ def _undo(post: ConeComplex, step: SubdivisionStep) -> ConeComplex:
         center != _sorted_cone(center) or () not in step.link
         or {tuple(x for x in b if x not in center) for b in back} != step.link
         or set(hits) != set(_star(step.link, center, e))
-        or e in source.ray_ids or post.rays[-1:] != (_new_ray(source, center, e),)
+        or e in source._ray_index() or post.rays[-1:] != (_new_ray(source, center, e),)
     ):
         raise ValueError(f"the step at {center} did not make this complex")
     return source

@@ -22,7 +22,6 @@ its own principalization and needs nothing from this module at run time.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import reduce
 from math import comb, gcd
 from typing import Iterable, Mapping, Optional, Sequence
@@ -79,10 +78,13 @@ class PrincipalizationError(RuntimeError):
 
     The budget is not a proof of a bug: the step count grows with the
     offsets. On the 2-ray chart with offsets (a^N b, a^2 b^5), normalized
-    per ray, the default rule takes 128 steps at N = 1000, 1250 at N = 9990
-    and 2503 at both N = 10001 and N = 20000, and N = 40001 exhausts the
-    default 10000 steps.
+    per ray, the rule takes 128 steps at N = 1000, 1250 at N = 9990 and 2503
+    at both N = 10001 and N = 20000, and N = 40001 exhausts MAX_STEPS.
     """
+
+
+MAX_STEPS = 10000
+"""The most subdivisions ``principalize`` makes; read at each call."""
 
 
 MAX_SEGRE_TERMS = 10**6
@@ -139,7 +141,7 @@ class MonomialIdealOnComplex(_Record):
             for rid, v in g.values:
                 if v < 0 or v.denominator != 1:
                     raise ValueError("generator exponents must be nonnegative integers")
-                if rid not in complex.ray_ids:
+                if rid not in complex._ray_index():
                     raise ValueError(f"generator mentions unknown ray {rid!r}")
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "generators", generators)
@@ -221,8 +223,6 @@ def _crossing_faces(
 def principalize(
     c: ConeComplex,
     ideal: MonomialIdealOnComplex,
-    max_steps: int = 10000,
-    choice_seed: Optional[int] = None,
 ) -> tuple[ConeComplex, tuple[SubdivisionStep, ...], PLFunction]:
     """Subdivide until one generator divides all others on every maximal cone.
 
@@ -231,12 +231,11 @@ def principalize(
     d_i d_j >= 0 there. It then stays settled under any further stellar
     subdivision. The new ray gets d_i + d_j, which keeps the common sign of
     the center, and every ray of the center's link agrees with both center
-    rays, hence with the new ray. For the active pair the default rule blows
-    up the crossing face of maximal excess, ties to the lexicographically
-    smallest face; a seed replaces that rule by a seeded choice among all
-    crossing faces of the active pair. The resulting Segre class is
-    independent of the choice, which the property suite checks. At most
-    max_steps subdivisions are made.
+    rays, hence with the new ray. For the active pair the rule blows up the
+    crossing face of maximal excess, ties to the lexicographically smallest
+    face. The resulting Segre class is independent of the choice, which the
+    property suite checks against seeded choices. At most MAX_STEPS
+    subdivisions are made.
 
     The generators are read once into one table of per-ray rows; a new ray's
     row is the sum of the center rows. A generator divides the others on a
@@ -258,7 +257,6 @@ def principalize(
     """
     if ideal.complex != c:
         raise ValueError("ideal does not live on the given complex")
-    rng = random.Random(choice_seed) if choice_seed is not None else None
     gens = range(len(ideal.generators))
     table = {r: [g.get(r) for g in ideal.generators] for r in c.ray_ids}
     names = _fresh_ray_ids(c)
@@ -268,12 +266,9 @@ def principalize(
     for a, b in itertools.combinations(gens, 2):
         faces = _crossing_faces(table, a, b, current)
         while faces:
-            if len(trace) == max_steps:
-                raise PrincipalizationError(f"step budget {max_steps} exhausted")
-            if rng is None:
-                chosen = min(faces, key=lambda f: (-faces[f], f))
-            else:
-                chosen = rng.choice(sorted(faces))
+            if len(trace) == MAX_STEPS:
+                raise PrincipalizationError(f"step budget {MAX_STEPS} exhausted")
+            chosen = min(faces, key=lambda f: (-faces[f], f))
             current, step = star_subdivide(current, chosen, next(names))
             r1, r2 = step.center
             e = step.new_ray
@@ -445,7 +440,6 @@ def _segre(
     ideal: MonomialIdealOnComplex,
     max_codim: int,
     backend: str,
-    choice_seed: Optional[int],
 ) -> tuple[ChowClass, tuple[SubdivisionStep, ...]]:
     """Segre class through max_codim and the principalization trace behind it."""
     if backend not in ("resolution", "aluffi-crosscheck"):
@@ -458,7 +452,7 @@ def _segre(
             f"a Segre class through codim {max_codim} may have {bound} terms, "
             f"over the budget of {MAX_SEGRE_TERMS}"
         )
-    _, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    _, trace, total = principalize(c, ideal)
     s = _segre_by_bending(c, trace, total, max_codim)
     if backend == "aluffi-crosscheck":
         if aluffi.segre_newton(c, ideal, max_codim) != s:
@@ -473,7 +467,6 @@ def segre_class(
     ideal: MonomialIdealOnComplex,
     max_codim: Optional[int] = None,
     backend: str = "resolution",
-    choice_seed: Optional[int] = None,
 ) -> ChowClass:
     """Segre class of the subscheme cut out by a monomial ideal.
 
@@ -484,12 +477,12 @@ def segre_class(
     the powers of E, pushed down from that step. The aluffi-crosscheck
     backend recomputes the class from the Newton regions of the restricted
     ideal and fails hard on any disagreement. A negative max_codim raises
-    ValueError, and one whose class could pass MAX_SEGRE_TERMS terms raises
-    PrincipalizationError before any subdivision.
+    ValueError; PrincipalizationError comes before any subdivision for a
+    class that could pass MAX_SEGRE_TERMS terms, and after MAX_STEPS of them.
     """
     if max_codim is None:
         max_codim = c.dim()
-    return _segre(c, ideal, max_codim, backend, choice_seed)[0]
+    return _segre(c, ideal, max_codim, backend)[0]
 
 
 class RefinedClassResult(_Record):
@@ -524,7 +517,7 @@ def refined_class(
     components = puncturing_components(c, pd)
     if not components:
         return RefinedClassResult(zero(c), (), ())
-    s, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend, None)
+    s, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend)
     chern = reduce(multiply, [unit(c) + divisor_of_pl(f, c) for _, f in pd.offsets])
     segre_by_degree: dict[int, list] = {}
     for m, v in s.terms:

@@ -1,4 +1,5 @@
 """Shared fixtures and deterministic random generators for the test suite."""
+import functools
 import json
 import os
 import random
@@ -7,9 +8,15 @@ from fractions import Fraction
 import pytest
 
 from punctref.chowring import reduce as chow_reduce
-from punctref.conecx import build_complex, star_subdivide, Ray
+from punctref.conecx import build_complex, pl_function, pl_pullback, star_subdivide, Ray
 from punctref.fixtureio import load_fixture_file
-from punctref.puncture import monomial_ideal, puncturing_data
+from punctref.puncture import (
+    PrincipalizationError,
+    _segre_by_bending,
+    monomial_ideal,
+    principalize,
+    puncturing_data,
+)
 from punctref.tropdata import numerical_data, target_model
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -193,3 +200,94 @@ def ladder_chart(index):
         {f"p{i + 1}.1": dict(zip(rays, row)) for i, row in enumerate(values)}
     )
     return build_complex(rays, [rays]), pd
+
+
+# the seeded choice rule: principalize has one rule, and the Segre class does
+# not depend on it, which the suites check against these seeded traces
+
+
+def reference_crossing_faces_for_pair(ga, gb, c):
+    """Crossing two-faces of one generator pair, read off every maximal cone."""
+    d = {r: ga.get(r) - gb.get(r) for r in c.ray_ids}
+    faces = {}
+    for cone in c.maximal_cones():
+        pos = [(r, d[r]) for r in cone if d[r] > 0]
+        neg = [(r, d[r]) for r in cone if d[r] < 0]
+        for rp, vp in pos:
+            for rn, vn in neg:
+                faces[tuple(sorted((rp, rn)))] = vp - vn
+    return faces
+
+
+def _dividing_generator(gens, cone):
+    """Index of a generator whose restriction divides all others on the cone."""
+    vecs = [tuple(g.get(r) for r in cone) for g in gens]
+    for i, v in enumerate(vecs):
+        if all(all(x <= y for x, y in zip(v, w)) for w in vecs):
+            return i
+    return None
+
+
+def reference_principalize(c, ideal, max_steps=10000, choice_seed=None, choose=None):
+    """Principalization restarting from the first generator pair after every
+    step, the form the one-pass pair loop replaced; kept as the reference it
+    is checked against. Without a seed it follows principalize's rule; a
+    seed replaces that rule by a seeded choice among all crossing faces of
+    the active pair, and ``choose``, given those faces and their excesses,
+    by any rule."""
+    rng = random.Random(choice_seed) if choice_seed is not None else None
+    gens = list(ideal.generators)
+    current = c
+    trace = []
+    for _ in range(max_steps):
+        chosen = None
+        for a in range(len(gens)):
+            for b in range(a + 1, len(gens)):
+                faces = reference_crossing_faces_for_pair(gens[a], gens[b], current)
+                if not faces:
+                    continue
+                if choose is not None:
+                    chosen = choose(faces)
+                elif rng is None:
+                    chosen = min(faces, key=lambda f: (-faces[f], f))
+                else:
+                    chosen = rng.choice(sorted(faces))
+                break
+            if chosen is not None:
+                break
+        if chosen is None:
+            for cone in current.maximal_cones():
+                if _dividing_generator(gens, cone) is None:
+                    raise PrincipalizationError(
+                        f"non-principal cone {cone} without a crossing pair"
+                    )
+            ray_min = {
+                rid: min(g.get(rid) for g in gens) for rid in current.ray_ids
+            }
+            total = pl_function({r: v for r, v in ray_min.items() if v})
+            return current, tuple(trace), total
+        current, step = star_subdivide(current, chosen)
+        gens = [pl_pullback(g, step) for g in gens]
+        trace.append(step)
+    raise PrincipalizationError(f"step budget {max_steps} exhausted")
+
+
+@functools.lru_cache(maxsize=16)
+def _seeded(c, ideal, choice_seed):
+    # the reference is slow, and a seeded chart is often read more than once
+    return reference_principalize(c, ideal, choice_seed=choice_seed)
+
+
+def principalized(c, ideal, choice_seed=None):
+    """principalize's (complex, trace, total), or with a seed the
+    reference's under the seeded rule."""
+    if choice_seed is None:
+        return principalize(c, ideal)
+    return _seeded(c, ideal, choice_seed)
+
+
+def seeded_segre(c, ideal, choice_seed, max_codim=None):
+    """The Segre class through max_codim (the dimension of c by default),
+    pushed down the reference's trace under the seeded rule."""
+    _, trace, total = _seeded(c, ideal, choice_seed)
+    return _segre_by_bending(c, trace, total, c.dim() if max_codim is None else max_codim)

@@ -36,7 +36,15 @@ from punctref.puncture import (
     segre_class,
 )
 
-from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart, replay
+from conftest import (
+    FIXTURE_NAMES,
+    LADDER_SIZE,
+    ladder_chart,
+    load,
+    orthant_chart,
+    principalized,
+    replay,
+)
 
 
 @pytest.fixture()
@@ -346,7 +354,7 @@ def test_chain_pushforward_on_rays_listed_out_of_order():
 def upstairs_series(c, pd, max_codim, choice_seed=None):
     """E/(1+E) on the principalized complex of the normalized offsets, and
     the trace below it."""
-    c2, trace, total = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    c2, trace, total = principalized(c, normalized_ideal(c, pd), choice_seed)
     return _power_series_part(divisor_of_pl(total, c2), max_codim), trace
 
 

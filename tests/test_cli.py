@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import punctref.puncture
 from punctref import __version__
 from punctref.cli import _HANDLERS, main
 
@@ -633,6 +634,19 @@ def test_oversized_max_codim_is_refused_in_one_line(capsys, fixture, max_codim, 
         f"inconsistency: a Segre class through codim {max_codim} may have {bound} "
         "terms, over the budget of 1000000"
     ]
+
+
+def test_large_orders_end_at_the_step_budget_in_one_line(capsys, monkeypatch):
+    """The twisted offsets grow with r, and so does the principalization's
+    step count: --r 5 7 takes 2 steps, --r 1009 7 1002, and --r 100003 7
+    passes the 10000 of MAX_STEPS after about 20 s. A small budget refuses
+    it in the same one line."""
+    monkeypatch.setattr(punctref.puncture, "MAX_STEPS", 64)
+    p2 = fixture_path("p2-two-lines")
+    assert run_cli(capsys, "twisted-check", p2, "--r", "5", "7")[0] == 0
+    code, out, err = run_cli(capsys, "twisted-check", p2, "--r", "100003", "7")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["inconsistency: step budget 64 exhausted"]
 
 
 def run_capped(limit_kib, *argv, timeout=120):

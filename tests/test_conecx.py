@@ -20,9 +20,17 @@ from punctref.conecx import (
     validate_complex,
 )
 from punctref.lattice import is_unimodular as _is_unimodular
-from punctref.puncture import normalized_ideal, principalize
+from punctref.puncture import normalized_ideal
 
-from conftest import FIXTURE_NAMES, LADDER_SIZE, ladder_chart, load, orthant_chart, replay
+from conftest import (
+    FIXTURE_NAMES,
+    LADDER_SIZE,
+    ladder_chart,
+    load,
+    orthant_chart,
+    principalized,
+    replay,
+)
 
 
 def test_face_closure_and_lookup():
@@ -66,13 +74,15 @@ def test_cones_sorted_canonically():
 
 
 def test_ray_input_forms():
-    c = build_complex(
-        [Ray("x", (1, 0)), {"id": "y", "primitive": (0, 1)}], [["x", "y"]]
-    )
+    c = build_complex([Ray("x", (1, 0)), Ray("y", (0, 1))], [["x", "y"]])
     assert c.mode == "embedded"
     assert c.ray("y").primitive == (0, 1)
     with pytest.raises(KeyError):
         c.ray("missing")
+    assert build_complex(["y", Ray("x")], [["x", "y"]]).ray_ids == ("x", "y")
+    for bad in ({"id": "y", "primitive": (0, 1)}, 5):
+        with pytest.raises(ValueError, match="cannot interpret ray"):
+            build_complex([Ray("x"), bad], [])
 
 
 def test_abstract_mode_without_primitives():
@@ -227,7 +237,7 @@ def reference_maximal_cones(c):
 
 
 def assert_facet_rule_along_principalization(c, pd, choice_seed=None):
-    top, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    top, trace, _ = principalized(c, normalized_ideal(c, pd), choice_seed)
     complexes = replay(c, trace)
     assert complexes[-1] == top
     for cx in complexes:
@@ -306,7 +316,7 @@ def assert_step_record(source, post, step):
 
 
 def assert_star_subdivide_along_principalization(c, pd, choice_seed=None):
-    top, trace, _ = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    top, trace, _ = principalized(c, normalized_ideal(c, pd), choice_seed)
     for step in trace:
         post, ref_step = reference_star_subdivide(c, step.center)
         assert star_subdivide(c, step.center, step.new_ray) == (post, step)
@@ -431,7 +441,7 @@ def assert_undo_along_trace(c, trace, mutate=False):
 
 
 def principalization_trace(c, pd, choice_seed=None):
-    return principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)[1]
+    return principalized(c, normalized_ideal(c, pd), choice_seed)[1]
 
 
 def embedded_orthant_chart(rng, k, n, v):

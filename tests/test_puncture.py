@@ -1,4 +1,5 @@
 """Offsets, principalization, Segre classes, and refined classes."""
+import inspect
 import random
 from fractions import Fraction
 from math import comb
@@ -51,8 +52,11 @@ from conftest import (
     ladder_chart,
     load,
     orthant_chart,
+    principalized,
     random_puncturing,
+    reference_principalize,
     replay,
+    seeded_segre,
 )
 
 
@@ -226,90 +230,29 @@ def test_principalize_f1_deterministic_center(f1):
     }
 
 
-def test_principalize_budget_exhaustion():
+def test_principalize_budget_exhaustion(monkeypatch):
     c = build_complex(["x", "y"], [["x", "y"]])
     ideal = monomial_ideal(c, [{"x": 1}, {"y": 1}])
+    monkeypatch.setattr(punctref.puncture, "MAX_STEPS", 0)
     with pytest.raises(PrincipalizationError, match="budget"):
-        principalize(c, ideal, max_steps=0)
+        principalize(c, ideal)
 
 
-def test_principalize_budget_allows_exactly_max_steps():
+def test_principalize_budget_allows_exactly_max_steps(monkeypatch):
     c = build_complex(["x", "y"], [["x", "y"]])
     ideal = monomial_ideal(c, [{"x": 3}, {"y": 2}])
     _, trace, _ = principalize(c, ideal)
     assert len(trace) == 3
-    assert principalize(c, ideal, max_steps=len(trace))[1] == trace
+    monkeypatch.setattr(punctref.puncture, "MAX_STEPS", len(trace))
+    assert principalize(c, ideal)[1] == trace
+    monkeypatch.setattr(punctref.puncture, "MAX_STEPS", len(trace) - 1)
     with pytest.raises(PrincipalizationError, match="budget 2 exhausted"):
-        principalize(c, ideal, max_steps=len(trace) - 1)
+        principalize(c, ideal)
 
 
-def reference_crossing_faces_for_pair(ga, gb, c):
-    """Crossing two-faces of one generator pair, read off every maximal cone."""
-    d = {r: ga.get(r) - gb.get(r) for r in c.ray_ids}
-    faces = {}
-    for cone in c.maximal_cones():
-        pos = [(r, d[r]) for r in cone if d[r] > 0]
-        neg = [(r, d[r]) for r in cone if d[r] < 0]
-        for rp, vp in pos:
-            for rn, vn in neg:
-                faces[tuple(sorted((rp, rn)))] = vp - vn
-    return faces
-
-
-def _dividing_generator(gens, cone):
-    """Index of a generator whose restriction divides all others on the cone."""
-    vecs = [tuple(g.get(r) for r in cone) for g in gens]
-    for i, v in enumerate(vecs):
-        if all(all(x <= y for x, y in zip(v, w)) for w in vecs):
-            return i
-    return None
-
-
-def reference_principalize(c, ideal, max_steps=10000, choice_seed=None, choose=None):
-    """Principalization restarting from the first generator pair after every
-    step, the form the one-pass pair loop replaced; kept as the reference it
-    is checked against. ``choose``, given the active pair's crossing faces
-    and their excesses, replaces the rule."""
-    rng = random.Random(choice_seed) if choice_seed is not None else None
-    gens = list(ideal.generators)
-    current = c
-    trace = []
-    for _ in range(max_steps):
-        chosen = None
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                faces = reference_crossing_faces_for_pair(gens[a], gens[b], current)
-                if not faces:
-                    continue
-                if choose is not None:
-                    chosen = choose(faces)
-                elif rng is None:
-                    chosen = min(faces, key=lambda f: (-faces[f], f))
-                else:
-                    chosen = rng.choice(sorted(faces))
-                break
-            if chosen is not None:
-                break
-        if chosen is None:
-            for cone in current.maximal_cones():
-                if _dividing_generator(gens, cone) is None:
-                    raise PrincipalizationError(
-                        f"non-principal cone {cone} without a crossing pair"
-                    )
-            ray_min = {
-                rid: min(g.get(rid) for g in gens) for rid in current.ray_ids
-            }
-            total = pl_function({r: v for r, v in ray_min.items() if v})
-            return current, tuple(trace), total
-        current, step = star_subdivide(current, chosen)
-        gens = [pl_pullback(g, step) for g in gens]
-        trace.append(step)
-    raise PrincipalizationError(f"step budget {max_steps} exhausted")
-
-
-def assert_principalize_matches_reference(c, ideal, choice_seed=None):
-    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
-    r2, rtrace, rtotal = reference_principalize(c, ideal, choice_seed=choice_seed)
+def assert_principalize_matches_reference(c, ideal):
+    c2, trace, total = principalize(c, ideal)
+    r2, rtrace, rtotal = reference_principalize(c, ideal)
     assert [(s.center, s.new_ray) for s in trace] == [
         (s.center, s.new_ray) for s in rtrace
     ]
@@ -322,20 +265,17 @@ def test_principalize_matches_reference_on_fixtures():
     for name in FIXTURE_NAMES:
         fx = load(name)
         ideal = normalized_ideal(fx.complex, fx.offsets)
-        for seed in (None, 1, 7):
-            assert_principalize_matches_reference(fx.complex, ideal, seed)
+        assert_principalize_matches_reference(fx.complex, ideal)
 
 
 def test_principalize_matches_reference_on_seeded_charts():
     rng = random.Random(7)
-    seeded = 0
     for i in range(48):
         k = 2 + i % 3
         c, pd = orthant_chart(rng, k, rng.randint(2, 4), (9, 5, 3)[k - 2])
-        seed = rng.randrange(1000) if i % 3 == 1 else None
-        seeded += seed is not None
-        assert_principalize_matches_reference(c, normalized_ideal(c, pd), seed)
-    assert seeded >= 16
+        if i % 3 == 1:
+            rng.randrange(1000)  # the draw a choice seed took keeps the charts
+        assert_principalize_matches_reference(c, normalized_ideal(c, pd))
 
 
 @pytest.mark.ladder
@@ -358,8 +298,7 @@ def test_principalize_matches_reference_on_a_non_pure_complex():
     assert links["x", "y"] == {(), ("z",)}
     # the maximal cones principalize carried, against the facet rule
     assert c2.maximal_cones() == ConeComplex(c2.rays, c2.cones).maximal_cones()
-    for seed in (None, 1, 7):
-        assert_principalize_matches_reference(c, ideal, seed)
+    assert_principalize_matches_reference(c, ideal)
 
 
 def test_principalize_names_new_rays_past_the_base_ids():
@@ -378,8 +317,7 @@ def test_principalize_names_new_rays_past_the_base_ids():
     assert [s.new_ray for s in trace] == ["e1"] + [
         f"e{k}" for k in range(3, len(trace) + 2)
     ]
-    for seed in (None, 1, 7):
-        assert_principalize_matches_reference(c, ideal, seed)
+    assert_principalize_matches_reference(c, ideal)
 
 
 @pytest.mark.ladder
@@ -390,6 +328,19 @@ def test_principalize_matches_reference_on_a_long_two_ray_chart():
     ideal = normalized_ideal(c, pd)
     assert len(principalize(c, ideal)[1]) == 628
     assert_principalize_matches_reference(c, ideal)
+
+
+def test_principalization_entry_points_take_no_test_only_option():
+    # one choice rule and one step budget, MAX_STEPS: a seeded rule lives in
+    # conftest's reference_principalize, and a budget test patches the module
+    params = {
+        principalize: ["c", "ideal"],
+        punctref.puncture._segre: ["c", "ideal", "max_codim", "backend"],
+        segre_class: ["c", "ideal", "max_codim", "backend"],
+        refined_class: ["c", "pd", "backend"],
+    }
+    for f, names in params.items():
+        assert list(inspect.signature(f).parameters) == names, f.__name__
 
 
 def reference_power_series(E, max_codim):
@@ -511,7 +462,7 @@ def test_segre_seed_independence():
     ideal = monomial_ideal(c, [{"x": 2, "y": 1}, {"y": 1, "z": 2}, {"y": 3}])
     base = segre_class(c, ideal)
     for seed in (1, 2, 3, 11):
-        assert segre_class(c, ideal, choice_seed=seed) == base
+        assert seeded_segre(c, ideal, seed) == base
 
 
 def test_segre_p2(p2):
@@ -608,14 +559,17 @@ def reference_segre(c, ideal, max_codim, choice_seed=None):
     """The whole series E/(1+E) formed upstairs and pushed down the trace,
     the form the projection-formula split replaced; kept as the reference
     it is checked against."""
-    c2, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    c2, trace, total = principalized(c, ideal, choice_seed)
     E = divisor_of_pl(total, c2)
     return pushforward(_power_series_part(E, max_codim), *trace), trace
 
 
 def assert_segre_matches_reference(c, ideal, max_codim, choice_seed=None):
     """Checks the class and returns the length of the trace behind it."""
-    got = segre_class(c, ideal, max_codim, choice_seed=choice_seed)
+    if choice_seed is None:
+        got = segre_class(c, ideal, max_codim)
+    else:
+        got = seeded_segre(c, ideal, choice_seed, max_codim)
     expected, trace = reference_segre(c, ideal, max_codim, choice_seed)
     assert_same_class(got, expected)
     return len(trace)
@@ -648,7 +602,7 @@ def assert_pushed_part_matches_reference(c, ideal, max_codim, choice_seed=None):
     """Checks the part the steps' bendings add to D/(1+D), for D the divisor
     of total on the base, against reference_segre - D/(1+D), and the sign of
     every bending; returns the bendings."""
-    _, trace, total = principalize(c, ideal, choice_seed=choice_seed)
+    _, trace, total = principalized(c, ideal, choice_seed)
     bends = bendings(trace, total)
     assert all(b <= 0 for b in bends)
     series_D = _power_series_part(divisor_of_pl(total, c), max_codim)
@@ -719,7 +673,7 @@ def test_segre_matches_reference_on_seeded_charts():
         for max_codim in {c.dim(), pd.k_P}:
             steps = assert_segre_matches_reference(c, ideal, max_codim, seed)
             bends = assert_pushed_part_matches_reference(c, ideal, max_codim, seed)
-            _, trace, total = principalize(c, ideal, choice_seed=seed)
+            _, trace, total = principalized(c, ideal, seed)
             kinds.add((steps > 0, any(bends), bends_over_base_rays(c, trace, total)))
     assert seeded >= 16
     # no trace, a trace without a bending step and a trace with one all
@@ -783,9 +737,9 @@ def tied_choice(seed):
 @pytest.mark.ladder
 @pytest.mark.parametrize("index", range(LADDER_SIZE))
 def test_segre_order_independence_on_ladder(index):
-    # the seeded rule of principalize, a choice among all crossing faces,
-    # runs away on the anchor (seeds 1, 2, 3 and 5 exhaust 1500 steps);
-    # seeded ties among the faces of maximal excess end
+    # the reference's seeded rule, a choice among all crossing faces, runs
+    # away on the anchor (seeds 1, 2, 3 and 5 exhaust 1500 steps); seeded
+    # ties among the faces of maximal excess end
     c, pd = ladder_chart(index)
     ideal = normalized_ideal(c, pd)
     for seed in range(1, 6):
@@ -817,7 +771,7 @@ def assert_projection_formula_along_trace(c, pd, choice_seed=None):
     divisor} and b in {G/(1+G), E/(1+E)}, with G = pi^*D - E, which lives
     on the new rays. Both sides are graded, so b is cut at the degree the
     product needs, max_codim - deg a."""
-    c2, trace, total = principalize(c, normalized_ideal(c, pd), choice_seed=choice_seed)
+    c2, trace, total = principalized(c, normalized_ideal(c, pd), choice_seed)
     max_codim = max(c.dim(), pd.k_P)
     E = divisor_of_pl(total, c2)
     D = divisor_of_pl(total, c)  # total's values on the base rays
