@@ -1,13 +1,15 @@
-"""Chow-operator arithmetic on a smooth cone complex.
+"""Chow-operator arithmetic on a smooth cone complex, in the one module that
+packs and multiplies monomials.
 
 Classes are elements of the Stanley-Reisner presentation: rational linear
 combinations of monomials in the ray variables, with every monomial whose
 ray-support is not a cone reduced to zero. Coefficients are ints when they
 are integral and Fractions otherwise; no float enters a class.
-``multiply`` is the plain polynomial product, and ``_finish``, the one place
-that drops zero and non-cone terms and turns integral Fractions into ints,
-reduces it. Pullback along a stellar subdivision step implements the blowup
-formula for a two-ray center; it runs the step on the class's complex.
+``multiply`` is the plain polynomial product, ``_product_in_degree`` its
+part in one degree, and ``_finish``, the one place that drops zero and
+non-cone terms and turns integral Fractions into ints, reduces them.
+Pullback along a stellar subdivision step implements the blowup formula
+for a two-ray center; it runs the step on the class's complex.
 ``_push_step`` is the one push-down through a step. It works in place on a
 dict of packed monomials (``_Layout``): each ray of the chain owns a W-bit
 field of a Python int, with W the bit length of the chain's top degree, so
@@ -20,10 +22,10 @@ support of its base is a face of the step's link, one set lookup of the
 base's top-bit key among the link's.
 ``pushforward(a, *steps)`` undoes and checks its steps by ``conecx._undo``,
 runs it once per step on one dict, and unpacks and normalizes once at the end;
-the Segre chain of ``puncture`` runs it on a packed dict that gains each
-step's bending between steps. ``_power_series_part`` writes the series
-E/(1+E) of a linear class E term by term, in closed form; both Segre
-backends build their classes from it.
+the Segre chain, ``_segre_by_bending``, runs it on a packed dict that gains
+each step's bending (``_bending``) between steps. ``_power_series_part``
+writes the series E/(1+E) of a linear class E term by term, in closed form;
+both Segre backends build their classes from it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact, _Record
 from .conecx import _undo, star_subdivide
@@ -175,6 +177,22 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     acc: dict[Monomial, int | Fraction] = {}
     for m1, c1 in a.terms:
         for m2, c2 in b.terms:
+            m = _mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return _finish(acc, a.complex)
+
+
+def _product_in_degree(a: ChowClass, b: ChowClass, degree: int) -> ChowClass:
+    """The degree part of a * b: one pass pairs each term of a with the
+    terms of b of the complementary degree, so no term of another degree is
+    built, and one ``_finish`` normalizes the sum."""
+    _check_same_complex(a, b)
+    b_by_degree: dict[int, list] = {}
+    for m, v in b.terms:
+        b_by_degree.setdefault(_mono_degree(m), []).append((m, v))
+    acc: dict[Monomial, int | Fraction] = {}
+    for m1, c1 in a.terms:
+        for m2, c2 in b_by_degree.get(degree - _mono_degree(m1), ()):
             m = _mono_mul(m1, m2)
             acc[m] = acc.get(m, 0) + c1 * c2
     return _finish(acc, a.complex)
@@ -389,6 +407,143 @@ def _push_step(
             for offset, v in kernel:
                 k = base + offset
                 acc[k] = acc.get(k, 0) + coeff * v
+
+
+def _bending_q(g1: int, g2: int, bend: int, top: int) -> list[list[int]]:
+    """Q_d for d = 0..top in the two center rays, as coefficient lists:
+    Q_d[j] is the coefficient of x_r1^j x_r2^(d-j).
+
+    The blowdown formula pushes x_e^t down to
+    -x_r1 x_r2 h_(t-2)(x_r1, x_r2) = (x_r1 x_r2^t - x_r2 x_r1^t) / (x_r1 - x_r2),
+    which is also right for t = 0 (1) and t = 1 (0). With L = g1 x_r1 + g2 x_r2
+    and x1, x2 for the center rays, the binomial sum of Q_d is then
+        Q_d = sum_(t=0..d) C(d, t) bend^t L^(d-t) pi_s*(x_e^t) - L^d
+            = [x1 ((L + bend x2)^d - L^d) - x2 ((L + bend x1)^d - L^d)]
+              / (x1 - x2).
+    The numerator's coefficient of x1^j x2^(d+1-j) is alpha_(j-1) - beta_j,
+    with
+        alpha_j = C(d, j) g1^j ((g2 + bend)^(d-j) - g2^(d-j)),
+        beta_j = C(d, j) g2^(d-j) ((g1 + bend)^j - g1^j),
+    and the division by x1 - x2 is exact, so Q_d[j] is the partial sum
+    sum_(i<=j) beta_i - alpha_(i-1): O(d) products per degree from four
+    power tables. Q_d[0] = Q_d[d] = 0, as every monomial holds both rays.
+    """
+    a, b, g, p = (
+        [x**i for i in range(top + 1)] for x in (g1, g2 + bend, g2, g1 + bend)
+    )
+    out = []
+    for d in range(top + 1):
+        q, run, prev = [], 0, 0
+        for j in range(d + 1):
+            binom = comb(d, j)
+            run += binom * g[d - j] * (p[j] - a[j]) - prev
+            prev = binom * a[j] * (b[d - j] - g[d - j])
+            q.append(run)
+        out.append(q)
+    return out
+
+
+def _bending(
+    acc: dict[int, int],
+    step: SubdivisionStep,
+    bend: int,
+    g: Mapping[str, int],
+    max_codim: int,
+    layout: _Layout,
+) -> None:
+    """Add one step's R^i = pi_s*(G_s^i) - G_(s-1)^i, i = 2..max_codim, to acc.
+
+    G = -E, so G_s = pi_s^*G_(s-1) + bend x_e (see _segre_by_bending). Write
+    G_(s-1) = g1 x_r1 + g2 x_r2 + H, with H on the other rays of the step's
+    source; g holds G's coefficients, -total on every ray.
+    After the binomial expansion,
+        R^i = sum_(m+d=i, d>=2) C(i, m) H^m Q_d,
+        Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x_r1 + g2 x_r2)^(d-t) pi_s*(x_e^t),
+    and Q_d has the closed form of ``_bending_q``: O(d) coefficients per
+    degree, not a sum over t and over the kernel of each x_e^t. Every
+    monomial of Q_d has both center rays, so only the terms of H^m on a face
+    lam of the step's link survive: () for m = 0, else the link's faces with
+    0 < |lam| <= m <= max_codim - 2 and g nonzero on their rays. They are
+    written in closed form, as in _power_series_part, and packed in the
+    chain's layout: a product of monomials is the sum of their ints. The
+    weights C(m + d, m) Q_d over d are folded into one packed list per m,
+    once per step.
+    """
+    r1, r2 = step.center
+    shift = layout.shift
+    s1, s2 = shift[r1], shift[r2]
+    Q = [
+        [((j << s1) + (d - j << s2), v) for j, v in enumerate(q) if v]
+        for d, q in enumerate(_bending_q(g[r1], g[r2], bend, max_codim))
+    ]
+    faces = [lam for lam in step.link if lam and all(map(g.get, lam))]
+    # H^0 = 1 lives on (), H^m on faces of 1..m rays: faces holds one-faces if any
+    for m in range(max_codim - 1 if faces else 1):
+        lams = [lam for lam in faces if len(lam) <= m] if m else [()]
+        weighted = [
+            (q, comb(m + d, m) * v)
+            for d in range(2, max_codim - m + 1)
+            for q, v in Q[d]
+        ]
+        for lam in lams:
+            for a, multinomial in _compositions(m, len(lam)):
+                hv, h = multinomial, 0
+                for r, x in zip(lam, a):
+                    hv *= g[r] ** x
+                    h += x << shift[r]
+                for q, w in weighted:
+                    acc[h + q] = acc.get(h + q, 0) + hv * w
+
+
+def _segre_by_bending(
+    c: ConeComplex,
+    trace: Sequence[SubdivisionStep],
+    total: PLFunction,
+    max_codim: int,
+) -> ChowClass:
+    """The pushforward of E/(1+E) through max_codim, with only the steps'
+    bendings pushed down.
+
+    E_s is the divisor of total on the complex after step s, and G_s = -E_s,
+    so G_0 = -D for D the divisor of total on the base. The pullback along
+    step s gives x_e the coefficient g(r1) + g(r2), so
+    G_s = pi_s^*G_(s-1) + c_s x_e, with the step's bending
+    c_s = total(r1) + total(r2) - total(e) <= 0, since total is a minimum of
+    linear functions. Expanding G_s^i and pushing it through step s, with
+    pi_s*(pi_s^*a b) = a pi_s*b, pi_s*1 = 1 and pi_s*x_e = 0, gives
+    pi_s*(G_s^i) = G_(s-1)^i + R_s^i, with
+        R_s^i = sum_(t=2..i) C(i, t) c_s^t G_(s-1)^(i-t) pi_s*(x_e^t),
+    so pi_*(G^i) = (-D)^i + sum_s pi_(<s)*(R_s^i), and a step with c_s = 0
+    adds nothing. As E^i = (-1)^i G^i,
+        s = sum_(i>=1) (-1)^(i-1) pi_*(E^i)
+          = D/(1+D) - sum_(i>=2) sum_s pi_(<s)*(R_s^i),
+    truncated at max_codim. One dict of packed terms carries every degree of
+    the sum, in the layout of the chain at width max_codim: from the last
+    bending step down, it is pushed through step s (``_push_step``)
+    and gains R_s (``_bending``). It is subtracted from the series of D in
+    one ``_finish``; nothing is packed when no step bends.
+    """
+    series = _power_series_part(divisor_of_pl(total, c), max_codim)
+    bends = [
+        total.get(s.center[0]) + total.get(s.center[1]) - total.get(s.new_ray)
+        for s in trace
+    ]
+    if not any(bends):
+        return series
+    layout = _Layout(c.ray_ids, [s.new_ray for s in trace], max_codim)
+    # G_s's coefficients: g(e) = g(r1) + g(r2) + c_s keeps g = -total
+    g = {r: -total.get(r) for r in layout.names}
+    acc: dict[int, int] = {}
+    for step, bend in reversed(list(zip(trace, bends))):
+        if acc:
+            _push_step(acc, step, layout)
+        if bend:
+            _bending(acc, step, bend, g, max_codim, layout)
+    terms = dict(series.terms)
+    for m, v in acc.items():
+        k = layout.unpack(m)
+        terms[k] = terms.get(k, 0) - v
+    return _finish(terms, c)
 
 
 def pushforward(a: ChowClass, *steps: SubdivisionStep) -> ChowClass:

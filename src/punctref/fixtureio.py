@@ -150,7 +150,10 @@ def _load_complex(obj: Any, path: str) -> tuple[ConeComplex, Any]:
         prim = None
         if entry.get("primitive") is not None:
             prim = tuple(_int_list(entry["primitive"], f"{p}.primitive"))
-        rays.append(Ray(rid, prim))
+        try:
+            rays.append(Ray(rid, prim))
+        except ValueError as e:
+            raise SchemaError(f"{p}.id", str(e)) from e
     cones_obj = _expect(obj["cones"], list, f"{path}.cones", "an array")
     cones = []
     for i, cone in enumerate(cones_obj):
@@ -184,42 +187,40 @@ def _load_trace(obj: Any, path: str) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-def load_fixture(doc: Any, path: str = "$") -> Fixture:
-    _expect(doc, dict, path, "a fixture object")
-    data = _load_data(doc["data"], f"{path}.data") if "data" in doc else None
+def load_fixture(doc: Any) -> Fixture:
+    _expect(doc, dict, "$", "a fixture object")
+    data = _load_data(doc["data"], "$.data") if "data" in doc else None
     model = None
     if "strata" in doc:
         if data is None:
-            raise SchemaError(f"{path}.strata", "strata need accompanying data")
-        model = _load_model(doc["strata"], data.k, f"{path}.strata")
+            raise SchemaError("$.strata", "strata need accompanying data")
+        model = _load_model(doc["strata"], data.k, "$.strata")
     cx = offsets = None
     offsets_obj = None
     if "complex" in doc:
-        cx, offsets_obj = _load_complex(doc["complex"], f"{path}.complex")
+        cx, offsets_obj = _load_complex(doc["complex"], "$.complex")
         if offsets_obj is not None:
-            offsets = _load_offsets(offsets_obj, cx.ray_ids, f"{path}.complex.offsets")
+            offsets = _load_offsets(offsets_obj, cx.ray_ids, "$.complex.offsets")
     trace = None
     lifted = None
     if "trace" in doc:
         if cx is None:
-            raise SchemaError(f"{path}.trace", "a trace needs a complex")
-        trace = _load_trace(doc["trace"], f"{path}.trace")
+            raise SchemaError("$.trace", "a trace needs a complex")
+        trace = _load_trace(doc["trace"], "$.trace")
     if "lifted_offsets" in doc:
         if cx is None or trace is None:
             raise SchemaError(
-                f"{path}.lifted_offsets", "lifted offsets need a complex and a trace"
+                "$.lifted_offsets", "lifted offsets need a complex and a trace"
             )
         upstairs_ids = list(cx.ray_ids)
         for i, (_, name) in enumerate(trace):
             if name is None:
                 raise SchemaError(
-                    f"{path}.trace[{i}].new",
+                    f"$.trace[{i}].new",
                     "steps must name new rays when lifted offsets are given",
                 )
             upstairs_ids.append(name)
-        lifted = _load_offsets(
-            doc["lifted_offsets"], upstairs_ids, f"{path}.lifted_offsets"
-        )
+        lifted = _load_offsets(doc["lifted_offsets"], upstairs_ids, "$.lifted_offsets")
     return Fixture(data, model, cx, offsets, trace, lifted)
 
 
@@ -229,7 +230,8 @@ def _read_json(filename: str) -> tuple[Any, bytes]:
         raw = fh.read()
     try:
         return json.loads(raw), raw
-    except json.JSONDecodeError as e:
+    # a document nested past the recursion limit is refused as malformed too
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError("$", f"invalid JSON: {e}") from e
 
 
@@ -278,7 +280,7 @@ def offsets_to_json(pd: PuncturingData) -> list[dict]:
     ]
 
 
-def complex_to_json(c: ConeComplex, pd: Optional[PuncturingData] = None) -> dict:
+def complex_to_json(c: ConeComplex, pd: PuncturingData) -> dict:
     rays = []
     for rid in c.ray_ids:
         ray = c.ray(rid)
@@ -286,13 +288,11 @@ def complex_to_json(c: ConeComplex, pd: Optional[PuncturingData] = None) -> dict
         if ray.primitive is not None:
             entry["primitive"] = list(ray.primitive)
         rays.append(entry)
-    doc = {
+    return {
         "rays": rays,
         "cones": [list(cone) for cone in c.maximal_cones() if cone],
+        "offsets": offsets_to_json(pd),
     }
-    if pd is not None:
-        doc["offsets"] = offsets_to_json(pd)
-    return doc
 
 
 def data_to_json(nd: NumericalData) -> dict:

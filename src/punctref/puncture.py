@@ -3,21 +3,18 @@
 The pipeline: puncturing offsets define a monomial ideal on the cone complex;
 stellar subdivisions at two-ray centers make its total transform E Cartier;
 the Segre class of the puncturing substack is the pushforward of E/(1+E); and
-the refined class is the degree-k_P part of the Chern/Segre product. With
-G_s = -E_s on the complex after step s, step s changes G by its bending
-c_s x_e, c_s = total(r1) + total(r2) - total(e) <= 0, so pi_*(G^i) is
-(-D)^i, for D the divisor of total on the base, plus the sum over the steps
-of the pushed-down R_s^i = sum_(t>=2) C(i, t) c_s^t G_(s-1)^(i-t)
-pi_s*(x_e^t): only what the bending adds goes down, from the step that adds
-it, and the Segre class is D/(1+D) minus that sum (``_segre_by_bending``).
-The pushed-down powers of x_e enter R_s through a closed form in the two
-center rays (``_bending_q``). The series of a linear class comes term by
-term from ``chowring._power_series_part``. Each D_p upstairs is pulled back
-from the base, so by the projection formula that product is formed on the
-base complex, against the pushed-down Segre class, in one pass over the
-pairs of terms whose degrees sum to k_P. The aluffi-crosscheck backend
-calls ``aluffi.segre_newton``, which pushes down the whole series E/(1+E) of
-its own principalization and needs nothing from this module at run time.
+the refined class is the degree-k_P part of the Chern/Segre product. This
+module principalizes, builds the ideal and calls the class operations of
+``chowring``, the one module that packs and multiplies monomials: the series
+of a linear class (``_power_series_part``), the push-down of E/(1+E) along
+the trace, which pushes down only what each step's bending adds
+(``_segre_by_bending``), and the product in one degree
+(``_product_in_degree``). Each D_p upstairs is pulled back from the base, so
+by the projection formula that product is formed on the base complex,
+against the pushed-down Segre class, in degree k_P alone. The
+aluffi-crosscheck backend calls ``aluffi.segre_newton``, which pushes down
+the whole series E/(1+E) of its own principalization and needs nothing from
+this module at run time.
 """
 from __future__ import annotations
 
@@ -29,13 +26,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import aluffi
 from .chowring import (
     ChowClass,
-    _compositions,
-    _finish,
-    _Layout,
-    _mono_degree,
-    _mono_mul,
     _power_series_part,
-    _push_step,
+    _product_in_degree,
+    _segre_by_bending,
     divisor_of_pl,
     multiply,
     ray_class,
@@ -50,7 +43,6 @@ from .conecx import (
     SubdivisionStep,
     _fresh_ray_ids,
     _Record,
-    _star,
     pl_function,
     star_subdivide,
 )
@@ -247,9 +239,9 @@ def principalize(
     read. The maximal cones are carried through the steps: a maximal
     tau + center, tau in the link, becomes tau + e + r1 and tau + e + r2,
     and every other maximal cone stays maximal. The closing check reads
-    them in (dimension, lex) order, and the refined complex caches them as
-    its ``maximal_cones()``, so they are never derived from every cone. New
-    rays are named e0, e1, ... from a counter that skips the ids of c.
+    them in (dimension, lex) order, so they are never derived from every
+    cone. New rays are named e0, e1, ... from a counter that skips the ids
+    of c.
 
     Returns the refined complex, the subdivision trace, and the total
     transform as a PL function: the raywise minimum of the generators, which
@@ -284,7 +276,7 @@ def principalize(
                 cone = tuple(sorted(tau + step.center))
                 if cone in maximal:
                     maximal.remove(cone)
-                    maximal.update(_star([tau], step.center, e)[1:])
+                    maximal.update(tuple(sorted((*tau, e, r))) for r in step.center)
     ordered = tuple(sorted(maximal, key=lambda t: (len(t), t)))
     ray_min = {r: min(row) for r, row in table.items()}
     for cone in ordered:
@@ -292,147 +284,8 @@ def principalize(
             raise PrincipalizationError(
                 f"non-principal cone {cone} without a crossing pair"
             )
-    # the complex's own cache, which maximal_cones() would derive from every cone
-    current.__dict__.setdefault("_maximal_cache", ordered)
     total = pl_function({r: v for r, v in ray_min.items() if v})
     return current, tuple(trace), total
-
-
-def _bending_q(g1: int, g2: int, bend: int, top: int) -> list[list[int]]:
-    """Q_d for d = 0..top in the two center rays, as coefficient lists:
-    Q_d[j] is the coefficient of x_r1^j x_r2^(d-j).
-
-    The blowdown formula pushes x_e^t down to
-    -x_r1 x_r2 h_(t-2)(x_r1, x_r2) = (x_r1 x_r2^t - x_r2 x_r1^t) / (x_r1 - x_r2),
-    which is also right for t = 0 (1) and t = 1 (0). With L = g1 x_r1 + g2 x_r2
-    and x1, x2 for the center rays, the binomial sum of Q_d is then
-        Q_d = sum_(t=0..d) C(d, t) bend^t L^(d-t) pi_s*(x_e^t) - L^d
-            = [x1 ((L + bend x2)^d - L^d) - x2 ((L + bend x1)^d - L^d)]
-              / (x1 - x2).
-    The numerator's coefficient of x1^j x2^(d+1-j) is alpha_(j-1) - beta_j,
-    with
-        alpha_j = C(d, j) g1^j ((g2 + bend)^(d-j) - g2^(d-j)),
-        beta_j = C(d, j) g2^(d-j) ((g1 + bend)^j - g1^j),
-    and the division by x1 - x2 is exact, so Q_d[j] is the partial sum
-    sum_(i<=j) beta_i - alpha_(i-1): O(d) products per degree from four
-    power tables. Q_d[0] = Q_d[d] = 0, as every monomial holds both rays.
-    """
-    a, b, g, p = (
-        [x**i for i in range(top + 1)] for x in (g1, g2 + bend, g2, g1 + bend)
-    )
-    out = []
-    for d in range(top + 1):
-        q, run, prev = [], 0, 0
-        for j in range(d + 1):
-            binom = comb(d, j)
-            run += binom * g[d - j] * (p[j] - a[j]) - prev
-            prev = binom * a[j] * (b[d - j] - g[d - j])
-            q.append(run)
-        out.append(q)
-    return out
-
-
-def _bending(
-    acc: dict[int, int],
-    step: SubdivisionStep,
-    bend: int,
-    g: Mapping[str, int],
-    max_codim: int,
-    layout: _Layout,
-) -> None:
-    """Add one step's R^i = pi_s*(G_s^i) - G_(s-1)^i, i = 2..max_codim, to acc.
-
-    G = -E, so G_s = pi_s^*G_(s-1) + bend x_e (see _segre_by_bending). Write
-    G_(s-1) = g1 x_r1 + g2 x_r2 + H, with H on the other rays of the step's
-    source; g holds G's coefficients, -total on every ray.
-    After the binomial expansion,
-        R^i = sum_(m+d=i, d>=2) C(i, m) H^m Q_d,
-        Q_d = sum_(t=2..d) C(d, t) bend^t (g1 x_r1 + g2 x_r2)^(d-t) pi_s*(x_e^t),
-    and Q_d has the closed form of ``_bending_q``: O(d) coefficients per
-    degree, not a sum over t and over the kernel of each x_e^t. Every
-    monomial of Q_d has both center rays, so only the terms of H^m on a face
-    lam of the step's link survive: () for m = 0, else the link's faces with
-    0 < |lam| <= m <= max_codim - 2 and g nonzero on their rays. They are
-    written in closed form, as in _power_series_part, and packed in the
-    chain's layout: a product of monomials is the sum of their ints. The
-    weights C(m + d, m) Q_d over d are folded into one packed list per m,
-    once per step.
-    """
-    r1, r2 = step.center
-    shift = layout.shift
-    s1, s2 = shift[r1], shift[r2]
-    Q = [
-        [((j << s1) + (d - j << s2), v) for j, v in enumerate(q) if v]
-        for d, q in enumerate(_bending_q(g[r1], g[r2], bend, max_codim))
-    ]
-    faces = [lam for lam in step.link if lam and all(map(g.get, lam))]
-    # H^0 = 1 lives on (), H^m on faces of 1..m rays: faces holds one-faces if any
-    for m in range(max_codim - 1 if faces else 1):
-        lams = [lam for lam in faces if len(lam) <= m] if m else [()]
-        weighted = [
-            (q, comb(m + d, m) * v)
-            for d in range(2, max_codim - m + 1)
-            for q, v in Q[d]
-        ]
-        for lam in lams:
-            for a, multinomial in _compositions(m, len(lam)):
-                hv, h = multinomial, 0
-                for r, x in zip(lam, a):
-                    hv *= g[r] ** x
-                    h += x << shift[r]
-                for q, w in weighted:
-                    acc[h + q] = acc.get(h + q, 0) + hv * w
-
-
-def _segre_by_bending(
-    c: ConeComplex,
-    trace: Sequence[SubdivisionStep],
-    total: PLFunction,
-    max_codim: int,
-) -> ChowClass:
-    """The pushforward of E/(1+E) through max_codim, with only the steps'
-    bendings pushed down.
-
-    E_s is the divisor of total on the complex after step s, and G_s = -E_s,
-    so G_0 = -D for D the divisor of total on the base. The pullback along
-    step s gives x_e the coefficient g(r1) + g(r2), so
-    G_s = pi_s^*G_(s-1) + c_s x_e, with the step's bending
-    c_s = total(r1) + total(r2) - total(e) <= 0, since total is a minimum of
-    linear functions. Expanding G_s^i and pushing it through step s, with
-    pi_s*(pi_s^*a b) = a pi_s*b, pi_s*1 = 1 and pi_s*x_e = 0, gives
-    pi_s*(G_s^i) = G_(s-1)^i + R_s^i, with
-        R_s^i = sum_(t=2..i) C(i, t) c_s^t G_(s-1)^(i-t) pi_s*(x_e^t),
-    so pi_*(G^i) = (-D)^i + sum_s pi_(<s)*(R_s^i), and a step with c_s = 0
-    adds nothing. As E^i = (-1)^i G^i,
-        s = sum_(i>=1) (-1)^(i-1) pi_*(E^i)
-          = D/(1+D) - sum_(i>=2) sum_s pi_(<s)*(R_s^i),
-    truncated at max_codim. One dict of packed terms carries every degree of
-    the sum, in the layout of the chain at width max_codim: from the last
-    bending step down, it is pushed through step s (``chowring._push_step``)
-    and gains R_s (``_bending``). It is subtracted from the series of D in
-    one ``_finish``; nothing is packed when no step bends.
-    """
-    series = _power_series_part(divisor_of_pl(total, c), max_codim)
-    bends = [
-        total.get(s.center[0]) + total.get(s.center[1]) - total.get(s.new_ray)
-        for s in trace
-    ]
-    if not any(bends):
-        return series
-    layout = _Layout(c.ray_ids, [s.new_ray for s in trace], max_codim)
-    # G_s's coefficients: g(e) = g(r1) + g(r2) + c_s keeps g = -total
-    g = {r: -total.get(r) for r in layout.names}
-    acc: dict[int, int] = {}
-    for step, bend in reversed(list(zip(trace, bends))):
-        if acc:
-            _push_step(acc, step, layout)
-        if bend:
-            _bending(acc, step, bend, g, max_codim, layout)
-    terms = dict(series.terms)
-    for m, v in acc.items():
-        k = layout.unpack(m)
-        terms[k] = terms.get(k, 0) - v
-    return _finish(terms, c)
 
 
 def _segre(
@@ -506,10 +359,9 @@ def refined_class(
     D_p the divisor of the raw offset and s(Z) the Segre class of the
     normalized offsets ideal (the projection formula moves the product down
     from the principalized complex). With c = prod_p (1 + D_p), a product
-    of ``multiply`` calls, it is the sum over j of c_j * s_(k_P - j): one
-    pass pairs each term of c with the terms of s of the complementary
-    degree, so no term above degree k_P is built, and one ``_finish``
-    normalizes the sum. Empty puncturing data yields the unit; an empty
+    of ``multiply`` calls, it is the sum over j of c_j * s_(k_P - j), which
+    ``chowring._product_in_degree`` forms without building a term of
+    another degree. Empty puncturing data yields the unit; an empty
     puncturing substack yields zero.
     """
     if pd.k_P == 0:
@@ -519,15 +371,7 @@ def refined_class(
         return RefinedClassResult(zero(c), (), ())
     s, trace = _segre(c, normalized_ideal(c, pd), pd.k_P, backend)
     chern = reduce(multiply, [unit(c) + divisor_of_pl(f, c) for _, f in pd.offsets])
-    segre_by_degree: dict[int, list] = {}
-    for m, v in s.terms:
-        segre_by_degree.setdefault(_mono_degree(m), []).append((m, v))
-    acc: dict = {}
-    for m1, v1 in chern.terms:
-        for m2, v2 in segre_by_degree.get(pd.k_P - _mono_degree(m1), ()):
-            m = _mono_mul(m1, m2)
-            acc[m] = acc.get(m, 0) + v1 * v2
-    return RefinedClassResult(_finish(acc, c), trace, components)
+    return RefinedClassResult(_product_in_degree(chern, s, pd.k_P), trace, components)
 
 
 def refined_class_excess(

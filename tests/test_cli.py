@@ -486,6 +486,24 @@ def test_invalid_option_file_json_exits_2(capsys, tmp_path, argv):
     assert err.startswith("error: $: invalid JSON:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate",),
+        ("twisted-check", fixture_path("pr-hyperplane"), "--rooting"),
+        ("sensitivity", fixture_path("p2-two-lines"), "--subdivision"),
+    ],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv):
+    """Past the recursion limit the decoder raises RecursionError, not a
+    decode error; each of the three readers refuses it in one line."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: $: invalid JSON:") and err.count("\n") == 1
+
+
 def test_repeated_stratum_face_exits_2(capsys, tmp_path):
     path = write_fixture(
         tmp_path,
@@ -584,6 +602,11 @@ TWO_RAYS = {"rays": [{"id": "a"}, {"id": "b"}], "cones": [["a", "b"]]}
             "refined-class",
             {"data": {"k": 1, "degrees": [1], "markings": [[2], [-1]]}},
             "$: need either complex with offsets or data with strata",
+        ),
+        (
+            "validate",
+            {"complex": {"rays": [{"id": ""}], "cones": []}},
+            "$.complex.rays[0].id: ray id must be a nonempty string",
         ),
     ],
 )

@@ -2,11 +2,11 @@
 
 Each example applies one to three mutations to a fixture (drop a key, swap a
 value for another JSON type, nudge an integer within |v| <= 50, duplicate an
-array entry, put a line break into a string or a key) and runs one
-subcommand on it in process; ``segre`` also draws its ``--max-codim``. The
-run must end in one of two ways: exit 0 or 1 with a JSON document on stdout
-and nothing on stderr, or exit 1 or 2 with nothing on stdout and one line on
-stderr.
+array entry, put a line break into a string or a key, wrap a value in a few
+thousand nested arrays) and runs one subcommand on it in process; ``segre``
+also draws its ``--max-codim``. The run must end in one of two ways: exit 0
+or 1 with a JSON document on stdout and nothing on stderr, or exit 1 or 2
+with nothing on stdout and one line on stderr.
 """
 import contextlib
 import copy
@@ -30,6 +30,29 @@ for _name in FIXTURE_NAMES:
 OTHER_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
 
 
+class Nested:
+    """A value inside depth arrays. It is written out as text by ``dumps``:
+    the encoder itself refuses to nest past the recursion limit."""
+
+    def __init__(self, value, depth):
+        self.value, self.depth = value, depth
+
+
+def dumps(doc):
+    """json.dumps, with each Nested spelled out as brackets around its value."""
+    nested = []
+
+    def hole(obj):
+        nested.append(obj)
+        return f"\0{len(nested) - 1}"
+
+    text = json.dumps(doc, default=hole)
+    for i, n in enumerate(nested):
+        inner = "[" * n.depth + dumps(n.value) + "]" * n.depth
+        text = text.replace(json.dumps(f"\0{i}"), inner)
+    return text
+
+
 def paths(node, prefix=()):
     """Every path below node, parents before children."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -50,7 +73,7 @@ def mutate(draw, doc):
     path = draw(st.sampled_from(list(paths(doc))))
     parent, key = at(doc, path[:-1]), path[-1]
     value = parent[key]
-    kinds = ["swap"]
+    kinds = ["swap", "nest"]
     if isinstance(parent, dict):
         kinds.append("drop")
     if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 50:
@@ -65,6 +88,8 @@ def mutate(draw, doc):
     elif kind == "swap":
         others = [v for v in OTHER_VALUES if type(v) is not type(value)]
         parent[key] = copy.deepcopy(draw(st.sampled_from(others)))
+    elif kind == "nest":
+        parent[key] = Nested(value, draw(st.integers(2000, 5000)))
     elif kind == "nudge":
         parent[key] = draw(st.integers(max(-50, value - 5), min(50, value + 5)))
     elif kind == "break":
@@ -107,7 +132,7 @@ def test_mutated_fixtures_end_in_json_or_one_line(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fx.json")
         with open(path, "w") as f:
-            json.dump(doc, f)
+            f.write(dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, path, *flags])

@@ -10,6 +10,7 @@ import punctref.aluffi
 import punctref.chowring
 import punctref.puncture
 from punctref.chowring import (
+    _bending_q,
     _blowdown_kernel,
     _finish,
     divisor_of_pl,
@@ -33,7 +34,6 @@ from punctref.conecx import (
 from punctref.puncture import (
     PrincipalizationError,
     PuncturingData,
-    _bending_q,
     _power_series_part,
     _segre_by_bending,
     monomial_ideal,
@@ -685,13 +685,13 @@ def test_segre_matches_reference_on_seeded_charts():
 
 def test_trace_without_bending_pushes_nothing(monkeypatch):
     pushes = []
-    push_step = punctref.puncture._push_step
+    push_step = punctref.chowring._push_step
 
     def counting(*args):
         pushes.append(args[1])
         push_step(*args)
 
-    monkeypatch.setattr(punctref.puncture, "_push_step", counting)
+    monkeypatch.setattr(punctref.chowring, "_push_step", counting)
     # (x^2 y, x y^2, x y) = (x y): the first pair crosses, but x y divides
     # both, so total is linear on every cone the trace makes
     c = build_complex(["x", "y"], [["x", "y"]])
