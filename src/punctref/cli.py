@@ -183,7 +183,8 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
             raise SchemaError("$", "source roots s need a data section to check against")
         _checked_rooting(fixture.data, rd)
     report = check_pushforward_identity_on_complex(
-        _checked_complex(fixture.complex), fixture.offsets, rd, backend=args.backend
+        _checked_complex(fixture.complex), fixture.offsets, rooting_data(r),
+        backend=args.backend,
     )
     return report, 0 if report["equal"] else 1
 

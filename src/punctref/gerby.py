@@ -226,8 +226,12 @@ def check_pushforward_identity_on_complex(
     sides, the observed and the expected factor, and no size warnings.
 
     The puncture count per direction is read off the offset ids, so offsets
-    must follow the p<marking>.<divisor> naming convention.
+    must follow the p<marking>.<divisor> naming convention. Without numerical
+    data there is nothing to check source roots against, so a rooting that
+    carries them raises ValueError.
     """
+    if rd.source_roots is not None:
+        raise ValueError("source roots s need numerical data to check against")
     n_by_direction: dict[int, int] = {}
     for oid, _ in pd.offsets:
         _, j = _offset_direction(oid)
@@ -268,6 +272,8 @@ def check_pushforward_identity(
     report = _checked_rooting(nd, rd)
     types = enumerate_types(nd, tm)
     c, pd = assemble_complex(nd, types)
-    out = check_pushforward_identity_on_complex(c, pd, rd, backend)
+    out = check_pushforward_identity_on_complex(
+        c, pd, RootingData(rd.target_roots), backend
+    )
     out["size_warnings"] = report["size_warnings"]
     return out

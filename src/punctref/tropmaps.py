@@ -1,7 +1,9 @@
 """Genus-zero tropical type enumeration and complex assembly.
 
 Types are decorated trees: per-vertex image face and curve class drawn from a
-user-supplied target model, per-edge slopes forced by balancing. Each type
+user-supplied target model. Edges are end pairs; one flow up the tree forces
+their slopes, and a tree balances exactly when its classes add up to its legs'
+tangencies. An edge's face is its end faces plus its slope's support. Each type
 spans a cone whose coordinates are the root position inside its face together
 with the edge lengths: a plain value, built once and kept on the type beside
 its faces, decoded and keyed once. Realizability, a cone point with every length
@@ -13,6 +15,7 @@ The data these functions read and the types they return are ``tropdata``'s.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import tropdata
@@ -42,6 +45,8 @@ numerical_data, target_model = tropdata.numerical_data, tropdata.target_model
 # canonical_key compares relabelings, so it refuses types with more vertices;
 # enumerate_types refuses a vertex bound past it before any work
 MAX_KEY_VERTICES = 8
+# nor a walk over more tree labelings, sum over its n of (n - 1)! * n^markings
+MAX_WALK_LABELINGS = 10**6
 
 
 def canonical_key(t: TropicalType) -> tuple:
@@ -95,28 +100,28 @@ def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]
     return order
 
 
-def slopes_from_balancing(
-    nd: NumericalData,
-    vertices: Sequence[VertexDecor],
-    edges: Sequence[tuple[int, int] | EdgeDecor],
-) -> TropicalType:
-    """Unique slope assignment on a decorated tree via leaf flow.
+def _edge_face(va: VertexDecor, vb: VertexDecor, slope: Sequence[int]) -> frozenset:
+    """An edge's face: its end faces and the support of its slope."""
+    return va.face | vb.face | frozenset(j + 1 for j, x in enumerate(slope) if x)
 
-    For each edge, cutting it splits the tree; the outgoing slope from the
-    side containing the first endpoint is the side's total class minus its
-    leg tangencies: the subtree of the child end, summed in one pass up the
-    walk, or the rest. Balancing is then verified at every vertex. When an
-    edge carries a declared face, the computed support must lie inside it.
+
+def slopes_from_balancing(
+    nd: NumericalData, vertices: Sequence[VertexDecor], edges: Sequence[tuple[int, int]]
+) -> TropicalType:
+    """Unique slope assignment on a decorated tree, edges given as end pairs.
+
+    Each vertex's flow is its subtree's total class minus its leg tangencies,
+    summed in one pass up the walk from vertex 0. An edge's slope out of its
+    first end is the flow of that end's side: the child's flow, or minus it
+    when the parent is the first end. With T the total flow, that leaves
+    vertex v with T times (1 - the number of edges v is the first end of), so
+    the type balances exactly when T = 0; otherwise the first vertex that is
+    not the first end of exactly one edge is named.
     """
     n = len(vertices)
-    ends = [
-        (e.ends if isinstance(e, EdgeDecor) else (int(e[0]), int(e[1])))
-        for e in edges
-    ]
-    declared = [e.face if isinstance(e, EdgeDecor) else None for e in edges]
+    ends = [(int(a), int(b)) for a, b in edges]
     order = _walk(n, ends)
-    # class minus leg tangencies; balancing makes it the sum of outgoing slopes
-    excess = []
+    flow = []
     for vi, v in enumerate(vertices):
         row = [v.pairing[j] for j in range(nd.k)]
         for i in v.legs:
@@ -124,37 +129,22 @@ def slopes_from_balancing(
                 raise BalancingError(f"leg {i} at vertex {vi} names no marking")
             for j in range(nd.k):
                 row[j] -= nd.markings[i - 1][j]
-        excess.append(row)
-    flow = [list(row) for row in excess]
+        flow.append(row)
     child = [0] * len(ends)
     for v, parent, idx in reversed(order[1:]):
         child[idx] = v
         for j in range(nd.k):
             flow[parent][j] += flow[v][j]
-    out_edges: list[EdgeDecor] = []
+    # residual at v = T * (1 - #{edges with first end v}), T = flow[0]
+    if any(flow[0]):
+        firsts = [a for a, _ in ends]
+        v = next(v for v in range(n) if firsts.count(v) != 1)
+        raise BalancingError(f"balancing fails at vertex {v}")
+    out_edges = []
     for idx, (a, b) in enumerate(ends):
         c = child[idx]
-        m = tuple(flow[c]) if a == c else tuple(x - y for x, y in zip(flow[0], flow[c]))
-        face = (
-            vertices[a].face
-            | vertices[b].face
-            | frozenset(j + 1 for j in range(nd.k) if m[j])
-        )
-        if declared[idx] is not None:
-            if not face <= declared[idx]:
-                raise BalancingError(
-                    f"slope {m} not supported on the declared face of edge {idx}"
-                )
-            face = declared[idx]
-        out_edges.append(EdgeDecor((a, b), face, m))
-    for e in out_edges:
-        a, b = e.ends
-        for j in range(nd.k):
-            excess[a][j] -= e.slope[j]
-            excess[b][j] += e.slope[j]
-    for v in range(n):
-        if any(excess[v]):
-            raise BalancingError(f"balancing fails at vertex {v}")
+        m = tuple(flow[c]) if a == c else tuple(-x for x in flow[c])
+        out_edges.append(EdgeDecor((a, b), _edge_face(vertices[a], vertices[b], m), m))
     return TropicalType(nd.k, tuple(vertices), tuple(out_edges))
 
 
@@ -246,8 +236,6 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
             elif all(s <= 0 for s in signs):
                 z = [-x for x in z]
             else:
-                continue
-            if all(x == 0 for x in z):
                 continue
             found.add(primitive(z))
     rays = sorted(found)
@@ -354,11 +342,8 @@ def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[Tropic
                         VertexDecor(chosen[i][0], chosen[i][1], chosen[i][2], legs[i])
                         for i in range(n)
                     ]
-                    try:
-                        t = slopes_from_balancing(nd, verts, list(edges))
-                    except BalancingError:
-                        return
-                    yield t
+                    # the classes add up to d, the markings' sum, so T = 0
+                    yield slopes_from_balancing(nd, verts, edges)
                     return
                 for face, pairing, label in candidates:
                     zero = all(x == 0 for x in pairing)
@@ -392,7 +377,9 @@ def enumerate_types(
     An explicit ``bounds={"max_vertices": cap}`` stops at min(cap, B)
     vertices and, unlike the default, raises it when types exist at cap.
     When min(cap, B) passes MAX_KEY_VERTICES, the most ``canonical_key``
-    takes, it is raised before the first tree. A cap below 1 or any other
+    takes, it is raised before the first tree; so it is when the walk's tree
+    labelings, sum over n <= min(cap, B) of (n-1)! n^m, pass
+    MAX_WALK_LABELINGS. A cap below 1 or any other
     key in ``bounds`` raises ValueError.
     """
     cap = (bounds or {}).get("max_vertices")
@@ -417,6 +404,13 @@ def enumerate_types(
         raise EnumerationBoundError(
             f"vertex bound {max_v} is past the canonical form's cap of "
             f"{MAX_KEY_VERTICES} vertices"
+        )
+    m = len(nd.markings)
+    labelings = sum(factorial(n - 1) * n**m for n in range(1, max_v + 1))
+    if labelings > MAX_WALK_LABELINGS:
+        raise EnumerationBoundError(
+            f"vertex bound {max_v} and {m} markings give {labelings} tree labelings, "
+            f"past the walk's cap of {MAX_WALK_LABELINGS}"
         )
     found: dict[tuple, TropicalType] = {}
     for n in range(1, max_v + 1):
@@ -513,11 +507,7 @@ def _decode(t: TropicalType, cone: TypeCone, z: Sequence[int]) -> TropicalType:
         if lengths[idx] == 0:
             continue
         a, b = gid[e.ends[0]], gid[e.ends[1]]
-        m = e.slope
-        face = (
-            verts[a].face | verts[b].face | frozenset(j + 1 for j in range(k) if m[j])
-        )
-        edges.append(EdgeDecor((a, b), face, m))
+        edges.append(EdgeDecor((a, b), _edge_face(verts[a], verts[b], e.slope), e.slope))
     return TropicalType(k, tuple(verts), tuple(edges))
 
 

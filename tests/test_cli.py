@@ -559,6 +559,25 @@ def test_vertex_bound_past_the_canonical_form_exits_1_at_once(tmp_path):
     )
 
 
+def test_tree_labelings_past_the_walk_cap_exit_1_at_once(tmp_path):
+    """Seven extra zero markings on a line keep the vertex bound at 8, the key
+    cap, but the walk would visit 88 919 160 875 labelings; it had not ended
+    after 20 s."""
+    path = write_fixture(
+        tmp_path,
+        {
+            "data": {"k": 1, "degrees": [1], "markings": [[1]] + [[0]] * 7},
+            "strata": [{"face": [], "classes": [{"pairing": [1], "label": "line"}]}],
+        },
+    )
+    proc = run_capped(600_000, "enumerate", path, timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (
+        b"inconsistency: vertex bound 8 and 8 markings give 88919160875 tree "
+        b"labelings, past the walk's cap of 1000000\n"
+    )
+
+
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "validate", "/nonexistent/fx.json")
     assert code == 2 and out == "" and "cannot read input" in err
@@ -608,10 +627,39 @@ TWO_RAYS = {"rays": [{"id": "a"}, {"id": "b"}], "cones": [["a", "b"]]}
             {"complex": {"rays": [{"id": ""}], "cones": []}},
             "$.complex.rays[0].id: ray id must be a nonempty string",
         ),
+        (
+            "validate",
+            {
+                "complex": {
+                    **TWO_RAYS,
+                    "offsets": [
+                        {"puncture": "p2.1", "values": {"a": 1}},
+                        {"puncture": "p2.1", "values": {"b": 1}},
+                    ],
+                }
+            },
+            "$.complex.offsets[1].puncture: duplicate offset id 'p2.1'",
+        ),
+        (
+            ("sensitivity", "p2-two-lines", "--subdivision"),
+            {"rays": [[1, 0], [0, 1], [1, 2]], "cones": [[0, 2], [1, 2]]},
+            "$: cone [0, 2] is not unimodular",
+        ),
+        (
+            ("sensitivity", "p2-two-lines", "--subdivision"),
+            {"rays": [[1, 0], [1, 1]], "cones": [[0, 1]]},
+            "$: missing coordinate axis ray (0, 1)",
+        ),
     ],
 )
 def test_schema_refusals_name_their_json_path(capsys, tmp_path, command, doc, err):
-    code, out, stderr = run_cli(capsys, command, write_fixture(tmp_path, doc))
+    # a (command, fixture, option) triple reads the document as the option's file
+    if isinstance(command, tuple):
+        command, fixture, option = command
+        argv = (command, fixture_path(fixture), option, write_fixture(tmp_path, doc))
+    else:
+        argv = (command, write_fixture(tmp_path, doc))
+    code, out, stderr = run_cli(capsys, *argv)
     assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 

@@ -155,3 +155,18 @@ def test_identity_rejects_invalid_rooting():
     nd, tm = pr_data_model()
     with pytest.raises(ValueError, match="rooting data invalid"):
         check_pushforward_identity(nd, tm, rooting_data([5], [1, 1]))
+
+
+def test_identity_on_complex_refuses_source_roots(pr):
+    """Offsets alone carry no tangencies to check s against, so the rooting
+    that the data refuses for divisibility is refused here too."""
+    with pytest.raises(ValueError) as err:
+        check_pushforward_identity_on_complex(
+            pr.complex, pr.offsets, rooting_data([5], [1, 1])
+        )
+    assert str(err.value) == "source roots s need numerical data to check against"
+    nd, tm = pr_data_model()
+    minimal = rooting_data([5], derive_source_roots(nd, [5]))
+    assert check_pushforward_identity(nd, tm, minimal) == (
+        check_pushforward_identity(nd, tm, rooting_data([5]))
+    )
