@@ -47,7 +47,7 @@ _HOMES = {
         "check_pushforward_identity", "check_pushforward_identity_on_complex",
     ),
     "blowups": (
-        "BlowupStep", "LiftedData", "faithful_lift", "stabilize_rank",
+        "BlowupStep", "faithful_lift", "stabilize_rank", "SubdivisionError",
         "subdivision", "trivial_subdivision", "barycentric_subdivision",
         "check_slope_sensitivity", "compare_under_subdivision",
     ),

@@ -1,12 +1,13 @@
 """Target stratum blowups and what refined classes do under them.
 
 A blowup of the corner stratum cut out by the divisors in J prepends an
-exceptional direction; tangency vectors lift faithfully by the case split on
-their sign over J, and iterating over punctures of rank two or more drives
-every puncturing rank to zero or one. Slope sensitivity asks a fan refining
-the orthant, an embedded ``ConeComplex``, to contain every edge slope of the
-induced rank-two problems as a ray; comparison under a subdivision trace
-computes both refined classes and their difference, which need not vanish.
+exceptional direction; a tangency vector lifts faithfully through one
+exceptional entry, read off its entries over J, and iterating over punctures
+of rank two or more drives every puncturing rank to zero or one. Slope
+sensitivity asks a fan refining the orthant, an embedded ``ConeComplex``, to
+contain every edge slope of the induced rank-two problems as a ray;
+comparison under a subdivision trace computes both refined classes and their
+difference, which need not vanish.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from .tropdata import EnumerationBoundError, NumericalData, TargetModel, target_
 
 __all__ = [
     "BlowupStep",
-    "LiftedData",
     "faithful_lift",
     "stabilize_rank",
+    "SubdivisionError",
     "subdivision",
     "trivial_subdivision",
     "barycentric_subdivision",
@@ -56,33 +57,20 @@ class BlowupStep(_Record):
         )
 
 
-class LiftedData(_Record):
-    """A faithful lift: the new data plus per-marking bookkeeping."""
-
-    def __init__(self, step: BlowupStep, nd: NumericalData, cases: tuple[str, ...],
-                 chosen: tuple[int, ...], mult_before: tuple[int, ...],
-                 mult_after: tuple[int, ...]) -> None:
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "nd", nd)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "chosen", chosen)
-        object.__setattr__(self, "mult_before", mult_before)
-        object.__setattr__(self, "mult_after", mult_after)
-
-
-def _multiplicity(alpha: Sequence[int]) -> int:
-    return sum(-a for a in alpha if a < 0)
-
-
-def faithful_lift(nd: NumericalData, center: Iterable[int]) -> LiftedData:
+def faithful_lift(
+    nd: NumericalData, center: Iterable[int]
+) -> tuple[BlowupStep, NumericalData]:
     """Lift tangency vectors along the blowup of a corner stratum.
 
-    Markings with a nonnegative entry over the center take the smallest such
-    value as the exceptional tangency (Case 1); all-negative markings take
-    the largest (Case 2), which strictly reduces puncturing multiplicity when
-    the center has two or more divisors. Ties resolve to the lowest divisor
-    index. Degrees of the lifted data are recomputed from global balancing,
-    so the input must be balanced.
+    A lifted row is (a0, alpha_j - a0 for j in the center, alpha_j off it),
+    so it is fixed by its exceptional entry a0: the smallest nonnegative
+    center entry of the marking (Case 1) or, when every center entry is
+    negative, the largest (Case 2). Which divisor holds a0 does not show in
+    the row. Case 2 changes the multiplicity, the sum of -a over negative
+    entries, by (|center| - 1) a0, so it strictly drops when the center has
+    two or more divisors. Degrees of the lifted data are recomputed from
+    global balancing, so the input must be balanced. Returns the step and
+    the lifted data.
     """
     step = BlowupStep(tuple(sorted(set(int(j) for j in center))))
     if step.center[-1] > nd.k:
@@ -90,38 +78,19 @@ def faithful_lift(nd: NumericalData, center: Iterable[int]) -> LiftedData:
     if any(sum(a[j] for a in nd.markings) != nd.degrees[j] for j in range(nd.k)):
         raise ValueError("faithful lift needs balanced numerical data")
     rows: list[tuple[int, ...]] = []
-    cases: list[str] = []
-    chosen: list[int] = []
     for alpha in nd.markings:
-        on_center = [(alpha[j - 1], j) for j in step.center]
-        nonneg = [(v, j) for v, j in on_center if v >= 0]
-        if nonneg:
-            val, l = min(nonneg)
-            cases.append("case1")
-        else:
-            val, negl = max((v, -j) for v, j in on_center)
-            l = -negl
-            cases.append("case2")
-        chosen.append(l)
-        a_l = alpha[l - 1]
-        row = (a_l,) + tuple(
-            alpha[j - 1] - (a_l if j in step.center else 0) for j in range(1, nd.k + 1)
-        )
-        rows.append(row)
+        on_center = [alpha[j - 1] for j in step.center]
+        a0 = min((v for v in on_center if v >= 0), default=max(on_center))
+        rows.append((a0,) + tuple(
+            a - a0 if j in step.center else a for j, a in enumerate(alpha, 1)
+        ))
     degrees = tuple(sum(r[j] for r in rows) for j in range(nd.k + 1))
     lifted = NumericalData(nd.k + 1, degrees, tuple(rows), nd.genus)
     if step.push_vector(degrees) != nd.degrees:
         raise ArithmeticError("lifted degrees do not push forward to the degrees")
     if any(step.push_vector(r) != a for r, a in zip(rows, nd.markings)):
         raise ArithmeticError("a lifted marking does not push forward to its marking")
-    return LiftedData(
-        step=step,
-        nd=lifted,
-        cases=tuple(cases),
-        chosen=tuple(chosen),
-        mult_before=tuple(_multiplicity(a) for a in nd.markings),
-        mult_after=tuple(_multiplicity(r) for r in rows),
-    )
+    return step, lifted
 
 
 def stabilize_rank(nd: NumericalData) -> tuple[tuple[BlowupStep, ...], NumericalData]:
@@ -148,15 +117,23 @@ def stabilize_rank(nd: NumericalData) -> tuple[tuple[BlowupStep, ...], Numerical
         J = tuple(
             j for j in range(1, current.k + 1) if current.markings[target - 1][j - 1] < 0
         )
-        lifted = faithful_lift(current, J)
-        steps.append(lifted.step)
-        current = lifted.nd
+        step, current = faithful_lift(current, J)
+        steps.append(step)
 
 
 def _fan(rays: Sequence[tuple[int, ...]], cones: Iterable[Iterable[int]]) -> ConeComplex:
     """The embedded complex on primitive rays ``r<i>`` spanned by index cones."""
     ids = [f"r{i}" for i in range(len(rays))]
     return build_complex(list(map(Ray, ids, rays)), ([ids[i] for i in c] for c in cones))
+
+
+class SubdivisionError(ValueError):
+    """A fan ``subdivision`` refuses; ``entry`` names the part at fault:
+    ``rays[i]``, ``rays`` or ``cones[i]``."""
+
+    def __init__(self, entry: str, message: str) -> None:
+        super().__init__(message)
+        self.entry = entry
 
 
 def subdivision(
@@ -166,27 +143,33 @@ def subdivision(
 
     Rays are normalized to primitive vectors; every coordinate axis must
     appear (any refinement of the orthant keeps its one-dimensional faces)
-    and every cone must be unimodular. Full coverage of the orthant is the
-    caller's responsibility.
+    and every cone must be unimodular. A refusal is a SubdivisionError that
+    names the entry at fault. Full coverage of the orthant is the caller's
+    responsibility.
     """
     prim = []
-    for r in rays:
+    for i, r in enumerate(rays):
         v = tuple(int(x) for x in r)
         if len(v) != k or any(x < 0 for x in v) or all(x == 0 for x in v):
-            raise ValueError(f"ray {r} is not a nonzero nonnegative vector of length {k}")
+            raise SubdivisionError(
+                f"rays[{i}]", f"ray {r} is not a nonzero nonnegative vector of length {k}"
+            )
         prim.append(primitive(v))
-    if len(set(prim)) != len(prim):
-        raise ValueError("duplicate rays after normalization")
+    seen: set[tuple[int, ...]] = set()
+    for i, p in enumerate(prim):
+        if p in seen:
+            raise SubdivisionError(f"rays[{i}]", "duplicate rays after normalization")
+        seen.add(p)
     for axis in (tuple(int(i == j) for i in range(k)) for j in range(k)):
         if axis not in prim:
-            raise ValueError(f"missing coordinate axis ray {axis}")
+            raise SubdivisionError("rays", f"missing coordinate axis ray {axis}")
     norm_cones = []
-    for cone in cones:
+    for n, cone in enumerate(cones):
         idx = {int(i) for i in cone}
         if any(i < 0 or i >= len(prim) for i in idx):
-            raise ValueError(f"cone {cone} references a missing ray")
+            raise SubdivisionError(f"cones[{n}]", f"cone {cone} references a missing ray")
         if not is_unimodular([prim[i] for i in idx]):
-            raise ValueError(f"cone {cone} is not unimodular")
+            raise SubdivisionError(f"cones[{n}]", f"cone {cone} is not unimodular")
         norm_cones.append(idx)
     return _fan(prim, norm_cones)
 

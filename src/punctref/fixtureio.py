@@ -253,7 +253,8 @@ def load_rooting_file(filename: str) -> tuple[tuple[int, ...], Optional[tuple[in
 def load_subdivision_arg(arg: str, k: int) -> ConeComplex:
     """Resolve a --subdivision argument, keyword or file path, to an embedded
     fan complex. A file holds ``{"rays": [[int]], "cones": [[ray index]]}``."""
-    from .blowups import barycentric_subdivision, subdivision, trivial_subdivision
+    from .blowups import SubdivisionError, barycentric_subdivision, subdivision
+    from .blowups import trivial_subdivision
 
     if arg == "trivial":
         return trivial_subdivision(k)
@@ -269,8 +270,8 @@ def load_subdivision_arg(arg: str, k: int) -> ConeComplex:
     cones = [_int_list(c, f"$.cones[{i}]") for i, c in enumerate(cones_obj)]
     try:
         return subdivision(k, rays, cones)
-    except ValueError as e:
-        raise SchemaError("$", str(e)) from e
+    except SubdivisionError as e:
+        raise SchemaError(f"$.{e.entry}", str(e)) from e
 
 
 def offsets_to_json(pd: PuncturingData) -> list[dict]:

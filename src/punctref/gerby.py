@@ -149,13 +149,14 @@ def _offset_direction(offset_id: str) -> tuple[int, int]:
 
 def twist_complex(
     c: ConeComplex, pd: PuncturingData, rd: RootingData
-) -> tuple[ConeComplex, PuncturingData, dict[str, int]]:
+) -> tuple[PuncturingData, dict[str, int]]:
     """Offsets and ray scalings on the rooted target.
 
     Each ray is rescaled by c_rho = lcm of r_j / gcd(r_j, f(rho)) over the
     offsets not vanishing there, after which every twisted offset value
     c_rho * f(rho) / r_j is a nonnegative integer. The combinatorial complex
-    is unchanged; the scaling dictionary carries the lattice refinement.
+    is unchanged, so the twisted offsets live on c; the scaling dictionary
+    carries the lattice refinement.
     """
     roots = rd.target_roots
     directions = {}
@@ -185,7 +186,7 @@ def twist_complex(
                     raise ArithmeticError(f"twisted offset {num}/{r} is not integral")
                 vals[rid] = num // r
         twisted[oid] = vals
-    return c, puncturing_data(twisted), scaling
+    return puncturing_data(twisted), scaling
 
 
 def root_pushforward(a: ChowClass, scaling: dict[str, int], target: ConeComplex) -> ChowClass:
@@ -237,8 +238,8 @@ def check_pushforward_identity_on_complex(
         _, j = _offset_direction(oid)
         n_by_direction[j] = n_by_direction.get(j, 0) + 1
     lhs = refined_class(c, pd, backend=backend).cls
-    twisted_c, twisted_pd, scaling = twist_complex(c, pd, rd)
-    upstairs = refined_class(twisted_c, twisted_pd, backend=backend).cls
+    twisted_pd, scaling = twist_complex(c, pd, rd)
+    upstairs = refined_class(c, twisted_pd, backend=backend).cls
     rhs = root_pushforward(upstairs, scaling, c)
     expected = Fraction(1)
     for j, n in n_by_direction.items():

@@ -64,9 +64,9 @@ __all__ = [
 
 
 class PrincipalizationError(RuntimeError):
-    """Raised when principalization exhausts its step budget or ends on a
-    non-principal cone, or when the Segre class it feeds could pass
-    MAX_SEGRE_TERMS terms.
+    """Raised when principalization exhausts its step budget or ends while
+    a generator pair still crosses, or when the Segre class it feeds could
+    pass MAX_SEGRE_TERMS terms.
 
     The budget is not a proof of a bug: the step count grows with the
     offsets. On the 2-ray chart with offsets (a^N b, a^2 b^5), normalized
@@ -236,12 +236,16 @@ def principalize(
     becomes active; after that each step updates them. Its only lost
     two-cone is the center, and it gains (x, e), crossing when d_e d_x < 0,
     for x = r1, r2 and each one-face x of the step's link, the only rays
-    read. The maximal cones are carried through the steps: a maximal
-    tau + center, tau in the link, becomes tau + e + r1 and tau + e + r2,
-    and every other maximal cone stays maximal. The closing check reads
-    them in (dimension, lex) order, so they are never derived from every
-    cone. New rays are named e0, e1, ... from a counter that skips the ids
+    read. New rays are named e0, e1, ... from a counter that skips the ids
     of c.
+
+    The loop ends with every pair settled, so no two rays of a cone carry a
+    pair's d with strict opposite signs: any two generators compare raywise
+    on each cone, and by transitivity one is least there and divides the
+    others. So no maximal cone is read. The closing check rescans the final
+    complex once per pair with the same crossing rule, which tests the
+    update the loop trusts, and raises PrincipalizationError naming a pair
+    that still crosses.
 
     Returns the refined complex, the subdivision trace, and the total
     transform as a PL function: the raywise minimum of the generators, which
@@ -253,7 +257,6 @@ def principalize(
     table = {r: [g.get(r) for g in ideal.generators] for r in c.ray_ids}
     names = _fresh_ray_ids(c)
     current = c
-    maximal = set(c.maximal_cones())
     trace: list[SubdivisionStep] = []
     for a, b in itertools.combinations(gens, 2):
         faces = _crossing_faces(table, a, b, current)
@@ -272,18 +275,11 @@ def principalize(
                 dx = table[x][a] - table[x][b]
                 if de * dx < 0:
                     faces[tuple(sorted((x, e)))] = abs(de - dx)
-            for tau in step.link:
-                cone = tuple(sorted(tau + step.center))
-                if cone in maximal:
-                    maximal.remove(cone)
-                    maximal.update(tuple(sorted((*tau, e, r))) for r in step.center)
-    ordered = tuple(sorted(maximal, key=lambda t: (len(t), t)))
+    # every pair settled <=> on each cone one generator is raywise least
+    for a, b in itertools.combinations(gens, 2):
+        if _crossing_faces(table, a, b, current):
+            raise PrincipalizationError(f"generator pair ({a}, {b}) still crosses")
     ray_min = {r: min(row) for r, row in table.items()}
-    for cone in ordered:
-        if not any(all(table[r][i] == ray_min[r] for r in cone) for i in gens):
-            raise PrincipalizationError(
-                f"non-principal cone {cone} without a crossing pair"
-            )
     total = pl_function({r: v for r, v in ray_min.items() if v})
     return current, tuple(trace), total
 

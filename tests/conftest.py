@@ -81,6 +81,16 @@ def pr_data_model():
 # deterministic generators shared by the property and acceptance suites
 
 
+def multiplicity(alpha):
+    """Puncturing multiplicity of a tangency vector: the sum of -a over a < 0."""
+    return sum(-a for a in alpha if a < 0)
+
+
+def lifts_by_case2(alpha, center):
+    """A faithful lift takes Case 2 exactly when every center entry is negative."""
+    return all(alpha[j - 1] < 0 for j in center)
+
+
 def random_complex(rng, max_rays=5, max_cone=2):
     """A small complex with at least one 2-cone, simplicial by construction."""
     n = rng.randint(2, max_rays)

@@ -38,7 +38,9 @@ from punctref.tropmaps import (
 
 import conftest
 from conftest import (
+    lifts_by_case2,
     load,
+    multiplicity,
     p2_data_model,
     pr_data_model,
     random_class,
@@ -211,16 +213,16 @@ def test_criterion_6_property_suites():
         for alpha in itertools.product(range(-3, 4), repeat=k):
             nd = _balanced_single_marking(k, alpha)
             for center in _all_centers(k):
-                lifted = faithful_lift(nd, center)
-                row = lifted.nd.markings[0]
-                assert lifted.nd.k == k + 1
+                step, lifted = faithful_lift(nd, center)
+                row = lifted.markings[0]
+                assert lifted.k == k + 1
                 # the lift pushes forward to the original tangency vector
-                assert lifted.step.push_vector(row) == alpha
+                assert step.push_vector(row) == alpha
                 neg_before = sum(1 for a in alpha if a < 0)
                 neg_after = sum(1 for a in row if a < 0)
                 assert neg_after <= neg_before
-                if lifted.cases[0] == "case2" and len(center) >= 2:
-                    assert lifted.mult_after[0] < lifted.mult_before[0]
+                if lifts_by_case2(alpha, center) and len(center) >= 2:
+                    assert multiplicity(row) < multiplicity(alpha)
                 checked += 1
             steps, stable = stabilize_rank(nd)
             assert all(stable.rank(i) <= 1 for i in range(1, len(stable.markings) + 1))

@@ -5,6 +5,7 @@ import pytest
 
 from punctref.blowups import (
     BlowupStep,
+    SubdivisionError,
     barycentric_subdivision,
     check_slope_sensitivity,
     compare_under_subdivision,
@@ -16,7 +17,7 @@ from punctref.blowups import (
 from punctref.conecx import validate_complex
 from punctref.tropdata import EnumerationBoundError, numerical_data, target_model
 
-from conftest import p2_data_model, pr_data_model
+from conftest import lifts_by_case2, multiplicity, p2_data_model, pr_data_model
 
 
 def test_blowup_step_validation():
@@ -32,37 +33,36 @@ def test_blowup_step_validation():
 
 def test_faithful_lift_p2_case_split():
     nd, _ = p2_data_model()
-    lifted = faithful_lift(nd, (1, 2))
-    assert lifted.cases == ("case1", "case2")
-    assert lifted.chosen == (1, 1)
-    assert lifted.nd.markings == ((2, 0, 0), (-1, 0, 0))
-    assert lifted.nd.degrees == (1, 0, 0)
-    assert lifted.mult_before == (0, 2)
-    assert lifted.mult_after == (0, 1)
+    step, lifted = faithful_lift(nd, (1, 2))
+    assert step.center == (1, 2)
+    assert [lifts_by_case2(a, step.center) for a in nd.markings] == [False, True]
+    assert lifted.markings == ((2, 0, 0), (-1, 0, 0))
+    assert lifted.degrees == (1, 0, 0)
+    assert [multiplicity(a) for a in nd.markings] == [0, 2]
+    assert [multiplicity(r) for r in lifted.markings] == [0, 1]
 
 
 def test_faithful_lift_case2_argmax_breaks_ties_low():
     nd = numerical_data(3, (0, 0, 0), [(-2, -1, -1), (2, 1, 1)])
-    lifted = faithful_lift(nd, (1, 2, 3))
-    # the all-negative marking lifts through its largest entry, lowest index
-    assert lifted.cases[0] == "case2"
-    assert lifted.chosen[0] == 2
-    assert lifted.nd.markings[0] == (-1, -1, 0, 0)
-    assert lifted.mult_before[0] == 4
-    assert lifted.mult_after[0] == 2
-    # the nonnegative marking picks its smallest center entry
-    assert lifted.cases[1] == "case1"
-    assert lifted.chosen[1] == 2
-    assert lifted.nd.markings[1] == (1, 1, 0, 0)
+    step, lifted = faithful_lift(nd, (1, 2, 3))
+    # the all-negative marking lifts through its largest entry, the
+    # nonnegative one through its smallest
+    assert [lifts_by_case2(a, step.center) for a in nd.markings] == [True, False]
+    assert lifted.markings == ((-1, -1, 0, 0), (1, 1, 0, 0))
+    assert [multiplicity(r) for r in lifted.markings] == [2, 0]
+    assert multiplicity(nd.markings[0]) == 4
+    # both entries tie at divisors 2 and 3, and either one gives the same row
+    for row, alpha in zip(lifted.markings, nd.markings):
+        for l in (2, 3):
+            assert row == (alpha[l - 1],) + tuple(a - alpha[l - 1] for a in alpha)
 
 
 def test_faithful_lift_case1_zero_exceptional():
     nd = numerical_data(2, (-3, 0), [(0, -3), (-3, 3)])
-    lifted = faithful_lift(nd, (1, 2))
-    assert lifted.cases[0] == "case1"
-    assert lifted.chosen[0] == 1
-    assert lifted.nd.markings[0] == (0, 0, -3)
-    assert lifted.mult_after[0] == lifted.mult_before[0] == 3
+    step, lifted = faithful_lift(nd, (1, 2))
+    assert not lifts_by_case2(nd.markings[0], step.center)
+    assert lifted.markings[0] == (0, 0, -3)
+    assert multiplicity(lifted.markings[0]) == multiplicity(nd.markings[0]) == 3
 
 
 def test_faithful_lift_input_errors():
@@ -168,18 +168,19 @@ def test_subdivision_validator():
     assert fan == barycentric_subdivision(2)
     # a repeated index names one ray; a repeated cone is one cone
     assert subdivision(2, [(1, 0), (0, 1), (1, 1)], [(0, 2, 2), (2, 1), (1, 2)]) == fan
-    with pytest.raises(ValueError, match="missing coordinate axis"):
-        subdivision(2, [(1, 0), (1, 1)], [(0, 1)])
-    with pytest.raises(ValueError, match="duplicate rays"):
-        subdivision(2, [(1, 0), (2, 0), (0, 1)], [])
-    with pytest.raises(ValueError, match="nonzero nonnegative"):
-        subdivision(2, [(1, 0), (0, 1), (-1, 2)], [])
-    with pytest.raises(ValueError, match="nonzero nonnegative"):
-        subdivision(2, [(1, 0), (0, 1), (0, 0)], [])
-    with pytest.raises(ValueError, match="missing ray"):
-        subdivision(2, [(1, 0), (0, 1)], [(0, 5)])
-    with pytest.raises(ValueError, match="not unimodular"):
-        subdivision(2, [(1, 0), (0, 1), (1, 2)], [(0, 2)])
+    # each refusal is a ValueError that names the entry at fault
+    refusals = [
+        ([(1, 0), (1, 1)], [(0, 1)], "missing coordinate axis", "rays"),
+        ([(1, 0), (2, 0), (0, 1)], [], "duplicate rays", "rays[1]"),
+        ([(1, 0), (0, 1), (-1, 2)], [], "nonzero nonnegative", "rays[2]"),
+        ([(1, 0), (0, 1), (0, 0)], [], "nonzero nonnegative", "rays[2]"),
+        ([(1, 0), (0, 1)], [(0, 1), (0, 5)], "missing ray", "cones[1]"),
+        ([(1, 0), (0, 1), (1, 2)], [(0, 2)], "not unimodular", "cones[0]"),
+    ]
+    for rays, cones, message, entry in refusals:
+        with pytest.raises(ValueError, match=message) as info:
+            subdivision(2, rays, cones)
+        assert isinstance(info.value, SubdivisionError) and info.value.entry == entry
 
 
 def test_sensitivity_p2_verdicts():

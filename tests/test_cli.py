@@ -643,12 +643,17 @@ TWO_RAYS = {"rays": [{"id": "a"}, {"id": "b"}], "cones": [["a", "b"]]}
         (
             ("sensitivity", "p2-two-lines", "--subdivision"),
             {"rays": [[1, 0], [0, 1], [1, 2]], "cones": [[0, 2], [1, 2]]},
-            "$: cone [0, 2] is not unimodular",
+            "$.cones[0]: cone [0, 2] is not unimodular",
         ),
         (
             ("sensitivity", "p2-two-lines", "--subdivision"),
             {"rays": [[1, 0], [1, 1]], "cones": [[0, 1]]},
-            "$: missing coordinate axis ray (0, 1)",
+            "$.rays: missing coordinate axis ray (0, 1)",
+        ),
+        (
+            ("sensitivity", "p2-two-lines", "--subdivision"),
+            {"rays": [[1, 0], [0, 1], [2, 0]], "cones": []},
+            "$.rays[2]: duplicate rays after normalization",
         ),
     ],
 )

@@ -128,6 +128,26 @@ def test_validate_reports_missing_face():
     assert any("face" in v for v in report["violations"])
 
 
+@pytest.mark.parametrize(
+    "ray_ids,cones,violation",
+    [
+        (("a", "a"), [(), ("a",)], "duplicate ray ids"),
+        (("a",), [("a",)], "missing empty cone"),
+        (
+            ("a", "b"),
+            [(), ("a",), ("b",), ("b", "a")],
+            "cone ('b', 'a') not canonically sorted",
+        ),
+        (("a",), [(), ("a",), ("a", "a")], "cone ('a', 'a') repeats a ray"),
+        (("a",), [(), ("a",), ("z",)], "cone ('z',) uses unknown ray z"),
+    ],
+)
+def test_validate_reports_structural_violations(ray_ids, cones, violation):
+    # build_complex refuses each of these, so only a direct ConeComplex has them
+    report = validate_complex(ConeComplex(tuple(map(Ray, ray_ids)), cones))
+    assert not report["ok"] and violation in report["violations"]
+
+
 def test_validate_reports_nonprimitive_vector():
     broken = ConeComplex(rays=(Ray("a", (2, 0)),), cones=((), ("a",)))
     report = validate_complex(broken)

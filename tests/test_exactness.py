@@ -58,8 +58,8 @@ def test_gerby_identity_divides_only_in_the_root_pushforward(name, data_model, r
     assert all(t["coeff"].endswith("/1") for t in report["lhs"])
     assert not any(t["coeff"].endswith("/1") for t in report["rhs"])
     fx = load(name)
-    twisted_c, twisted_pd, scaling = twist_complex(fx.complex, fx.offsets, rd)
-    upstairs = refined_class(twisted_c, twisted_pd).cls
+    twisted_pd, scaling = twist_complex(fx.complex, fx.offsets, rd)
+    upstairs = refined_class(fx.complex, twisted_pd).cls
     assert coefficient_types(upstairs) == {int}
     assert coefficient_types(root_pushforward(upstairs, scaling, fx.complex)) == {Fraction}
 

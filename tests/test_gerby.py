@@ -74,7 +74,7 @@ def test_validate_rooting_shape_errors():
 
 
 def test_twist_complex_pr(pr):
-    _, twisted, scaling = twist_complex(pr.complex, pr.offsets, rooting_data([5]))
+    twisted, scaling = twist_complex(pr.complex, pr.offsets, rooting_data([5]))
     assert scaling == {"ray1": 5, "ray2": 5}
     (oid, f), = twisted.offsets
     assert oid == "p2.1"
@@ -82,7 +82,7 @@ def test_twist_complex_pr(pr):
 
 
 def test_twist_complex_p2_scalings(p2):
-    _, twisted, scaling = twist_complex(p2.complex, p2.offsets, rooting_data([5, 7]))
+    twisted, scaling = twist_complex(p2.complex, p2.offsets, rooting_data([5, 7]))
     assert scaling == {"Z0": 35, "Z1": 5, "Z2": 7}
     offs = {oid: {r: int(v) for r, v in f.as_dict().items()} for oid, f in twisted.offsets}
     assert offs == {

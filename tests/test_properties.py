@@ -12,6 +12,8 @@ from punctref.tropdata import NumericalData
 
 import conftest
 from conftest import (
+    lifts_by_case2,
+    multiplicity,
     random_class,
     random_complex,
     random_step,
@@ -113,15 +115,14 @@ def test_faithful_lift_exhaustive_small_entries():
         for alpha in itertools.product(range(-3, 4), repeat=k):
             nd = balanced_single_marking(k, alpha)
             for center in all_centers(k):
-                lifted = faithful_lift(nd, center)
-                row = lifted.nd.markings[0]
-                assert lifted.step.push_vector(row) == alpha
-                assert lifted.nd.k == k + 1
+                step, lifted = faithful_lift(nd, center)
+                row = lifted.markings[0]
+                assert step.push_vector(row) == alpha
+                assert lifted.k == k + 1
                 # the marking partition is preserved
                 assert (any(x < 0 for x in row)) == (any(x < 0 for x in alpha))
-                case = lifted.cases[0]
-                m0, m1 = lifted.mult_before[0], lifted.mult_after[0]
-                if case == "case1":
+                m0, m1 = multiplicity(alpha), multiplicity(row)
+                if not lifts_by_case2(alpha, center):
                     a_l = row[0]
                     assert a_l >= 0
                     assert a_l == min(

@@ -229,23 +229,13 @@ class BlowupStep:
             raise ValueError("center must be strictly increasing positive indices")
 
 
-@dataclass(frozen=True)
-class LiftedData:
-    step: BlowupStep
-    nd: NumericalData
-    cases: tuple[str, ...]
-    chosen: tuple[int, ...]
-    mult_before: tuple[int, ...]
-    mult_after: tuple[int, ...]
-
-
 TWINS = {
     cls.__name__: cls
     for cls in (
         Ray, ConeComplex, SubdivisionStep, PLFunction, ChowClass, PuncturingData,
         MonomialIdealOnComplex, RefinedClassResult, NumericalData, TargetModel,
         VertexDecor, EdgeDecor, TropicalType, TypeCone, Fixture, RootingData,
-        BlowupStep, LiftedData,
+        BlowupStep,
     )
 }
 
