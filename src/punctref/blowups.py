@@ -128,8 +128,8 @@ def _fan(rays: Sequence[tuple[int, ...]], cones: Iterable[Iterable[int]]) -> Con
 
 
 class SubdivisionError(ValueError):
-    """A fan ``subdivision`` refuses; ``entry`` names the part at fault:
-    ``rays[i]``, ``rays`` or ``cones[i]``."""
+    """A fan ``subdivision`` or a trace replay refuses; ``entry`` names the
+    part at fault: ``rays[i]``, ``rays``, ``cones[i]`` or ``trace[i]``."""
 
     def __init__(self, entry: str, message: str) -> None:
         super().__init__(message)
@@ -270,8 +270,11 @@ def _replay_trace(
 ) -> tuple[ConeComplex, list[SubdivisionStep]]:
     steps = []
     current = c
-    for center, new in trace:
-        current, step = star_subdivide(current, center, new_ray=new)
+    for i, (center, new) in enumerate(trace):
+        try:
+            current, step = star_subdivide(current, center, new_ray=new)
+        except ValueError as e:
+            raise SubdivisionError(f"trace[{i}]", str(e)) from e
         steps.append(step)
     return current, steps
 
@@ -286,7 +289,8 @@ def compare_under_subdivision(
 
     The trace, star subdivisions as (center, new) pairs with new None for
     the default name, is replayed on the complex; the lifted offsets live on
-    the result. Reports both classes, the difference (pushed minus
+    the result. A step the complex refuses raises SubdivisionError with
+    entry ``trace[i]``. Reports both classes, the difference (pushed minus
     original), and equality.
     """
     upstairs_complex, steps = _replay_trace(c, trace)

@@ -26,12 +26,14 @@ from .conecx import validate_complex
 from .fixtureio import (
     Fixture,
     SchemaError,
+    _require,
     complex_to_json,
     data_to_json,
     load_fixture_file,
     load_rooting_file,
     load_subdivision_arg,
     offsets_to_json,
+    trace_to_json,
     types_to_json,
 )
 from .puncture import (
@@ -48,30 +50,6 @@ from .tropdata import (
     positivize,
     validate_numerical_data,
 )
-
-_SECTION_NAMES = {
-    "data": "data",
-    "model": "strata",
-    "complex": "complex",
-    "offsets": "complex.offsets",
-    "trace": "trace",
-    "lifted_offsets": "lifted_offsets",
-}
-
-
-def _require(fixture: Fixture, what: str) -> None:
-    missing = [name for name in what.split("+") if getattr(fixture, name) is None]
-    if missing:
-        raise SchemaError(
-            "$",
-            "this command needs fixture sections: "
-            + ", ".join(_SECTION_NAMES[m] for m in missing),
-        )
-
-
-def _trace_json(trace) -> list[dict]:
-    return [{"center": list(s.center), "new": s.new_ray} for s in trace]
-
 
 def _checked_complex(c):
     """The complex, refused with its first violation unless it validates."""
@@ -133,7 +111,7 @@ def _cmd_refined_class(fixture: Fixture, args) -> tuple[dict, int]:
         "components": [list(comp) for comp in res.components],
     }
     if args.trace:
-        result["trace"] = _trace_json(res.trace)
+        result["trace"] = trace_to_json(res.trace)
     return result, 0
 
 
@@ -147,7 +125,7 @@ def _cmd_segre(fixture: Fixture, args) -> tuple[dict, int]:
     )
     result = {"class": serialize(cls), "generators": offsets_to_json(normalized)}
     if args.trace:
-        result["trace"] = _trace_json(trace)
+        result["trace"] = trace_to_json(trace)
     return result, 0
 
 
@@ -190,13 +168,16 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_compare_blowup(fixture: Fixture, args) -> tuple[dict, int]:
-    from .blowups import compare_under_subdivision
+    from .blowups import SubdivisionError, compare_under_subdivision
 
     _require(fixture, "complex+offsets+trace+lifted_offsets")
     c = _checked_complex(fixture.complex)
-    report = compare_under_subdivision(
-        c, fixture.offsets, fixture.trace, fixture.lifted_offsets
-    )
+    try:
+        report = compare_under_subdivision(
+            c, fixture.offsets, fixture.trace, fixture.lifted_offsets
+        )
+    except SubdivisionError as e:
+        raise SchemaError(f"$.{e.entry}", str(e)) from e
     return report, 0
 
 

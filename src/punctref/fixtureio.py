@@ -3,14 +3,20 @@
 A fixture file may carry any of: numerical data, target strata, an explicit
 cone complex with puncturing offsets, and a subdivision trace with lifted
 offsets. Loaders validate shapes eagerly and report failures with JSON-path
-diagnostics; serializers emit the same shapes the loaders accept.
+diagnostics, each rule stated once: ``_object`` refuses a value that is not
+an object, or else its first missing required member at that member's path;
+``_array`` pairs each array entry with its indexed path; ``_int_list`` and
+``_id_list`` type the entries of integer and ray-id arrays. ``_require``
+names the sections a command needs that a fixture lacks. Serializers emit
+the same shapes the loaders accept: ``trace_to_json`` writes a subdivision
+trace as the steps ``_load_trace`` reads.
 """
 from __future__ import annotations
 
 import json
 from typing import Any, Optional, Sequence
 
-from .conecx import ConeComplex, Ray, _Record, build_complex
+from .conecx import ConeComplex, Ray, SubdivisionStep, _Record, build_complex
 from .puncture import PuncturingData, puncturing_data
 from .tropdata import NumericalData, TargetModel, TropicalType
 from .tropdata import numerical_data, target_model
@@ -24,6 +30,7 @@ __all__ = [
     "load_subdivision_arg",
     "complex_to_json",
     "offsets_to_json",
+    "trace_to_json",
     "data_to_json",
     "types_to_json",
 ]
@@ -56,24 +63,38 @@ def _expect(obj: Any, kind: type, path: str, what: str) -> Any:
     return obj
 
 
+def _object(obj: Any, path: str, what: str, *required: str) -> dict:
+    """obj as a JSON object; the first missing required member, in the order
+    given, is refused at its own path."""
+    _expect(obj, dict, path, what)
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}", "missing")
+    return obj
+
+
+def _array(obj: Any, path: str, what: str) -> list[tuple[str, Any]]:
+    """The (path, entry) pairs of a JSON array."""
+    _expect(obj, list, path, what)
+    return [(f"{path}[{i}]", x) for i, x in enumerate(obj)]
+
+
 def _int_list(obj: Any, path: str) -> list[int]:
-    _expect(obj, list, path, "an array of integers")
-    return [
-        _expect(x, int, f"{path}[{i}]", "an integer") for i, x in enumerate(obj)
-    ]
+    pairs = _array(obj, path, "an array of integers")
+    return [_expect(x, int, p, "an integer") for p, x in pairs]
+
+
+def _id_list(obj: Any, path: str) -> list[str]:
+    pairs = _array(obj, path, "an array of ray ids")
+    return [_expect(x, str, p, "a ray id string") for p, x in pairs]
 
 
 def _load_data(obj: Any, path: str) -> NumericalData:
-    _expect(obj, dict, path, "an object")
-    for key in ("k", "degrees", "markings"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing")
+    _object(obj, path, "an object", "k", "degrees", "markings")
     k = _expect(obj["k"], int, f"{path}.k", "an integer")
     degrees = _int_list(obj["degrees"], f"{path}.degrees")
-    markings_obj = _expect(obj["markings"], list, f"{path}.markings", "an array")
-    markings = [
-        _int_list(row, f"{path}.markings[{i}]") for i, row in enumerate(markings_obj)
-    ]
+    rows = _array(obj["markings"], f"{path}.markings", "an array")
+    markings = [_int_list(row, p) for p, row in rows]
     try:
         return numerical_data(k, degrees, markings)
     except ValueError as e:
@@ -81,23 +102,15 @@ def _load_data(obj: Any, path: str) -> NumericalData:
 
 
 def _load_model(obj: Any, k: int, path: str) -> TargetModel:
-    _expect(obj, list, path, "an array of strata")
     rows = []
-    for i, entry in enumerate(obj):
-        p = f"{path}[{i}]"
-        _expect(entry, dict, p, "an object")
-        if "face" not in entry or "classes" not in entry:
-            raise SchemaError(p, "needs face and classes")
+    for p, entry in _array(obj, path, "an array of strata"):
+        _object(entry, p, "an object", "face", "classes")
         face = _int_list(entry["face"], f"{p}.face")
-        classes_obj = _expect(entry["classes"], list, f"{p}.classes", "an array")
         classes = []
-        for j, cl in enumerate(classes_obj):
-            cp = f"{p}.classes[{j}]"
-            _expect(cl, dict, cp, "an object")
-            if "pairing" not in cl:
-                raise SchemaError(f"{cp}.pairing", "missing")
+        for j, (cp, cl) in enumerate(_array(entry["classes"], f"{p}.classes", "an array")):
+            _object(cl, cp, "an object", "pairing")
             pairing = _int_list(cl["pairing"], f"{cp}.pairing")
-            label = str(cl.get("label", f"c{j}"))
+            label = _expect(cl.get("label", f"c{j}"), str, f"{cp}.label", "a string")
             classes.append((pairing, label))
         rows.append((face, classes))
     try:
@@ -107,20 +120,15 @@ def _load_model(obj: Any, k: int, path: str) -> TargetModel:
 
 
 def _load_offsets(obj: Any, ray_ids: Sequence[str], path: str) -> PuncturingData:
-    _expect(obj, list, path, "an array of offsets")
     mapping: dict[str, dict[str, int]] = {}
     known = set(ray_ids)
-    for i, entry in enumerate(obj):
-        p = f"{path}[{i}]"
-        _expect(entry, dict, p, "an object")
-        if "puncture" not in entry or "values" not in entry:
-            raise SchemaError(p, "needs puncture and values")
+    for p, entry in _array(obj, path, "an array of offsets"):
+        _object(entry, p, "an object", "puncture", "values")
         pid = _expect(entry["puncture"], str, f"{p}.puncture", "a string")
         if pid in mapping:
             raise SchemaError(f"{p}.puncture", f"duplicate offset id {pid!r}")
-        values = _expect(entry["values"], dict, f"{p}.values", "an object")
         vals = {}
-        for ray, v in values.items():
+        for ray, v in _object(entry["values"], f"{p}.values", "an object").items():
             vp = f"{p}.values.{ray}"
             if ray not in known:
                 raise SchemaError(vp, f"unknown ray {ray!r}")
@@ -136,16 +144,10 @@ def _load_offsets(obj: Any, ray_ids: Sequence[str], path: str) -> PuncturingData
 
 
 def _load_complex(obj: Any, path: str) -> tuple[ConeComplex, Any]:
-    _expect(obj, dict, path, "an object")
-    if "rays" not in obj or "cones" not in obj:
-        raise SchemaError(path, "needs rays and cones")
-    rays_obj = _expect(obj["rays"], list, f"{path}.rays", "an array")
+    _object(obj, path, "an object", "rays", "cones")
     rays = []
-    for i, entry in enumerate(rays_obj):
-        p = f"{path}.rays[{i}]"
-        _expect(entry, dict, p, "an object")
-        if "id" not in entry:
-            raise SchemaError(f"{p}.id", "missing")
+    for p, entry in _array(obj["rays"], f"{path}.rays", "an array"):
+        _object(entry, p, "an object", "id")
         rid = _expect(entry["id"], str, f"{p}.id", "a string")
         prim = None
         if entry.get("primitive") is not None:
@@ -154,14 +156,8 @@ def _load_complex(obj: Any, path: str) -> tuple[ConeComplex, Any]:
             rays.append(Ray(rid, prim))
         except ValueError as e:
             raise SchemaError(f"{p}.id", str(e)) from e
-    cones_obj = _expect(obj["cones"], list, f"{path}.cones", "an array")
-    cones = []
-    for i, cone in enumerate(cones_obj):
-        p = f"{path}.cones[{i}]"
-        _expect(cone, list, p, "an array of ray ids")
-        cones.append(
-            [_expect(x, str, f"{p}[{j}]", "a ray id string") for j, x in enumerate(cone)]
-        )
+    cones_obj = _array(obj["cones"], f"{path}.cones", "an array")
+    cones = [_id_list(cone, p) for p, cone in cones_obj]
     try:
         c = build_complex(rays, cones)
     except ValueError as e:
@@ -170,16 +166,10 @@ def _load_complex(obj: Any, path: str) -> tuple[ConeComplex, Any]:
 
 
 def _load_trace(obj: Any, path: str) -> tuple[tuple, ...]:
-    _expect(obj, list, path, "an array of steps")
     steps = []
-    for i, entry in enumerate(obj):
-        p = f"{path}[{i}]"
-        _expect(entry, dict, p, "an object")
-        if "center" not in entry:
-            raise SchemaError(f"{p}.center", "missing")
-        center = _expect(entry["center"], list, f"{p}.center", "an array of ray ids")
-        for j, x in enumerate(center):
-            _expect(x, str, f"{p}.center[{j}]", "a ray id string")
+    for p, entry in _array(obj, path, "an array of steps"):
+        _object(entry, p, "an object", "center")
+        center = _id_list(entry["center"], f"{p}.center")
         new = entry.get("new")
         if new is not None:
             _expect(new, str, f"{p}.new", "a string")
@@ -187,8 +177,12 @@ def _load_trace(obj: Any, path: str) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
+def trace_to_json(trace: Sequence[SubdivisionStep]) -> list[dict]:
+    return [{"center": list(s.center), "new": s.new_ray} for s in trace]
+
+
 def load_fixture(doc: Any) -> Fixture:
-    _expect(doc, dict, "$", "a fixture object")
+    _object(doc, "$", "a fixture object")
     data = _load_data(doc["data"], "$.data") if "data" in doc else None
     model = None
     if "strata" in doc:
@@ -213,15 +207,36 @@ def load_fixture(doc: Any) -> Fixture:
                 "$.lifted_offsets", "lifted offsets need a complex and a trace"
             )
         upstairs_ids = list(cx.ray_ids)
-        for i, (_, name) in enumerate(trace):
+        paths = [p for p, _ in _array(doc["trace"], "$.trace", "an array of steps")]
+        for p, (_, name) in zip(paths, trace):
             if name is None:
                 raise SchemaError(
-                    f"$.trace[{i}].new",
-                    "steps must name new rays when lifted offsets are given",
+                    f"{p}.new", "steps must name new rays when lifted offsets are given"
                 )
             upstairs_ids.append(name)
         lifted = _load_offsets(doc["lifted_offsets"], upstairs_ids, "$.lifted_offsets")
     return Fixture(data, model, cx, offsets, trace, lifted)
+
+
+_SECTION_NAMES = {
+    "data": "data",
+    "model": "strata",
+    "complex": "complex",
+    "offsets": "complex.offsets",
+    "trace": "trace",
+    "lifted_offsets": "lifted_offsets",
+}
+
+
+def _require(fixture: Fixture, what: str) -> None:
+    """Refuse a fixture without each of the "+"-joined sections in what."""
+    missing = [name for name in what.split("+") if getattr(fixture, name) is None]
+    if missing:
+        raise SchemaError(
+            "$",
+            "this command needs fixture sections: "
+            + ", ".join(_SECTION_NAMES[m] for m in missing),
+        )
 
 
 def _read_json(filename: str) -> tuple[Any, bytes]:
@@ -242,9 +257,7 @@ def load_fixture_file(filename: str) -> tuple[Fixture, bytes]:
 
 def load_rooting_file(filename: str) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
     doc, _ = _read_json(filename)
-    _expect(doc, dict, "$", "a rooting object")
-    if "r" not in doc:
-        raise SchemaError("$.r", "missing")
+    _object(doc, "$", "a rooting object", "r")
     r = tuple(_int_list(doc["r"], "$.r"))
     s = tuple(_int_list(doc["s"], "$.s")) if "s" in doc else None
     return r, s
@@ -261,13 +274,9 @@ def load_subdivision_arg(arg: str, k: int) -> ConeComplex:
     if arg == "barycentric":
         return barycentric_subdivision(k)
     doc, _ = _read_json(arg)
-    _expect(doc, dict, "$", "a subdivision object")
-    if "rays" not in doc or "cones" not in doc:
-        raise SchemaError("$", "needs rays and cones")
-    rays_obj = _expect(doc["rays"], list, "$.rays", "an array")
-    rays = [_int_list(r, f"$.rays[{i}]") for i, r in enumerate(rays_obj)]
-    cones_obj = _expect(doc["cones"], list, "$.cones", "an array")
-    cones = [_int_list(c, f"$.cones[{i}]") for i, c in enumerate(cones_obj)]
+    _object(doc, "$", "a subdivision object", "rays", "cones")
+    rays = [_int_list(r, p) for p, r in _array(doc["rays"], "$.rays", "an array")]
+    cones = [_int_list(c, p) for p, c in _array(doc["cones"], "$.cones", "an array")]
     try:
         return subdivision(k, rays, cones)
     except SubdivisionError as e:

@@ -1,5 +1,6 @@
 """Shared fixtures and deterministic random generators for the test suite."""
 import functools
+import itertools
 import json
 import os
 import random
@@ -17,7 +18,7 @@ from punctref.puncture import (
     principalize,
     puncturing_data,
 )
-from punctref.tropdata import numerical_data, target_model
+from punctref.tropdata import NumericalData, numerical_data, target_model
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -89,6 +90,17 @@ def multiplicity(alpha):
 def lifts_by_case2(alpha, center):
     """A faithful lift takes Case 2 exactly when every center entry is negative."""
     return all(alpha[j - 1] < 0 for j in center)
+
+
+def balanced_single_marking(k, alpha):
+    """Numerical data with one marking alpha, balanced by degrees alpha."""
+    return NumericalData(k, tuple(alpha), (tuple(alpha),))
+
+
+def all_centers(k):
+    """Every nonempty set of divisor directions 1..k, as a sorted tuple."""
+    for size in range(1, k + 1):
+        yield from itertools.combinations(range(1, k + 1), size)
 
 
 def random_complex(rng, max_rays=5, max_cone=2):

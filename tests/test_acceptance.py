@@ -26,7 +26,7 @@ from punctref.puncture import (
     refined_class_excess,
     segre_class,
 )
-from punctref.tropdata import NumericalData, numerical_data, positivize
+from punctref.tropdata import numerical_data, positivize
 from punctref.tropmaps import (
     assemble_complex,
     canonical_key,
@@ -38,6 +38,8 @@ from punctref.tropmaps import (
 
 import conftest
 from conftest import (
+    all_centers,
+    balanced_single_marking,
     lifts_by_case2,
     load,
     multiplicity,
@@ -165,15 +167,6 @@ def test_criterion_5_gerby_factors():
     assert report["expected_factor"] == "1/35"
 
 
-def _balanced_single_marking(k, alpha):
-    return NumericalData(k, tuple(alpha), (tuple(alpha),))
-
-
-def _all_centers(k):
-    for size in range(1, k + 1):
-        yield from itertools.combinations(range(1, k + 1), size)
-
-
 @criterion(6, "property suites at the stated scales")
 def test_criterion_6_property_suites():
     # (a) pushforward after pullback is the identity, 1000 triples
@@ -211,18 +204,27 @@ def test_criterion_6_property_suites():
     checked = 0
     for k in (1, 2, 3):
         for alpha in itertools.product(range(-3, 4), repeat=k):
-            nd = _balanced_single_marking(k, alpha)
-            for center in _all_centers(k):
+            nd = balanced_single_marking(k, alpha)
+            for center in all_centers(k):
                 step, lifted = faithful_lift(nd, center)
                 row = lifted.markings[0]
                 assert lifted.k == k + 1
                 # the lift pushes forward to the original tangency vector
                 assert step.push_vector(row) == alpha
-                neg_before = sum(1 for a in alpha if a < 0)
-                neg_after = sum(1 for a in row if a < 0)
-                assert neg_after <= neg_before
-                if lifts_by_case2(alpha, center) and len(center) >= 2:
-                    assert multiplicity(row) < multiplicity(alpha)
+                # the marking keeps its sign class, with no more negative entries
+                assert any(x < 0 for x in row) == any(x < 0 for x in alpha)
+                assert sum(x < 0 for x in row) <= sum(x < 0 for x in alpha)
+                # the exceptional entry a0 is the least nonnegative center
+                # entry, or in Case 2 the largest, which moves the multiplicity
+                # by (|center| - 1) a0
+                a0, m0, m1 = row[0], multiplicity(alpha), multiplicity(row)
+                if not lifts_by_case2(alpha, center):
+                    assert a0 == min(alpha[j - 1] for j in center if alpha[j - 1] >= 0)
+                else:
+                    assert a0 == max(alpha[j - 1] for j in center) < 0
+                    assert m1 == m0 + (len(center) - 1) * a0
+                    if len(center) >= 2:
+                        assert m1 < m0
                 checked += 1
             steps, stable = stabilize_rank(nd)
             assert all(stable.rank(i) <= 1 for i in range(1, len(stable.markings) + 1))

@@ -402,7 +402,7 @@ def test_sensitivity_bad_subdivision_file(capsys, tmp_path):
         "--subdivision",
         str(fan),
     )
-    assert code == 2 and out == "" and "rays and cones" in err
+    assert (code, out, err) == (2, "", "error: $.cones: missing\n")
 
 
 K0_DATUM = {
@@ -595,6 +595,8 @@ def test_invalid_json_exits_2(capsys, tmp_path):
 
 
 TWO_RAYS = {"rays": [{"id": "a"}, {"id": "b"}], "cones": [["a", "b"]]}
+with open(fixture_path("f1-counterexample")) as _f:
+    F1CE = json.load(_f)
 
 
 @pytest.mark.parametrize(
@@ -654,6 +656,44 @@ TWO_RAYS = {"rays": [{"id": "a"}, {"id": "b"}], "cones": [["a", "b"]]}
             ("sensitivity", "p2-two-lines", "--subdivision"),
             {"rays": [[1, 0], [0, 1], [2, 0]], "cones": []},
             "$.rays[2]: duplicate rays after normalization",
+        ),
+        *(
+            (
+                "enumerate",
+                {
+                    "data": {"k": 1, "degrees": [1], "markings": [[2], [-1]]},
+                    "strata": [{"face": [], "classes": [{"pairing": [1], "label": label}]}],
+                },
+                f"$.strata[0].classes[0].label: expected a string, got {kind}",
+            )
+            for label, kind in ((None, "NoneType"), ({"a": 1}, "dict"), (7, "int"))
+        ),
+        # a trace step the complex refuses is named at its index
+        (
+            "compare-blowup",
+            {**F1CE, "trace": [{"center": ["Z2", "Z3"], "new": "Z0"}]},
+            "$.trace[0]: center ('Z2', 'Z3') is not a cone of the complex",
+        ),
+        (
+            "compare-blowup",
+            {**F1CE, "trace": [{"center": ["Z1", "Z2", "Z3"], "new": "Z0"}]},
+            "$.trace[0]: center must be a two-ray set, got ('Z1', 'Z2', 'Z3')",
+        ),
+        (
+            "compare-blowup",
+            {**F1CE, "trace": [{"center": ["Z1", "Z2"], "new": "Z3"}]},
+            "$.trace[0]: new ray id 'Z3' already present",
+        ),
+        (
+            "compare-blowup",
+            {
+                **F1CE,
+                "trace": [
+                    {"center": ["Z1", "Z2"], "new": "Z0"},
+                    {"center": ["Z2", "Z3"], "new": "W"},
+                ],
+            },
+            "$.trace[1]: center ('Z2', 'Z3') is not a cone of the complex",
         ),
     ],
 )

@@ -6,7 +6,8 @@ array entry, put a line break into a string or a key, wrap a value in a few
 thousand nested arrays) and runs one subcommand on it in process; ``segre``
 also draws its ``--max-codim``. The run must end in one of two ways: exit 0
 or 1 with a JSON document on stdout and nothing on stderr, or exit 1 or 2
-with nothing on stdout and one line on stderr.
+with nothing on stdout and one line on stderr. Dropping one required member,
+in turn, must be refused at that member's own JSON path.
 """
 import contextlib
 import copy
@@ -125,21 +126,76 @@ def cases(draw):
     return doc, command, flags
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(cases())
-def test_mutated_fixtures_end_in_json_or_one_line(case):
-    doc, command, flags = case
+def run(doc, argv):
+    """(exit code, stdout, stderr) of main on argv, with doc written as the
+    file for each None in argv."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fx.json")
         with open(path, "w") as f:
             f.write(dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, path, *flags])
-    out, err = out.getvalue(), err.getvalue()
+            code = main([path if a is None else a for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cases())
+def test_mutated_fixtures_end_in_json_or_one_line(case):
+    doc, command, flags = case
+    code, out, err = run(doc, [command, None, *flags])
     if out:
         assert code in (0, 1) and err == "", (code, err)
         json.loads(out)
     else:
         assert code in (1, 2), code
         assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+# members a loader reads when present: the sections, a complex's offsets, a
+# class label, a step's new ray id and a ray's primitive; the keys of an
+# offset's values are ray ids
+OPTIONAL = {"offsets", "label", "new", "primitive"}
+
+
+def json_path(path):
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def member_drops():
+    """(document, argv, path of the dropped member) for each required member
+    of each fixture, a rooting file and a subdivision file."""
+    for name in FIXTURE_NAMES:
+        for path in paths(DOCS[name]):
+            if (
+                len(path) > 1
+                and isinstance(path[-1], str)
+                and path[-1] not in OPTIONAL
+                and path[-2] != "values"
+            ):
+                yield DOCS[name], ["validate", None], path
+    pr = fixture_path("pr-hyperplane")
+    yield {"r": [2], "s": [1]}, ["twisted-check", pr, "--rooting", None], ("r",)
+    fan = {"rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
+    p2 = fixture_path("p2-two-lines")
+    for key in fan:
+        yield fan, ["sensitivity", p2, "--subdivision", None], (key,)
+
+
+def test_a_dropped_member_is_refused_at_its_own_path():
+    seen = set()
+    for doc, argv, path in member_drops():
+        doc = copy.deepcopy(doc)
+        del at(doc, path[:-1])[path[-1]]
+        result = run(doc, argv)
+        assert result == (2, "", f"error: {json_path(path)}: missing\n"), (argv[0], path)
+        seen.add(".".join(k for k in path if isinstance(k, str)))
+    # every member the loaders require, the families the corpus reaches
+    assert seen == {
+        "data.k", "data.degrees", "data.markings",
+        "strata.face", "strata.classes", "strata.classes.pairing",
+        "complex.rays", "complex.cones", "complex.rays.id",
+        "complex.offsets.puncture", "complex.offsets.values",
+        "trace.center", "lifted_offsets.puncture", "lifted_offsets.values",
+        "r", "rays", "cones",
+    }
