@@ -1,15 +1,20 @@
-"""Invariant properties: blowup calculus and Segre independence. The
-exhaustive faithful-lift walk is criterion 6 (e) of the acceptance gate."""
+"""Invariant properties: blowup calculus, Segre independence, lift algebra."""
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from punctref.blowups import faithful_lift, stabilize_rank
 from punctref.chowring import multiply, pullback, pushforward
 from punctref.puncture import monomial_ideal, puncturing_data, refined_class, segre_class
 
 import conftest
 from conftest import (
+    all_centers,
+    balanced_single_marking,
+    lifts_by_case2,
+    multiplicity,
     random_class,
     random_complex,
     random_step,
@@ -93,3 +98,47 @@ def test_refined_class_is_homogeneous(seed):
     pd = puncturing_data(offsets)
     res = refined_class(cx, pd)
     assert res.cls.is_zero() or res.cls.degrees() == (pd.k_P,)
+
+
+def test_faithful_lift_exhaustive_small_entries():
+    """Every vector with entries in [-3, 3] for k <= 3, every center."""
+    checked = 0
+    for k in (1, 2, 3):
+        for alpha in itertools.product(range(-3, 4), repeat=k):
+            nd = balanced_single_marking(k, alpha)
+            for center in all_centers(k):
+                step, lifted = faithful_lift(nd, center)
+                row = lifted.markings[0]
+                assert step.push_vector(row) == alpha
+                assert lifted.k == k + 1
+                # the marking partition is preserved
+                assert (any(x < 0 for x in row)) == (any(x < 0 for x in alpha))
+                m0, m1 = multiplicity(alpha), multiplicity(row)
+                if not lifts_by_case2(alpha, center):
+                    a_l = row[0]
+                    assert a_l >= 0
+                    assert a_l == min(
+                        alpha[j - 1] for j in center if alpha[j - 1] >= 0
+                    )
+                else:
+                    a_l = row[0]
+                    assert a_l < 0
+                    assert a_l == max(alpha[j - 1] for j in center)
+                    assert m1 == m0 + (len(center) - 1) * a_l
+                    if len(center) >= 2:
+                        assert m1 < m0
+                checked += 1
+    assert checked == 7 + 49 * 3 + 343 * 7
+
+
+def test_stabilize_reaches_a_fixed_point_exhaustively():
+    for k in (1, 2, 3):
+        for alpha in itertools.product(range(-3, 4), repeat=k):
+            nd = balanced_single_marking(k, alpha)
+            steps, stable = stabilize_rank(nd)
+            assert all(
+                stable.rank(i) <= 1 for i in range(1, len(stable.markings) + 1)
+            )
+            again, fixed = stabilize_rank(stable)
+            assert again == ()
+            assert fixed == stable
