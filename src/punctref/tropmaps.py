@@ -3,11 +3,13 @@
 Types are decorated trees: per-vertex image face and curve class drawn from a
 user-supplied target model. Edges are end pairs; one flow up the tree forces
 their slopes, and a tree balances exactly when its classes add up to its legs'
-tangencies. An edge's face is its end faces plus its slope's support. Each type
-spans a cone whose coordinates are the root position inside its face together
-with the edge lengths: a plain value, built once and kept on the type beside
-its faces, decoded and keyed once. Realizability, a cone point with every length
-and face coordinate positive, is tested once per isomorphism class. Assembly
+tangencies. An edge's face is its end faces plus its slope's support. The walk
+skips labelings whose edge slopes leave their end faces or whose classes
+cannot reach the degree. Each type spans a cone whose coordinates are the root
+position inside its face together with the edge lengths: a plain value, built
+once and kept on the type beside its faces, decoded and keyed once.
+Realizability, a cone point with every length and face coordinate positive,
+is tested once per isomorphism class. Assembly
 glues the cones along specialization, tests the simplicial ones for
 unimodularity, and reads the offsets off primitive ray generators.
 The data these functions read and the types they return are ``tropdata``'s.
@@ -319,20 +321,60 @@ def _face_candidates(
 
 def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[TropicalType]:
     """Balanced types on the trees of _trees(n) whose zero-class vertices
-    keep at least three special points, save a lone vertex at the trivial face."""
+    keep at least three special points, save a lone vertex at the trivial face.
+
+    Class assignment, in vertex order, prunes by two necessary rules:
+    - Direction: an edge (p, u) with slope m out of p needs j in p's face
+      where m_j < 0, and j in u's face where m_j > 0. u sits at p + l*m with
+      l > 0, and positions are 0 off a face and >= 0 on it, so otherwise
+      ``realizable`` fails. The edge is tested when the largest label of
+      u's subtree is assigned; its slope is that subtree's leg tangencies
+      minus its classes.
+    - Weight: the weight sum_j |x_j| of the partial class sum, plus w for
+      each later vertex with fewer than three special points, stays within
+      sum_j |d_j|. Weights add, as each coordinate's pairings share a sign;
+      such a vertex takes a nonzero class, of weight at least w, the least
+      nonzero candidate weight; and the classes must add up to d.
+    The direction rule holds on all labelings of a type or on none, and the
+    weight rule drops no balanced labeling, so the walk yields the unpruned
+    walk's labelings in its order, less whole unrealizable classes.
+    """
     n_marks = len(nd.markings)
+    limit = sum(map(abs, nd.degrees))
+    w = min((sum(map(abs, p)) for _, p, _ in candidates if any(p)), default=0)
     for edges in _trees(n):
         degree = [0] * n
         for a, b in edges:
             degree[a] += 1
             degree[b] += 1
+        # sub[u]: u's subtree; due[v]: the edges whose subtree's largest label is v
+        sub = [[u] for u in range(n)]
+        for p, u in reversed(edges):
+            sub[p] += sub[u]
+        due: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for p, u in edges:
+            due[max(sub[u])].append((p, u))
         for legassign in itertools.product(range(n), repeat=n_marks):
             legs: list[tuple[int, ...]] = [
                 tuple(i + 1 for i in range(n_marks) if legassign[i] == v)
                 for v in range(n)
             ]
             specials = [degree[v] + len(legs[v]) for v in range(n)]
+            owed = [w * sum(s < 3 for s in specials[v + 1:]) for v in range(n)]
+            # the legs' tangencies summed over each subtree
+            tangency = [
+                [sum(nd.markings[i][j] for i in range(n_marks) if legassign[i] in sub[u])
+                 for j in range(nd.k)]
+                for u in range(n)
+            ]
             chosen: list[tuple[frozenset, tuple[int, ...], str]] = []
+
+            def directed(p: int, u: int) -> bool:
+                for j in range(nd.k):
+                    m = tangency[u][j] - sum(chosen[x][1][j] for x in sub[u])
+                    if m and j + 1 not in chosen[p if m < 0 else u][0]:
+                        return False
+                return True
 
             def assign(v: int, partial: tuple[int, ...]) -> Iterator[TropicalType]:
                 if v == n:
@@ -352,8 +394,11 @@ def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[Tropic
                     nxt = tuple(a + b for a, b in zip(partial, pairing))
                     if any(abs(x) > abs(d) for x, d in zip(nxt, nd.degrees)):
                         continue
+                    if sum(map(abs, nxt)) + owed[v] > limit:
+                        continue
                     chosen.append((face, pairing, label))
-                    yield from assign(v + 1, nxt)
+                    if all(directed(p, u) for p, u in due[v]):
+                        yield from assign(v + 1, nxt)
                     chosen.pop()
 
             yield from assign(0, tuple([0] * nd.k))
@@ -371,6 +416,10 @@ def enumerate_types(
     more than B = max(1, 2N + m - 2) vertices, for m markings and
     N = floor(sum_j |d_j| / w), w the least weight sum_j |p_j| of a nonzero
     candidate class (N = 0 without one); the argument is beside the code.
+    The walk skips a class assignment that puts an edge slope off its end
+    faces, which no realizable type does, or whose classes cannot add up to
+    d; both rules ignore the labeling, so the first labeling kept per
+    canonical key is the unpruned walk's (see ``_level_types``).
     Realizability, which ignores the labeling, is tested once per canonical
     key. The output is closed under specialization and sorted by canonical
     form. Class splittings without a sign bound raise EnumerationBoundError.
@@ -379,7 +428,8 @@ def enumerate_types(
     When min(cap, B) passes MAX_KEY_VERTICES, the most ``canonical_key``
     takes, it is raised before the first tree; so it is when the walk's tree
     labelings, sum over n <= min(cap, B) of (n-1)! n^m, pass
-    MAX_WALK_LABELINGS. A cap below 1 or any other
+    MAX_WALK_LABELINGS; it counts them unpruned, so no refusal rests on the
+    prune. A cap below 1 or any other
     key in ``bounds`` raises ValueError.
     """
     cap = (bounds or {}).get("max_vertices")

@@ -5,6 +5,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -18,7 +19,14 @@ from punctref.puncture import (
     principalize,
     puncturing_data,
 )
-from punctref.tropdata import NumericalData, numerical_data, target_model
+from punctref.tropdata import (
+    NumericalData,
+    TropicalType,
+    VertexDecor,
+    numerical_data,
+    target_model,
+)
+from punctref.tropmaps import _trees, slopes_from_balancing
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -313,3 +321,50 @@ def seeded_segre(c, ideal, choice_seed, max_codim=None):
     pushed down the reference's trace under the seeded rule."""
     _, trace, total = _seeded(c, ideal, choice_seed)
     return _segre_by_bending(c, trace, total, c.dim() if max_codim is None else max_codim)
+
+
+# the type walk before it pruned class assignments by edge direction and owed
+# weight: every balanced stable labeling, in the order the pruned walk keeps,
+# kept as the reference the pruned walk is checked against
+
+
+def reference_level_types(nd, candidates, n):
+    """Balanced types on the trees of _trees(n) whose zero-class vertices
+    keep at least three special points, save a lone vertex at the trivial face."""
+    n_marks = len(nd.markings)
+    for edges in _trees(n):
+        degree = [0] * n
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        for legassign in itertools.product(range(n), repeat=n_marks):
+            legs: list[tuple[int, ...]] = [
+                tuple(i + 1 for i in range(n_marks) if legassign[i] == v)
+                for v in range(n)
+            ]
+            specials = [degree[v] + len(legs[v]) for v in range(n)]
+            chosen: list[tuple[frozenset, tuple[int, ...], str]] = []
+
+            def assign(v: int, partial: tuple[int, ...]) -> Iterator[TropicalType]:
+                if v == n:
+                    if partial != nd.degrees:
+                        return
+                    verts = [
+                        VertexDecor(chosen[i][0], chosen[i][1], chosen[i][2], legs[i])
+                        for i in range(n)
+                    ]
+                    # the classes add up to d, the markings' sum, so T = 0
+                    yield slopes_from_balancing(nd, verts, edges)
+                    return
+                for face, pairing, label in candidates:
+                    zero = all(x == 0 for x in pairing)
+                    if zero and specials[v] < 3 and not (n == 1 and not face):
+                        continue
+                    nxt = tuple(a + b for a, b in zip(partial, pairing))
+                    if any(abs(x) > abs(d) for x, d in zip(nxt, nd.degrees)):
+                        continue
+                    chosen.append((face, pairing, label))
+                    yield from assign(v + 1, nxt)
+                    chosen.pop()
+
+            yield from assign(0, tuple([0] * nd.k))

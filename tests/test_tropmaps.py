@@ -49,7 +49,7 @@ from punctref.tropmaps import (
     specializations,
 )
 
-from conftest import p2_data_model, pr_data_model
+from conftest import p2_data_model, pr_data_model, reference_level_types
 
 
 def test_numerical_data_partition():
@@ -235,8 +235,11 @@ def test_closure_under_specialization_adds_types_no_level_yields():
     types = enumerate_types(nd, tm)
     assert len(types) == 4
     candidates = _face_candidates(nd, tm)
-    # the vertex bound B is 2 here
-    leveled = {canonical_key(t) for n in (1, 2) for t in _level_types(nd, candidates, n)}
+    # the vertex bound B is 2 here; the reference walk yields every balanced
+    # stable labeling, the unrealizable ones too
+    leveled = {
+        canonical_key(t) for n in (1, 2) for t in reference_level_types(nd, candidates, n)
+    }
     line_at_origin = VertexDecor(frozenset(), (1,), "line-in-H", ())
     assert [t for t in types if canonical_key(t) not in leveled] == [
         TropicalType(1, (VertexDecor(frozenset(), (1,), "line-in-H", (1, 2)),), ()),
@@ -488,7 +491,10 @@ def test_no_stable_type_beyond_the_vertex_bound():
             data.append((nd, tm))
     for nd, tm in data:
         b = vertex_bound(nd, tm)
-        assert next(_level_types(nd, _face_candidates(nd, tm), b + 1), None) is None
+        candidates = _face_candidates(nd, tm)
+        # B bounds every stable balanced labeling, and so the pruned walk too
+        assert next(reference_level_types(nd, candidates, b + 1), None) is None
+        assert next(_level_types(nd, candidates, b + 1), None) is None
         types = enumerate_types(nd, tm)
         assert enumerate_types(nd, tm, bounds={"max_vertices": b + 1}) == types
 
@@ -1023,11 +1029,13 @@ def type_data():
 @functools.lru_cache(maxsize=None)
 def labelings(index):
     """Datum `index` of type_data, its balanced labelings up to the vertex
-    bound, and its types."""
+    bound, unpruned, and its types."""
     nd, tm, bounds = type_data()[index]
     cap = min(vertex_bound(nd, tm), (bounds or {}).get("max_vertices", 8))
     candidates = _face_candidates(nd, tm)
-    ts = tuple(t for n in range(1, cap + 1) for t in _level_types(nd, candidates, n))
+    ts = tuple(
+        t for n in range(1, cap + 1) for t in reference_level_types(nd, candidates, n)
+    )
     return nd, ts, enumerate_types(nd, tm, bounds=bounds)
 
 
@@ -1129,10 +1137,12 @@ def test_one_realizability_test_per_class(monkeypatch):
     nd = numerical_data(2, (2, 2), [(3, 3), (-1, -1)])
     types = enumerate_types(nd, tm)
     assemble_complex(nd, types)
-    # 405 canonical keys among the 2583 balanced labelings, and 18 types; a
-    # test per labeling made 2583 realizability calls and built 2637 cones
-    assert calls["realizable"] == 405
-    assert calls["cone_of_type"] <= 405 + 2 * len(types) == 441
+    # one realizability test per canonical key among the labelings the pruned
+    # walk yields: 36 keys among 189 labelings, and 18 types. Unpruned, the
+    # 2583 balanced labelings held 405 keys, and a test per labeling made
+    # 2583 realizability calls and built 2637 cones
+    assert calls["realizable"] == 36
+    assert calls["cone_of_type"] <= 36 + 2 * len(types) == 72
 
 
 def test_one_cone_build_and_one_face_pass_per_type(monkeypatch):
@@ -1147,10 +1157,13 @@ def test_one_cone_build_and_one_face_pass_per_type(monkeypatch):
     types = enumerate_types(nd, tm)
     assemble_complex(nd, types)
     types_to_json(nd, types)
-    # one build per canonical key, and one decode and one key per face of the
-    # 18 types; a cone per caller and a second face pass in assembly made 459
-    # and 132, and keying faces again in assembly made 2733 keys
-    assert calls == {"_position_rows": 405, "_decode": 75, "canonical_key": 2676}
+    # one build per canonical key among the 189 labelings the pruned walk
+    # yields, one key per labeling, and one decode and one key per face of the
+    # 18 types: 36 builds and 189 + 75 + 18 keys. Unpruned, 2583 labelings
+    # held 405 keys, which made 405 builds and 2676 keys; a cone per caller
+    # and a second face pass in assembly made 459 and 132, and keying faces
+    # again in assembly made 2733 keys
+    assert calls == {"_position_rows": 36, "_decode": 75, "canonical_key": 282}
 
 
 def test_enumeration_leaves_no_cyclic_garbage():
@@ -1194,3 +1207,73 @@ def test_pr_degree_three_types_and_refusal():
         assemble_complex(nd, types)
     assert err.value.type is types[16]
     assert str(err.value) == "type cone is not simplicial-unimodular (dim 2, 2 rays)"
+
+
+# The pruned walk against the unpruned reference walk. It drops a labeling
+# when an edge slope leaves its ends' faces, which realizable then rejects,
+# and when the classes cannot reach the degree, which the walk never yields;
+# so it keeps the reference's order, and the enumeration its representatives.
+
+
+def points_into_faces(t):
+    """The direction rule: each edge's slope out of its first end is negative
+    only along that end's face, and positive only along its second end's."""
+    return all(
+        j + 1 in t.vertices[e.ends[0] if m < 0 else e.ends[1]].face
+        for e in t.edges
+        for j, m in enumerate(e.slope)
+        if m
+    )
+
+
+def assert_walk_prunes_exactly(nd, tm, bounds, monkeypatch):
+    cap = min(vertex_bound(nd, tm), (bounds or {}).get("max_vertices", 8))
+    candidates = _face_candidates(nd, tm)
+    levels = [list(reference_level_types(nd, candidates, n)) for n in range(1, cap + 1)]
+    for n, reference in enumerate(levels, 1):
+        # the direction rule is necessary: realizable rejects every labeling
+        # that breaks it
+        assert not any(realizable(nd, t) for t in reference if not points_into_faces(t))
+        assert list(_level_types(nd, candidates, n)) == [
+            t for t in reference if points_into_faces(t)
+        ]
+    types = enumerate_types(nd, tm, bounds=bounds)
+    # the enumeration over the reference walk's labelings
+    monkeypatch.setattr(tropmaps, "_level_types", lambda nd, candidates, n: levels[n - 1])
+    assert types == enumerate_types(nd, tm, bounds=bounds)
+
+
+def small_prune_data():
+    """200 seeded small_data data with B <= 4."""
+    rng = random.Random(30)
+    data = []
+    while len(data) < 200:
+        nd, tm = small_data(rng)
+        if vertex_bound(nd, tm) <= 4:
+            data.append((nd, tm))
+    return data
+
+
+@pytest.mark.parametrize("index", range(len(walk_data())))
+def test_pruned_walk_matches_reference_on_data(index, monkeypatch):
+    assert_walk_prunes_exactly(*walk_data()[index], monkeypatch)
+
+
+def test_pruned_walk_matches_reference_on_small_data(monkeypatch):
+    for nd, tm in small_prune_data():
+        with monkeypatch.context() as patch:
+            assert_walk_prunes_exactly(nd, tm, None, patch)
+
+
+@pytest.mark.ladder
+def test_pruned_walk_matches_reference_on_degree_two_default_bound(monkeypatch):
+    _, tm = p2_data_model()
+    nd = numerical_data(2, (2, 2), [(3, 3), (-1, -1)])
+    assert_walk_prunes_exactly(nd, tm, None, monkeypatch)
+
+
+@pytest.mark.ladder
+def test_pruned_walk_matches_reference_on_pr_degree_three(monkeypatch):
+    _, tm = pr_data_model()
+    nd = numerical_data(1, (3,), [(4,), (-1,)])
+    assert_walk_prunes_exactly(nd, tm, None, monkeypatch)
