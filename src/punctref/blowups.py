@@ -178,9 +178,19 @@ def trivial_subdivision(k: int) -> ConeComplex:
     return _fan([tuple(int(i == j) for i in range(k)) for j in range(k)], [range(k)])
 
 
+MAX_BARYCENTRIC_RANK = 8
+"""The largest k ``barycentric_subdivision`` builds; it refuses a larger one
+before any flag. The fan has k! cones: 40320 at k = 8, and at k = 9 their
+face closure ran out of a 600 MB address space."""
+
+
 def barycentric_subdivision(k: int) -> ConeComplex:
     """Rays are indicators of nonempty subsets; cones are subset flags, each
     unimodular since every ray of a flag adds one coordinate to the last."""
+    if k > MAX_BARYCENTRIC_RANK:
+        raise EnumerationBoundError(
+            f"barycentric subdivision in rank {k} is past its cap of rank {MAX_BARYCENTRIC_RANK}"
+        )
     subsets = [s for n in range(1, k + 1) for s in itertools.combinations(range(k), n)]
     index = {s: i for i, s in enumerate(subsets)}
     rays = [tuple(int(j in s) for j in range(k)) for s in subsets]

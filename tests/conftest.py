@@ -9,9 +9,13 @@ from typing import Iterator
 
 import pytest
 
+from punctref.aluffi import AluffiDomainError
+from punctref.blowups import faithful_lift, stabilize_rank
 from punctref.chowring import reduce as chow_reduce
-from punctref.conecx import build_complex, pl_function, pl_pullback, star_subdivide, Ray
+from punctref.conecx import _fresh_ray_ids, build_complex, pl_function, pl_pullback
+from punctref.conecx import star_subdivide, Ray
 from punctref.fixtureio import load_fixture_file
+from punctref.lattice import primitive
 from punctref.puncture import (
     PrincipalizationError,
     _segre_by_bending,
@@ -109,6 +113,24 @@ def all_centers(k):
     """Every nonempty set of divisor directions 1..k, as a sorted tuple."""
     for size in range(1, k + 1):
         yield from itertools.combinations(range(1, k + 1), size)
+
+
+@pytest.fixture(scope="session")
+def small_lifts():
+    """One walk over every alpha with entries in [-3, 3] for k <= 3, shared by
+    criterion 6 (e) and the property suite: (alpha, center, step, lifted) for
+    faithful_lift on each of the 2555 (alpha, center), and (alpha, stable,
+    again, fixed) for stabilize_rank on each of the 399 alpha and again on
+    its result."""
+    lifts, stabilized = [], []
+    for k in (1, 2, 3):
+        for alpha in itertools.product(range(-3, 4), repeat=k):
+            nd = balanced_single_marking(k, alpha)
+            for center in all_centers(k):
+                lifts.append((alpha, center, *faithful_lift(nd, center)))
+            _, stable = stabilize_rank(nd)
+            stabilized.append((alpha, stable, *stabilize_rank(stable)))
+    return lifts, stabilized
 
 
 def random_complex(rng, max_rays=5, max_cone=2):
@@ -321,6 +343,103 @@ def seeded_segre(c, ideal, choice_seed, max_codim=None):
     pushed down the reference's trace under the seeded rule."""
     _, trace, total = _seeded(c, ideal, choice_seed)
     return _segre_by_bending(c, trace, total, c.dim() if max_codim is None else max_codim)
+
+
+# the newton backend before three identities replaced its staircase hull,
+# slot search and chart-local coordinates: kept as the reference it is
+# checked against
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def reference_staircase_vertices(pts):
+    """Vertices of the Newton region conv(points + positive orthant)."""
+    minimal = [
+        p
+        for p in pts
+        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
+    ]
+    minimal.sort()
+    chain = []
+    for p in minimal:
+        while len(chain) >= 2:
+            u = (chain[-1][0] - chain[-2][0], chain[-1][1] - chain[-2][1])
+            v = (p[0] - chain[-1][0], p[1] - chain[-1][1])
+            if _cross(u, v) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
+def reference_edge_normals(chain):
+    """Primitive inward normals of the chain's edges, sorted by (u_y, u_x)."""
+    normals = []
+    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+        n = primitive((y1 - y2, x2 - x1))
+        if n[0] <= 0 or n[1] <= 0:
+            raise ArithmeticError(f"edge normal {n} is not positive")
+        normals.append(n)
+    normals.sort(key=lambda n: (n[1], n[0]))
+    return normals
+
+
+def reference_principalize_newton(c, ideal):
+    """Newton-region principalization by an ordered fan per chart: each
+    mediant lands in the required normal's slot and splits it, and the total
+    is the support function of the chart-local coordinates."""
+    if ideal.complex != c:
+        raise ValueError("ideal does not live on the given complex")
+    if c.dim() > 2:
+        raise AluffiDomainError(
+            "newton backend supports charts of dimension at most two"
+        )
+    gens = ideal.generators
+    names = _fresh_ray_ids(c)
+    current = c
+    trace = []
+    # chart-local coordinates of every ray created inside a chart
+    new_vecs = {}
+    for chart in c.maximal_cones():
+        if len(chart) != 2:
+            continue
+        r1, r2 = chart
+        pts = {(g.get(r1), g.get(r2)) for g in gens}
+        required = reference_edge_normals(reference_staircase_vertices(pts))
+        # ordered fan of the chart, from (1,0) to (0,1)
+        fan = [((1, 0), r1), ((0, 1), r2)]
+        for u in required:
+            if any(v == u for v, _ in fan):
+                continue
+            idx = next(
+                i
+                for i in range(len(fan) - 1)
+                if _cross(fan[i][0], u) > 0 and _cross(u, fan[i + 1][0]) > 0
+            )
+            while True:
+                (va, ida), (vb, idb) = fan[idx], fan[idx + 1]
+                m = (va[0] + vb[0], va[1] + vb[1])
+                current, step = star_subdivide(current, (ida, idb), next(names))
+                trace.append(step)
+                new_vecs[step.new_ray] = ((r1, r2), m)
+                fan.insert(idx + 1, (m, step.new_ray))
+                if m == u:
+                    break
+                if _cross(m, u) > 0:
+                    idx += 1
+    values = {}
+    for rid in current.ray_ids:
+        if rid in new_vecs:
+            (r1, r2), v = new_vecs[rid]
+            val = min(v[0] * g.get(r1) + v[1] * g.get(r2) for g in gens)
+        else:
+            val = min(g.get(rid) for g in gens)
+        if val:
+            values[rid] = val
+    return current, tuple(trace), pl_function(values)
 
 
 # the type walk before it pruned class assignments by edge direction and owed

@@ -5,12 +5,11 @@ an equality check with zero tolerance. Runtime bounds are asserted where a
 criterion states one.
 """
 import functools
-import itertools
 import random
 import time
 from fractions import Fraction
 
-from punctref.blowups import compare_under_subdivision, faithful_lift, stabilize_rank
+from punctref.blowups import compare_under_subdivision
 from punctref.chowring import (
     multiply,
     pullback,
@@ -38,8 +37,6 @@ from punctref.tropmaps import (
 
 import conftest
 from conftest import (
-    all_centers,
-    balanced_single_marking,
     lifts_by_case2,
     load,
     multiplicity,
@@ -168,7 +165,7 @@ def test_criterion_5_gerby_factors():
 
 
 @criterion(6, "property suites at the stated scales")
-def test_criterion_6_property_suites():
+def test_criterion_6_property_suites(small_lifts):
     # (a) pushforward after pullback is the identity, 1000 triples
     for seed in range(1000):
         rng = random.Random(seed)
@@ -201,36 +198,32 @@ def test_criterion_6_property_suites():
         assert lhs == rhs
 
     # (e) faithful-lift invariants, exhaustive entries in [-3, 3] for k <= 3
+    lifts, stabilized = small_lifts
     checked = 0
-    for k in (1, 2, 3):
-        for alpha in itertools.product(range(-3, 4), repeat=k):
-            nd = balanced_single_marking(k, alpha)
-            for center in all_centers(k):
-                step, lifted = faithful_lift(nd, center)
-                row = lifted.markings[0]
-                assert lifted.k == k + 1
-                # the lift pushes forward to the original tangency vector
-                assert step.push_vector(row) == alpha
-                # the marking keeps its sign class, with no more negative entries
-                assert any(x < 0 for x in row) == any(x < 0 for x in alpha)
-                assert sum(x < 0 for x in row) <= sum(x < 0 for x in alpha)
-                # the exceptional entry a0 is the least nonnegative center
-                # entry, or in Case 2 the largest, which moves the multiplicity
-                # by (|center| - 1) a0
-                a0, m0, m1 = row[0], multiplicity(alpha), multiplicity(row)
-                if not lifts_by_case2(alpha, center):
-                    assert a0 == min(alpha[j - 1] for j in center if alpha[j - 1] >= 0)
-                else:
-                    assert a0 == max(alpha[j - 1] for j in center) < 0
-                    assert m1 == m0 + (len(center) - 1) * a0
-                    if len(center) >= 2:
-                        assert m1 < m0
-                checked += 1
-            steps, stable = stabilize_rank(nd)
-            assert all(stable.rank(i) <= 1 for i in range(1, len(stable.markings) + 1))
-            again, fixed = stabilize_rank(stable)
-            assert again == ()
-            assert fixed == stable
+    for alpha, center, step, lifted in lifts:
+        row = lifted.markings[0]
+        assert lifted.k == len(alpha) + 1
+        # the lift pushes forward to the original tangency vector
+        assert step.push_vector(row) == alpha
+        # the marking keeps its sign class, with no more negative entries
+        assert any(x < 0 for x in row) == any(x < 0 for x in alpha)
+        assert sum(x < 0 for x in row) <= sum(x < 0 for x in alpha)
+        # the exceptional entry a0 is the least nonnegative center
+        # entry, or in Case 2 the largest, which moves the multiplicity
+        # by (|center| - 1) a0
+        a0, m0, m1 = row[0], multiplicity(alpha), multiplicity(row)
+        if not lifts_by_case2(alpha, center):
+            assert a0 == min(alpha[j - 1] for j in center if alpha[j - 1] >= 0)
+        else:
+            assert a0 == max(alpha[j - 1] for j in center) < 0
+            assert m1 == m0 + (len(center) - 1) * a0
+            if len(center) >= 2:
+                assert m1 < m0
+        checked += 1
+    for alpha, stable, again, fixed in stabilized:
+        assert all(stable.rank(i) <= 1 for i in range(1, len(stable.markings) + 1))
+        assert again == ()
+        assert fixed == stable
     assert checked == 7 + 49 * 3 + 343 * 7
 
 

@@ -1,4 +1,9 @@
-"""Newton-region backend: staircases, mediant insertion, and cross-checks."""
+"""Newton-region backend: tied normals, Stern-Brocot paths, and cross-checks.
+
+The staircase helpers are the references in ``conftest``; their rising-chain
+refusal lives only there, since a tie-rule normal is positive by construction.
+"""
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,15 +11,21 @@ import pytest
 
 from punctref.aluffi import (
     AluffiDomainError,
-    _edge_normals,
-    _staircase_vertices,
+    _newton_normals,
     principalize_newton,
     segre_newton,
 )
 from punctref.conecx import build_complex
 from punctref.puncture import monomial_ideal, normalized_ideal, segre_class
 
-from conftest import random_complex
+from conftest import (
+    FIXTURE_NAMES,
+    load,
+    random_complex,
+    reference_edge_normals,
+    reference_principalize_newton,
+    reference_staircase_vertices,
+)
 
 
 def test_newton_names_new_rays_past_the_base_ids():
@@ -29,26 +40,80 @@ def test_newton_names_new_rays_past_the_base_ids():
 
 
 def test_staircase_drops_dominated_points():
-    assert _staircase_vertices({(2, 0), (0, 1), (5, 5)}) == [(0, 1), (2, 0)]
-    assert _staircase_vertices({(2, 2), (1, 0)}) == [(1, 0)]
+    assert reference_staircase_vertices({(2, 0), (0, 1), (5, 5)}) == [(0, 1), (2, 0)]
+    assert reference_staircase_vertices({(2, 2), (1, 0)}) == [(1, 0)]
 
 
 def test_staircase_keeps_strict_vertices():
-    chain = _staircase_vertices({(3, 0), (0, 2), (1, 1)})
+    chain = reference_staircase_vertices({(3, 0), (0, 2), (1, 1)})
     assert chain == [(0, 2), (1, 1), (3, 0)]
-    assert _edge_normals(chain) == [(1, 1), (1, 2)]
+    assert reference_edge_normals(chain) == [(1, 1), (1, 2)]
 
 
 def test_edge_normals_reject_a_rising_chain():
     with pytest.raises(ArithmeticError, match="not positive"):
-        _edge_normals([(0, 0), (1, 1)])
+        reference_edge_normals([(0, 0), (1, 1)])
 
 
 def test_staircase_flattens_collinear_points():
     # (1, 1) lies on the segment from (0, 2) to (2, 0): one edge, one normal.
-    chain = _staircase_vertices({(0, 2), (1, 1), (2, 0)})
+    chain = reference_staircase_vertices({(0, 2), (1, 1), (2, 0)})
     assert chain == [(0, 2), (2, 0)]
-    assert _edge_normals(chain) == [(1, 1)]
+    assert reference_edge_normals(chain) == [(1, 1)]
+
+
+def point_sets(side, sizes):
+    """Every set of the given sizes of points in [0, side]^2."""
+    grid = list(itertools.product(range(side + 1), repeat=2))
+    for n in sizes:
+        yield from map(set, itertools.combinations(grid, n))
+
+
+def assert_newton_matches_reference(c, ideal):
+    """The same complex, trace and total as the reference; steps compare by
+    every field, the link included."""
+    assert principalize_newton(c, ideal) == reference_principalize_newton(c, ideal)
+
+
+def test_tied_normals_match_the_staircase_on_small_sets():
+    for pts in point_sets(4, (1, 2, 3)):
+        assert _newton_normals(pts) == reference_edge_normals(
+            reference_staircase_vertices(pts)
+        ), pts
+
+
+def test_principalize_newton_matches_reference_on_fixtures_and_seeded_charts():
+    for name in FIXTURE_NAMES:
+        fx = load(name)
+        assert_newton_matches_reference(fx.complex, normalized_ideal(fx.complex, fx.offsets))
+    rng = random.Random(20261021)
+    for _ in range(200):
+        c = random_complex(rng)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            vals = {r: rng.randint(0, 6) for r in c.ray_ids if rng.random() < 0.7}
+            gens.append({r: v for r, v in vals.items() if v})
+        assert_newton_matches_reference(c, monomial_ideal(c, gens))
+
+
+@pytest.mark.ladder
+def test_principalize_newton_matches_reference_on_every_small_ideal():
+    c = build_complex(["a", "b"], [["a", "b"]])
+    for pts in point_sets(5, (1, 2, 3, 4)):
+        ideal = monomial_ideal(c, [{"a": x, "b": y} for x, y in sorted(pts)])
+        assert_newton_matches_reference(c, ideal)
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("n", [1000, 5000, 10001])
+def test_principalize_newton_matches_reference_on_large_offset_charts(n):
+    """(a^N b, a^2 b^5) has one normal. b^20 adds a normal whose path shares
+    the mediant (1, 1) with it, and a generator pair, b^20 and a^N b, that
+    spans no edge."""
+    c = build_complex(["a", "b"], [["a", "b"]])
+    gens = [{"a": n, "b": 1}, {"a": 2, "b": 5}]
+    assert_newton_matches_reference(c, monomial_ideal(c, gens))
+    assert_newton_matches_reference(c, monomial_ideal(c, gens + [{"b": 20}]))
 
 
 def test_principalize_newton_single_mediant():

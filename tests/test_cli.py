@@ -578,6 +578,25 @@ def test_tree_labelings_past_the_walk_cap_exit_1_at_once(tmp_path):
     )
 
 
+def test_barycentric_subdivision_past_its_rank_cap_exits_1_at_once(tmp_path):
+    """k = 9 with degrees all 1 and one marking (1, ..., 1): face-closing the
+    9! flags ran out of a 600 MB address space after 19 s, and the
+    interpreter's fatal MemoryError report took six lines."""
+    ones = [1] * 9
+    path = write_fixture(
+        tmp_path,
+        {
+            "data": {"k": 9, "degrees": ones, "markings": [ones]},
+            "strata": [{"face": [], "classes": [{"pairing": ones, "label": "line"}]}],
+        },
+    )
+    proc = run_capped(600_000, "sensitivity", path, "--subdivision", "barycentric", timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (
+        b"inconsistency: barycentric subdivision in rank 9 is past its cap of rank 8\n"
+    )
+
+
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "validate", "/nonexistent/fx.json")
     assert code == 2 and out == "" and "cannot read input" in err
