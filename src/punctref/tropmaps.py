@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import add, gt, mul
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import tropdata
@@ -56,26 +57,40 @@ def canonical_key(t: TropicalType) -> tuple:
 
     The minimal key lists the vertex data in sorted order, so only the
     relabelings that send each vertex to a slot holding its own data compete.
+    Those are the products of the permutations within each run, a block of
+    equal entries in the sorted data: prod run_i! of them, one when all the
+    vertex data differ. The key is computed once per type and kept on it.
     """
+    if "_canonical" in t.__dict__:
+        return t.__dict__["_canonical"]
     n = t.n_vertices
     if n > MAX_KEY_VERTICES:
-        raise EnumerationBoundError("canonical form beyond eight vertices")
+        raise EnumerationBoundError(f"canonical form beyond {MAX_KEY_VERTICES} vertices")
     vdata = [(v.pairing, tuple(sorted(v.face)), v.legs) for v in t.vertices]
-    vrows = tuple(sorted(vdata))
+    order = sorted(range(n), key=vdata.__getitem__)
+    vrows = tuple(map(vdata.__getitem__, order))
+    # each relabeling as its vertices in slot order, permuted run by run
+    arrangements: list[Sequence[int]] = [order]
+    if len(set(vrows)) < n:
+        arrangements = [()]
+        for _, run in itertools.groupby(order, key=vdata.__getitem__):
+            perms = tuple(itertools.permutations(run))
+            arrangements = [a + p for a in arrangements for p in perms]
+    edges = [(e.ends, tuple(sorted(e.face)), e.slope) for e in t.edges]
     edge_rows = []
-    for perm in itertools.permutations(range(n)):
-        if any(vrows[perm[i]] != vdata[i] for i in range(n)):
-            continue
+    slot = [0] * n
+    for arrangement in arrangements:
+        for i, v in enumerate(arrangement):
+            slot[v] = i
         erows = []
-        for e in t.edges:
-            a, b = perm[e.ends[0]], perm[e.ends[1]]
-            slope = e.slope
+        for (a, b), face, slope in edges:
+            a, b = slot[a], slot[b]
             if a > b:
-                a, b = b, a
-                slope = tuple(-x for x in slope)
-            erows.append((a, b, tuple(sorted(e.face)), slope))
+                a, b, slope = b, a, tuple(-x for x in slope)
+            erows.append((a, b, face, slope))
         edge_rows.append(tuple(sorted(erows)))
-    return (n, vrows, min(edge_rows))
+    t.__dict__["_canonical"] = (n, vrows, min(edge_rows))
+    return t.__dict__["_canonical"]
 
 
 def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -100,6 +115,13 @@ def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]
     if len(order) != n:
         raise BalancingError("not a tree: graph is disconnected")
     return order
+
+
+def _order(t: TropicalType) -> list[tuple[int, int, int]]:
+    """The walk of t's tree, listed once and kept on t."""
+    if "_order" not in t.__dict__:
+        t.__dict__["_order"] = _walk(t.n_vertices, [e.ends for e in t.edges])
+    return t.__dict__["_order"]
 
 
 def _edge_face(va: VertexDecor, vb: VertexDecor, slope: Sequence[int]) -> frozenset:
@@ -176,7 +198,7 @@ def _position_rows(t: TropicalType) -> list[list[list[int]]]:
     k = t.k
     n = t.n_vertices
     nv = k + len(t.edges)
-    order = _walk(n, [e.ends for e in t.edges])
+    order = _order(t)
     rows: list[list[list[int]]] = [[]] * n
     rows[0] = [[0] * nv for _ in range(k)]
     for j in range(k):
@@ -223,23 +245,22 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
     m = len(basis)
     found: set[tuple[int, ...]] = set()
     if m:
-        proj = [[sum(a * b for a, b in zip(r, bv)) for bv in basis] for r in ineqs]
+        proj = [[sum(map(mul, r, bv)) for bv in basis] for r in ineqs]
         for subset in itertools.combinations(range(len(proj)), m - 1):
             sub = [proj[i] for i in subset]
             kern = kernel(sub, m)
             if len(kern) != 1:
                 continue
-            z = [
-                sum(kern[0][c] * basis[c][i] for c in range(m)) for i in range(nv)
-            ]
-            signs = [sum(a * b for a, b in zip(r, z)) for r in ineqs]
+            # a row r takes the value proj_r . c at the point sum_c c * basis_c
+            c = kern[0]
+            signs = [sum(map(mul, r, c)) for r in proj]
             if all(s >= 0 for s in signs):
                 pass
             elif all(s <= 0 for s in signs):
-                z = [-x for x in z]
+                c = [-x for x in c]
             else:
                 continue
-            found.add(primitive(z))
+            found.add(primitive([sum(map(mul, c, col)) for col in zip(*basis)]))
     rays = sorted(found)
     variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
         f"l{i}" for i in range(len(t.edges))
@@ -255,12 +276,18 @@ def realizable(nd: NumericalData, t: TropicalType) -> bool:
     """A type is realizable when its cone has a point with every edge length
     and every in-face position coordinate strictly positive."""
     cone = cone_of_type(nd, t)
-    if not cone.ineq_rows:
-        return True
-    if not cone.rays:
-        return False
-    z = [sum(r[i] for r in cone.rays) for i in range(len(cone.variables))]
-    return all(sum(c * x for c, x in zip(row, z)) > 0 for row in cone.ineq_rows)
+    return _interior(cone, _ray_sum(cone, range(len(cone.rays))))
+
+
+def _ray_sum(cone: TypeCone, subset: Sequence[int]) -> list[int]:
+    """The sum of the cone's extreme rays with indices in subset."""
+    z = [sum(col) for col in zip(*(cone.rays[i] for i in subset))]
+    return z or [0] * len(cone.variables)
+
+
+def _interior(cone: TypeCone, z: Sequence[int]) -> bool:
+    """Whether z is positive on every inequality row of the cone."""
+    return all(sum(map(mul, row, z)) > 0 for row in cone.ineq_rows)
 
 
 def _trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -323,7 +350,7 @@ def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[Tropic
     """Balanced types on the trees of _trees(n) whose zero-class vertices
     keep at least three special points, save a lone vertex at the trivial face.
 
-    Class assignment, in vertex order, prunes by two necessary rules:
+    Class assignment, in vertex order, prunes by three necessary rules:
     - Direction: an edge (p, u) with slope m out of p needs j in p's face
       where m_j < 0, and j in u's face where m_j > 0. u sits at p + l*m with
       l > 0, and positions are 0 off a face and >= 0 on it, so otherwise
@@ -335,13 +362,19 @@ def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[Tropic
       sum_j |d_j|. Weights add, as each coordinate's pairings share a sign;
       such a vertex takes a nonzero class, of weight at least w, the least
       nonzero candidate weight; and the classes must add up to d.
+    - Last class: the last vertex takes d minus the partial class sum, as
+      the classes must add up to d; it loops only over the candidates with
+      that class, in candidate order.
     The direction rule holds on all labelings of a type or on none, and the
-    weight rule drops no balanced labeling, so the walk yields the unpruned
+    other two drop no balanced labeling, so the walk yields the unpruned
     walk's labelings in its order, less whole unrealizable classes.
     """
     n_marks = len(nd.markings)
-    limit = sum(map(abs, nd.degrees))
+    cap = tuple(map(abs, nd.degrees))
+    limit = sum(cap)
+    zero = (0,) * nd.k
     w = min((sum(map(abs, p)) for _, p, _ in candidates if any(p)), default=0)
+    with_class = {p: [c for c in candidates if c[1] == p] for _, p, _ in candidates}
     for edges in _trees(n):
         degree = [0] * n
         for a, b in edges:
@@ -378,8 +411,6 @@ def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[Tropic
 
             def assign(v: int, partial: tuple[int, ...]) -> Iterator[TropicalType]:
                 if v == n:
-                    if partial != nd.degrees:
-                        return
                     verts = [
                         VertexDecor(chosen[i][0], chosen[i][1], chosen[i][2], legs[i])
                         for i in range(n)
@@ -387,21 +418,25 @@ def _level_types(nd: NumericalData, candidates: list, n: int) -> Iterator[Tropic
                     # the classes add up to d, the markings' sum, so T = 0
                     yield slopes_from_balancing(nd, verts, edges)
                     return
-                for face, pairing, label in candidates:
-                    zero = all(x == 0 for x in pairing)
-                    if zero and specials[v] < 3 and not (n == 1 and not face):
+                pool = candidates
+                if v == n - 1:
+                    rest = tuple(d - x for d, x in zip(nd.degrees, partial))
+                    pool = with_class.get(rest, ())
+                for c in pool:
+                    face, pairing, _ = c
+                    if pairing == zero and specials[v] < 3 and not (n == 1 and not face):
                         continue
-                    nxt = tuple(a + b for a, b in zip(partial, pairing))
-                    if any(abs(x) > abs(d) for x, d in zip(nxt, nd.degrees)):
+                    nxt = tuple(map(add, partial, pairing))
+                    if any(map(gt, map(abs, nxt), cap)):
                         continue
                     if sum(map(abs, nxt)) + owed[v] > limit:
                         continue
-                    chosen.append((face, pairing, label))
+                    chosen.append(c)
                     if all(directed(p, u) for p, u in due[v]):
                         yield from assign(v + 1, nxt)
                     chosen.pop()
 
-            yield from assign(0, tuple([0] * nd.k))
+            yield from assign(0, zero)
 
 
 def enumerate_types(
@@ -488,7 +523,7 @@ def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
     no other ray is tight on all the rows tight at every ray of a face."""
     n, rows = len(cone.rays), range(len(cone.ineq_rows))
     tight = [
-        {r for r in rows if sum(a * b for a, b in zip(cone.ineq_rows[r], ray)) == 0}
+        {r for r in rows if sum(map(mul, cone.ineq_rows[r], ray)) == 0}
         for ray in cone.rays
     ]
     out = []
@@ -503,13 +538,15 @@ def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
 def _faces(t: TropicalType, cone: TypeCone) -> tuple[tuple, ...]:
     """Each face of t's cone as (extreme-ray subset, the type decoded at its
     ray sum, that type's canonical key), decoded once and stored on t beside
-    its cone."""
+    its cone. A ray sum positive on every row contracts nothing: that face
+    is t, not decoded and stored as None, so t holds no reference to itself;
+    callers read only the proper faces' types."""
     if "_faces" not in t.__dict__:
         out = []
         for s in _faces_of_cone(cone):
-            z = [sum(cone.rays[i][c] for i in s) for c in range(len(cone.variables))]
-            face = _decode(t, cone, z)
-            out.append((s, face, canonical_key(face)))
+            z = _ray_sum(cone, s)
+            face = None if _interior(cone, z) else _decode(t, cone, z)
+            out.append((s, face, canonical_key(t if face is None else face)))
         t.__dict__["_faces"] = tuple(out)
     return t.__dict__["_faces"]
 
@@ -517,30 +554,31 @@ def _faces(t: TropicalType, cone: TypeCone) -> tuple[tuple, ...]:
 def _decode(t: TropicalType, cone: TypeCone, z: Sequence[int]) -> TropicalType:
     """The specialized type at a point of the cone's boundary.
 
-    Down the walk, a vertex joins its parent's group across an edge of length
-    zero. Groups come out ordered by their least member, with members in
-    increasing order; the surviving edges keep their slopes.
+    Down the type's walk, listed once and kept on it, a vertex joins its
+    parent's group across an edge of length zero. Groups come out ordered by
+    their least member, with members in increasing order; the surviving edges
+    keep their slopes. Positions come from the cone's vertex position rows.
     """
     k = t.k
     n = t.n_vertices
-    lengths = [z[k + i] for i in range(len(t.edges))]
+    lengths = z[k:]
     top = list(range(n))
-    for v, parent, idx in _walk(n, [e.ends for e in t.edges])[1:]:
+    for v, parent, idx in _order(t)[1:]:
         if lengths[idx] == 0:
             top[v] = top[parent]
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(top[v], []).append(v)
     gid = {v: i for i, members in enumerate(groups.values()) for v in members}
+    at = [[sum(map(mul, row, z)) for row in rows] for rows in cone.positions]
     verts = []
     for members in groups.values():
         pairing = tuple(
             sum(t.vertices[v].pairing[j] for v in members) for j in range(k)
         )
-        posvals = [cone.position(members[0], j, z) for j in range(1, k + 1)]
-        for v in members[1:]:
-            if any(cone.position(v, j, z) != posvals[j - 1] for j in range(1, k + 1)):
-                raise ArithmeticError("contracted vertices at distinct positions")
+        posvals = at[members[0]]
+        if any(at[v] != posvals for v in members[1:]):
+            raise ArithmeticError("contracted vertices at distinct positions")
         face = frozenset(j for j in range(1, k + 1) if posvals[j - 1] > 0)
         legs = tuple(sorted(i for v in members for i in t.vertices[v].legs))
         if len(members) == 1:

@@ -964,6 +964,8 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         for name in FIXTURE_NAMES
         for cmd in ("refined-class", "segre")
     ]
+    # enumerate's type order and ray names come from canonical_key
+    runs += [("enumerate", fixture_path(name)) for name in ("p2-two-lines", "pr-hyperplane")]
     runs.append(("validate", write_fixture(tmp_path, square)))
     for argv in runs:
         assert run_under_hash_seed(0, *argv) == run_under_hash_seed(1, *argv), argv

@@ -316,12 +316,21 @@ def test_canonical_key_permutation_invariance():
     assert canonical_key(t) == canonical_key(s)
 
 
-def test_canonical_key_vertex_cap():
-    n = 9
+def zero_path(n):
+    """A path on n zero-class vertices at the trivial face."""
     verts = tuple(VertexDecor(frozenset(), (0,), "0", ()) for _ in range(n))
     edges = tuple(EdgeDecor((i, i + 1), frozenset(), (0,)) for i in range(n - 1))
-    with pytest.raises(EnumerationBoundError, match="eight"):
-        canonical_key(TropicalType(1, verts, edges))
+    return TropicalType(1, verts, edges)
+
+
+def test_canonical_key_vertex_cap(monkeypatch):
+    # the refusal read "beyond eight vertices" whatever the cap was
+    with pytest.raises(EnumerationBoundError, match="^canonical form beyond 8 vertices$"):
+        canonical_key(zero_path(9))
+    monkeypatch.setattr(tropmaps, "MAX_KEY_VERTICES", 3)
+    assert canonical_key(zero_path(3)) == reference_canonical_key(zero_path(3))
+    with pytest.raises(EnumerationBoundError, match="^canonical form beyond 3 vertices$"):
+        canonical_key(zero_path(4))
 
 
 def test_specializations_of_top_cell():
@@ -1108,6 +1117,50 @@ def test_canonical_key_matches_reference():
     assert sum(keys_match_reference(i, rng) for i in range(len(walk_data()))) >= 500
 
 
+def tree_with_runs(rng):
+    """A tree on 2..7 vertices, its vertex data drawn in blocks of 1-4 equal
+    (class, face) pairs and a leg on up to two vertices, so that runs of
+    equal vertex data are common; slopes and edge faces are random, and the
+    tree need not balance."""
+    n = rng.randint(2, 7)
+    data = []
+    while len(data) < n:
+        pairing = (rng.randint(0, 1), rng.randint(0, 1))
+        face = frozenset(j for j in (1, 2) if rng.random() < 0.5)
+        data += [(face, pairing)] * min(rng.randint(1, 4), n - len(data))
+    rng.shuffle(data)
+    legs = [()] * n
+    for i in range(rng.randint(0, 2)):
+        legs[rng.randrange(n)] += (i + 1,)
+    verts = tuple(VertexDecor(f, p, "c", legs[v]) for v, (f, p) in enumerate(data))
+    edges = tuple(
+        EdgeDecor(
+            (rng.randrange(i), i),
+            frozenset(j for j in (1, 2) if rng.random() < 0.5),
+            (rng.randint(-1, 1), rng.randint(-1, 1)),
+        )
+        for i in range(1, n)
+    )
+    return TropicalType(2, verts, edges)
+
+
+def test_canonical_key_matches_reference_on_repeated_vertex_data():
+    # the key relabels only within runs of equal vertex data, a branch the
+    # enumerated types, whose vertex data rarely repeat, barely reach
+    rng = random.Random(15)
+    with_run = with_two_runs = 0
+    for _ in range(160):
+        t = tree_with_runs(rng)
+        key = canonical_key(t)
+        assert key == reference_canonical_key(t)
+        assert canonical_key(relabeled(rng, t)) == key
+        vdata = [(v.pairing, tuple(sorted(v.face)), v.legs) for v in t.vertices]
+        runs = sum(vdata.count(d) >= 2 for d in set(vdata))
+        with_run += runs >= 1
+        with_two_runs += runs >= 2
+    assert with_run >= 120 and with_two_runs >= 35
+
+
 @pytest.mark.parametrize("index", range(len(walk_data())))
 def test_faces_match_reference(index):
     faces_match_reference(index)
@@ -1158,12 +1211,13 @@ def test_one_cone_build_and_one_face_pass_per_type(monkeypatch):
     assemble_complex(nd, types)
     types_to_json(nd, types)
     # one build per canonical key among the 189 labelings the pruned walk
-    # yields, one key per labeling, and one decode and one key per face of the
-    # 18 types: 36 builds and 189 + 75 + 18 keys. Unpruned, 2583 labelings
-    # held 405 keys, which made 405 builds and 2676 keys; a cone per caller
-    # and a second face pass in assembly made 459 and 132, and keying faces
-    # again in assembly made 2733 keys
-    assert calls == {"_position_rows": 36, "_decode": 75, "canonical_key": 282}
+    # yields, one key per labeling, one key per face of the 18 types and one
+    # decode per proper face: 36 builds, 189 + 75 + 18 keys and 75 - 18
+    # decodes, as a full face at an interior point is the type itself.
+    # Unpruned, 2583 labelings held 405 keys, which made 405 builds and 2676
+    # keys; a cone per caller and a second face pass in assembly made 459 and
+    # 132, and keying faces again in assembly made 2733 keys
+    assert calls == {"_position_rows": 36, "_decode": 57, "canonical_key": 282}
 
 
 def test_enumeration_leaves_no_cyclic_garbage():
