@@ -24,8 +24,7 @@ _HOMES = {
         "stratum_class",
     ),
     "puncture": (
-        "PrincipalizationError", "PuncturingData", "MonomialIdealOnComplex",
-        "RefinedClassResult", "puncturing_data", "monomial_ideal",
+        "MonomialIdealOnComplex", "RefinedClassResult", "monomial_ideal",
         "normalized_ideal", "puncturing_components", "principalize",
         "segre_class", "refined_class", "refined_class_excess",
     ),
@@ -33,8 +32,9 @@ _HOMES = {
     "tropdata": (
         "NumericalData", "TargetModel", "VertexDecor", "EdgeDecor",
         "TropicalType", "EnumerationBoundError", "BalancingError",
-        "NonSmoothConeError", "numerical_data", "target_model",
-        "validate_numerical_data", "positivize",
+        "NonSmoothConeError", "PuncturingData", "PrincipalizationError",
+        "numerical_data", "target_model", "validate_numerical_data",
+        "positivize", "puncturing_data",
     ),
     "tropmaps": (
         "TypeCone", "slopes_from_balancing", "enumerate_types", "canonical_key",

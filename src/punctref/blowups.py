@@ -18,8 +18,9 @@ from .chowring import pushforward as chow_pushforward, serialize
 from .conecx import ConeComplex, Ray, SubdivisionStep, _Record, build_complex
 from .conecx import star_subdivide
 from .lattice import is_unimodular, primitive
-from .puncture import PuncturingData, refined_class
-from .tropdata import EnumerationBoundError, NumericalData, TargetModel, target_model
+from .puncture import refined_class
+from .tropdata import EnumerationBoundError, NumericalData, PuncturingData, TargetModel
+from .tropdata import target_model
 
 __all__ = [
     "BlowupStep",

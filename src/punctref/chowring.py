@@ -31,13 +31,15 @@ both Segre backends build their classes from it.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .conecx import ConeComplex, PLFunction, SubdivisionStep, _exact, _Record
 from .conecx import _undo, star_subdivide
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Monomial",

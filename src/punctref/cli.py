@@ -7,21 +7,27 @@ subdivision, validation violations, incomplete enumeration), or 2 on
 malformed input with a JSON-path diagnostic on stderr, as for a usage error
 such as a flag the subcommand does not read. Output is byte-identical across
 runs; --threads is accepted for interface stability but execution is always
-sequential, which costs nothing at corpus scale. The handlers that call
-``gerby``, ``blowups`` or the enumeration of ``tropmaps`` import them, so no
-other subcommand loads them: on a fixture with a complex, only ``enumerate``
-and ``sensitivity`` load ``tropmaps``.
+sequential, which costs nothing at corpus scale. A report that cannot be
+written, to a closed pipe or a full device, exits 2 with one line.
+
+Each handler imports the layers it runs, after its own refusals of a missing
+section or flag: ``refined-class`` and ``segre`` load ``chowring`` and
+``puncture``, ``twisted-check`` loads ``gerby``, ``compare-blowup`` and
+``sensitivity`` load ``blowups``, and ``enumerate`` and ``sensitivity``
+load ``tropmaps``, as do ``refined-class`` and ``segre`` on a fixture
+without a complex. So ``validate``, ``positivize``, a malformed document and
+a refusal compile only the reader: ``fixtureio``, ``tropdata``, ``conecx``
+and ``lattice``. ``hashlib`` is imported for the digest of a report alone.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import os
 import sys
 from typing import NoReturn, Optional, Sequence
 
 from . import __version__
-from .chowring import serialize
 from .conecx import validate_complex
 from .fixtureio import (
     Fixture,
@@ -36,17 +42,12 @@ from .fixtureio import (
     trace_to_json,
     types_to_json,
 )
-from .puncture import (
-    PrincipalizationError,
-    PuncturingData,
-    _segre,
-    normalized_ideal,
-    refined_class,
-)
 from .tropdata import (
     BalancingError,
     EnumerationBoundError,
     NonSmoothConeError,
+    PrincipalizationError,
+    PuncturingData,
     positivize,
     validate_numerical_data,
 )
@@ -90,9 +91,9 @@ def _cmd_validate(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(fixture: Fixture, args) -> tuple[dict, int]:
+    _require(fixture, "data+model")
     from .tropmaps import assemble_complex, enumerate_types
 
-    _require(fixture, "data+model")
     types = enumerate_types(fixture.data, fixture.model)
     c, pd = assemble_complex(fixture.data, types)
     return {
@@ -104,6 +105,9 @@ def _cmd_enumerate(fixture: Fixture, args) -> tuple[dict, int]:
 
 def _cmd_refined_class(fixture: Fixture, args) -> tuple[dict, int]:
     c, pd = _complex_and_offsets(fixture)
+    from .chowring import serialize
+    from .puncture import refined_class
+
     res = refined_class(c, pd, backend=args.backend)
     result = {
         "class": serialize(res.cls),
@@ -117,6 +121,9 @@ def _cmd_refined_class(fixture: Fixture, args) -> tuple[dict, int]:
 
 def _cmd_segre(fixture: Fixture, args) -> tuple[dict, int]:
     c, pd = _complex_and_offsets(fixture)
+    from .chowring import serialize
+    from .puncture import _segre, normalized_ideal
+
     ideal = normalized_ideal(c, pd)
     max_codim = c.dim() if args.max_codim is None else args.max_codim
     cls, trace = _segre(c, ideal, max_codim, args.backend)
@@ -130,6 +137,9 @@ def _cmd_segre(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
+    _require(fixture, "complex+offsets")
+    if (args.r is None) == (args.rooting is None):
+        raise SchemaError("$", "twisted-check needs exactly one of --r or --rooting")
     from .gerby import (
         _checked_rooting,
         _offset_direction,
@@ -137,9 +147,6 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
         rooting_data,
     )
 
-    _require(fixture, "complex+offsets")
-    if (args.r is None) == (args.rooting is None):
-        raise SchemaError("$", "twisted-check needs exactly one of --r or --rooting")
     if args.r is not None:
         r, s = tuple(args.r), None
     else:
@@ -168,9 +175,9 @@ def _cmd_twisted_check(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_compare_blowup(fixture: Fixture, args) -> tuple[dict, int]:
+    _require(fixture, "complex+offsets+trace+lifted_offsets")
     from .blowups import SubdivisionError, compare_under_subdivision
 
-    _require(fixture, "complex+offsets+trace+lifted_offsets")
     c = _checked_complex(fixture.complex)
     try:
         report = compare_under_subdivision(
@@ -188,9 +195,9 @@ def _cmd_positivize(fixture: Fixture, args) -> tuple[dict, int]:
 
 
 def _cmd_sensitivity(fixture: Fixture, args) -> tuple[dict, int]:
+    _require(fixture, "data+model")
     from .blowups import check_slope_sensitivity
 
-    _require(fixture, "data+model")
     fan = load_subdivision_arg(args.subdivision, fixture.data.k)
     report = check_slope_sensitivity(fixture.data, fixture.model, fan)
     return report, 0 if report["sensitive"] else 1
@@ -294,13 +301,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _refuse(f"inconsistency: {e}", 1)
     except ValueError as e:
         return _refuse(f"error: {e}", 2)
+    import hashlib
+
     envelope = {
         "command": args.command,
         "input_sha256": hashlib.sha256(raw).hexdigest(),
         "version": __version__,
         "result": result,
     }
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(envelope, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except OSError as e:
+        # a closed pipe or a full device: what is still buffered goes to the
+        # null device, so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _refuse(f"error: cannot write output: {e}", 2)
     return code
 
 

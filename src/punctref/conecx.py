@@ -15,12 +15,14 @@ step holds its center's link, not a complex; the new ray comes last, and
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .lattice import is_unimodular
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Ray",
@@ -333,6 +335,8 @@ def _exact(v: int | Fraction | float | str) -> int | Fraction:
     """v as an int when it is integral, else as the exact Fraction of v (0.5 is 1/2)."""
     if type(v) is int:
         return v
+    from fractions import Fraction
+
     f = Fraction(v)
     return f.numerator if f.denominator == 1 else f
 

@@ -17,9 +17,8 @@ import json
 from typing import Any, Optional, Sequence
 
 from .conecx import ConeComplex, Ray, SubdivisionStep, _Record, build_complex
-from .puncture import PuncturingData, puncturing_data
-from .tropdata import NumericalData, TargetModel, TropicalType
-from .tropdata import numerical_data, target_model
+from .tropdata import NumericalData, PuncturingData, TargetModel, TropicalType
+from .tropdata import numerical_data, puncturing_data, target_model
 
 __all__ = [
     "SchemaError",

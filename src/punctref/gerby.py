@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from .chowring import ChowClass, reduce as chow_reduce, serialize
 from .conecx import ConeComplex, _Record
-from .puncture import PuncturingData, puncturing_data, refined_class
-from .tropdata import NumericalData, TargetModel
+from .puncture import refined_class
+from .tropdata import NumericalData, PuncturingData, TargetModel, puncturing_data
 
 __all__ = [
     "RootingData",

@@ -1,4 +1,4 @@
-"""Puncturing data, monomial-ideal principalization, and refined virtual classes.
+"""Monomial ideals of puncturing offsets, principalization, and refined virtual classes.
 
 The pipeline: puncturing offsets define a monomial ideal on the cone complex;
 stellar subdivisions at two-ray centers make its total transform E Cartier;
@@ -14,7 +14,10 @@ by the projection formula that product is formed on the base complex,
 against the pushed-down Segre class, in degree k_P alone. The
 aluffi-crosscheck backend calls ``aluffi.segre_newton``, which pushes down
 the whole series E/(1+E) of its own principalization and needs nothing from
-this module at run time.
+this module at run time. The offsets, ``PuncturingData`` and
+``puncturing_data``, and ``PrincipalizationError`` live in ``tropdata``, so a
+reader of fixtures loads neither this module nor ``chowring``; this module
+binds them too.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from functools import reduce
 from math import comb, gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import aluffi
+from . import aluffi, tropdata
 from .chowring import (
     ChowClass,
     _power_series_part,
@@ -48,10 +51,8 @@ from .conecx import (
 )
 
 __all__ = [
-    "PuncturingData",
     "MonomialIdealOnComplex",
     "RefinedClassResult",
-    "puncturing_data",
     "monomial_ideal",
     "normalized_ideal",
     "puncturing_components",
@@ -59,20 +60,12 @@ __all__ = [
     "segre_class",
     "refined_class",
     "refined_class_excess",
-    "PrincipalizationError",
 ]
 
-
-class PrincipalizationError(RuntimeError):
-    """Raised when principalization exhausts its step budget or ends while
-    a generator pair still crosses, or when the Segre class it feeds could
-    pass MAX_SEGRE_TERMS terms.
-
-    The budget is not a proof of a bug: the step count grows with the
-    offsets. On the 2-ray chart with offsets (a^N b, a^2 b^5), normalized
-    per ray, the rule takes 128 steps at N = 1000, 1250 at N = 9990 and 2503
-    at both N = 10001 and N = 20000, and N = 40001 exhausts MAX_STEPS.
-    """
+# readable here for callers that build offsets and compute their classes
+# through this one module
+PrincipalizationError = tropdata.PrincipalizationError
+PuncturingData, puncturing_data = tropdata.PuncturingData, tropdata.puncturing_data
 
 
 MAX_STEPS = 10000
@@ -85,38 +78,6 @@ one before any work. A class through codim m on c has at most
 1 + sum_tau C(m, |tau|) terms, over the nonempty cones tau of c: C(m, |tau|)
 monomials of degree 1..m have support exactly tau. On f1-blowup the bound is
 4711 at m = 30 and 50701 at m = 100."""
-
-
-class PuncturingData(_Record):
-    """Puncturing offsets: one nonnegative integer PL function per negative direction.
-
-    Offset ids follow the "p{i}.{j}" convention for marking i, coordinate j,
-    but any distinct ids are accepted.
-    """
-
-    def __init__(self, offsets: tuple[tuple[str, PLFunction], ...]) -> None:
-        ids = [pid for pid, _ in offsets]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate puncture ids in offsets")
-        for pid, f in offsets:
-            if not f.nonnegative:
-                raise ValueError(f"offset {pid!r} takes a negative value")
-            for rid, v in f.values:
-                if v.denominator != 1:
-                    raise ValueError(f"offset {pid!r} is not integral at ray {rid!r}")
-        object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def k_P(self) -> int:
-        return len(self.offsets)
-
-
-def puncturing_data(offsets: Mapping[str, Mapping[str, int]]) -> PuncturingData:
-    """Build puncturing data from an id -> (ray -> value) mapping."""
-    items = tuple(
-        (pid, pl_function(vals)) for pid, vals in sorted(offsets.items())
-    )
-    return PuncturingData(items)
 
 
 class MonomialIdealOnComplex(_Record):

@@ -2,20 +2,22 @@
 
 Numerical data (degrees and tangency vectors), the target model of admissible
 vertex classes per face, the vertex and edge decorations of a tropical type,
-the errors of enumeration and assembly, and the degree shift to positive
-tangency. Enumeration and assembly live in ``tropmaps``; a caller that only
-reads or checks data never loads it.
+the puncturing offsets on a cone complex, the errors of enumeration, assembly
+and principalization, and the degree shift to positive tangency. Enumeration
+and assembly live in ``tropmaps``, the classes of the offsets in
+``puncture``; a caller that only reads or checks data loads neither.
 """
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .conecx import _Record
+from .conecx import PLFunction, _Record, pl_function
 
 __all__ = [
     "NumericalData", "TargetModel", "VertexDecor", "EdgeDecor", "TropicalType",
-    "EnumerationBoundError", "BalancingError", "NonSmoothConeError",
-    "numerical_data", "target_model", "validate_numerical_data", "positivize",
+    "PuncturingData", "EnumerationBoundError", "BalancingError",
+    "NonSmoothConeError", "PrincipalizationError", "numerical_data",
+    "target_model", "validate_numerical_data", "positivize", "puncturing_data",
 ]
 
 
@@ -33,6 +35,18 @@ class NonSmoothConeError(RuntimeError):
     def __init__(self, message: str, tp: "TropicalType"):
         super().__init__(message)
         self.type = tp
+
+
+class PrincipalizationError(RuntimeError):
+    """Raised when principalization exhausts its step budget or ends while
+    a generator pair still crosses, or when the Segre class it feeds could
+    pass ``puncture.MAX_SEGRE_TERMS`` terms.
+
+    The budget is not a proof of a bug: the step count grows with the
+    offsets. On the 2-ray chart with offsets (a^N b, a^2 b^5), normalized
+    per ray, the rule takes 128 steps at N = 1000, 1250 at N = 9990 and 2503
+    at both N = 10001 and N = 20000, and N = 40001 exhausts ``puncture.MAX_STEPS``.
+    """
 
 
 class NumericalData(_Record):
@@ -178,3 +192,35 @@ def positivize(nd: NumericalData) -> NumericalData:
         nd.degrees[j] - sum(min(a[j], 0) for a in nd.markings) for j in range(nd.k)
     )
     return NumericalData(nd.k, degrees, markings, nd.genus)
+
+
+class PuncturingData(_Record):
+    """Puncturing offsets: one nonnegative integer PL function per negative direction.
+
+    Offset ids follow the "p{i}.{j}" convention for marking i, coordinate j,
+    but any distinct ids are accepted.
+    """
+
+    def __init__(self, offsets: tuple[tuple[str, PLFunction], ...]) -> None:
+        ids = [pid for pid, _ in offsets]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate puncture ids in offsets")
+        for pid, f in offsets:
+            if not f.nonnegative:
+                raise ValueError(f"offset {pid!r} takes a negative value")
+            for rid, v in f.values:
+                if v.denominator != 1:
+                    raise ValueError(f"offset {pid!r} is not integral at ray {rid!r}")
+        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def k_P(self) -> int:
+        return len(self.offsets)
+
+
+def puncturing_data(offsets: Mapping[str, Mapping[str, int]]) -> PuncturingData:
+    """Build puncturing data from an id -> (ray -> value) mapping."""
+    items = tuple(
+        (pid, pl_function(vals)) for pid, vals in sorted(offsets.items())
+    )
+    return PuncturingData(items)

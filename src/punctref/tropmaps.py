@@ -24,10 +24,9 @@ from typing import Iterator, Mapping, Optional, Sequence
 from . import tropdata
 from .conecx import ConeComplex, Ray, _Record, build_complex
 from .lattice import is_unimodular, kernel, primitive, rank
-from .puncture import PuncturingData, puncturing_data
 from .tropdata import BalancingError, EdgeDecor, EnumerationBoundError, NonSmoothConeError
-from .tropdata import NumericalData, TargetModel, TropicalType, VertexDecor
-from .tropdata import positivize, validate_numerical_data
+from .tropdata import NumericalData, PuncturingData, TargetModel, TropicalType, VertexDecor
+from .tropdata import positivize, puncturing_data, validate_numerical_data
 
 __all__ = [
     "TypeCone",

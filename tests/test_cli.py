@@ -784,6 +784,16 @@ def test_large_orders_end_at_the_step_budget_in_one_line(capsys, monkeypatch):
     assert err.splitlines() == ["inconsistency: step budget 64 exhausted"]
 
 
+CLI = [sys.executable, "-m", "punctref.cli"]
+
+
+def cli_env(**extra):
+    """The environment of a fresh CLI process, with src/ on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_capped(limit_kib, *argv, timeout=120):
     """The CLI in a fresh process under an address-space limit of limit_kib
     KiB, killed after timeout seconds."""
@@ -792,12 +802,10 @@ def run_capped(limit_kib, *argv, timeout=120):
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "punctref.cli", *argv],
+        [*CLI, *argv],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=cli_env(),
         preexec_fn=cap_memory,
         timeout=timeout,
     )
@@ -933,16 +941,38 @@ def test_subprocess_entry_point(tmp_path):
 
 
 def run_under_hash_seed(seed, *argv):
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-m", "punctref.cli", *argv],
-        capture_output=True,
-        env=env,
+        [*CLI, *argv], capture_output=True, env=cli_env(PYTHONHASHSEED=str(seed)),
         timeout=120,
     )
     return proc.returncode, proc.stdout
+
+
+def test_a_closed_output_pipe_exits_2_in_one_line():
+    """segre on f1-blowup through codim 60 writes about 425 KB, more than a
+    pipe holds, so its write fails once the reader closes the pipe."""
+    with subprocess.Popen(
+        [*CLI, "segre", fixture_path("f1-blowup"), "--max-codim", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+        err = proc.stderr.read().decode()
+    assert head.startswith(b"{")
+    assert err.splitlines() == ["error: cannot write output: [Errno 32] Broken pipe"]
+
+
+def test_a_full_output_device_exits_2_in_one_line():
+    """Writing to /dev/full fails with ENOSPC when the output is flushed."""
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [*CLI, "validate", fixture_path("pr-hyperplane")],
+            stdout=full, stderr=subprocess.PIPE, env=cli_env(), timeout=120,
+        )
+    assert (proc.returncode, proc.stderr.decode().splitlines()) == (
+        2, ["error: cannot write output: [Errno 28] No space left on device"]
+    )
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -25,10 +25,12 @@ def fresh(*args):
     )
 
 
-def loaded_after(statement):
-    """The punctref submodules a fresh interpreter holds after a statement."""
+def loaded_after(statement, also=()):
+    """The punctref submodules, and the modules named in also, that a fresh
+    interpreter holds after a statement."""
     proc = fresh("-c", statement + "\nimport sys\nprint(json.dumps(sorted(k[9:] "
-                 "for k in sys.modules if k.startswith('punctref.'))))")
+                 "for k in sys.modules if k.startswith('punctref.')) + sorted("
+                 f"m for m in {tuple(also)!r} if m in sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -39,7 +41,7 @@ def test_package_import_loads_no_submodule():
 
 def test_chart_modules_load_only_their_imports():
     assert loaded_after("import json\nfrom punctref import conecx, puncture") == [
-        "aluffi", "chowring", "conecx", "lattice", "puncture"
+        "aluffi", "chowring", "conecx", "lattice", "puncture", "tropdata"
     ]
 
 
@@ -55,6 +57,14 @@ def test_cli_import_loads_neither_dataclasses_nor_tropmaps():
                  "if m in sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_cli_import_loads_neither_hashlib_nor_fractions():
+    """The input digest imports hashlib on the success path alone, and a
+    Fraction is built only where a value is not an int."""
+    loaded = loaded_after("import json, punctref.cli", also=("fractions", "hashlib"))
+    assert "cli" in loaded
+    assert "fractions" not in loaded and "hashlib" not in loaded
 
 
 def test_namespace_lists_binds_and_refuses():
@@ -113,3 +123,61 @@ def test_only_enumerating_subcommands_load_tropmaps(argv):
     )
     assert ("tropmaps" in loaded) == (argv[0] in ("enumerate", "sensitivity"))
     assert "tropdata" in loaded
+
+
+def modules_after_main(argv, code):
+    """The punctref submodules, and hashlib if loaded, of a fresh interpreter
+    whose one ``main(argv)`` call, its output dropped, returned code."""
+    return set(loaded_after(
+        "import contextlib, io, json\nfrom punctref.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    if main({argv!r}) != {code}:\n        raise SystemExit('exit code')",
+        also=("hashlib",),
+    ))
+
+
+CHOW_LAYERS = {"aluffi", "chowring", "puncture"}
+CHECK_LAYERS = {"blowups", "gerby", "tropmaps"}
+
+
+@pytest.mark.parametrize("command", ["validate", "positivize"])
+def test_reading_subcommands_compile_no_chow_layer(command):
+    loaded = modules_after_main([command, fixture_path("p2-two-lines")], 0)
+    assert not loaded & (CHOW_LAYERS | CHECK_LAYERS)
+    assert "hashlib" in loaded
+
+
+def test_enumerate_compiles_tropmaps_but_no_chow_layer():
+    loaded = modules_after_main(["enumerate", fixture_path("p2-two-lines")], 0)
+    assert "tropmaps" in loaded and not loaded & CHOW_LAYERS
+
+
+@pytest.mark.parametrize("command", ["segre", "twisted-check", "enumerate"])
+def test_a_malformed_document_compiles_no_layer_past_the_reader(command, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"complex": {"rays": [{"id": 1}], "cones": []}}')
+    loaded = modules_after_main([command, str(path)], 2)
+    assert not loaded & (CHOW_LAYERS | CHECK_LAYERS | {"hashlib"})
+
+
+# refusals of a missing flag or fixture section; None stands for a document
+# that holds only pr-hyperplane's complex
+REFUSALS = {
+    "twisted-check-without-r": ["twisted-check", fixture_path("pr-hyperplane")],
+    "compare-blowup-without-trace": ["compare-blowup", fixture_path("pr-hyperplane")],
+    "enumerate-without-data": ["enumerate", None],
+    "sensitivity-without-data": ["sensitivity", None],
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_run_before_the_check_layers_load(case, tmp_path):
+    command, path = REFUSALS[case]
+    if path is None:
+        with open(fixture_path("pr-hyperplane")) as fh:
+            doc = {"complex": json.load(fh)["complex"]}
+        path = tmp_path / "complex-only.json"
+        path.write_text(json.dumps(doc))
+    loaded = modules_after_main([command, str(path)], 2)
+    assert not loaded & (CHOW_LAYERS | CHECK_LAYERS | {"hashlib"})
