@@ -18,7 +18,6 @@ from .chowring import pushforward as chow_pushforward, serialize
 from .conecx import ConeComplex, Ray, SubdivisionStep, _Record, build_complex
 from .conecx import star_subdivide
 from .lattice import is_unimodular, primitive
-from .puncture import refined_class
 from .tropdata import EnumerationBoundError, NumericalData, PuncturingData, TargetModel
 from .tropdata import target_model
 
@@ -304,6 +303,8 @@ def compare_under_subdivision(
     entry ``trace[i]``. Reports both classes, the difference (pushed minus
     original), and equality.
     """
+    from .puncture import refined_class
+
     upstairs_complex, steps = _replay_trace(c, trace)
     original = refined_class(c, pd).cls
     pushed = chow_pushforward(refined_class(upstairs_complex, lifted_pd).cls, *steps)

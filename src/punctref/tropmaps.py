@@ -7,9 +7,15 @@ tangencies. An edge's face is its end faces plus its slope's support. The walk
 skips labelings whose edge slopes leave their end faces or whose classes
 cannot reach the degree. Each type spans a cone whose coordinates are the root
 position inside its face together with the edge lengths: a plain value, built
-once and kept on the type beside its faces, decoded and keyed once.
-Realizability, a cone point with every length and face coordinate positive,
-is tested once per isomorphism class. Assembly
+once and kept on the type beside its faces, decoded and keyed once. Its rays
+come from the double description method, which leaves one incidence table on
+the cone: for each extreme ray, the inequality rows tight at it. A row is
+positive at a sum of rays exactly when it is positive at one of them, so the
+table answers the rest. A type is realizable (a cone point with every length
+and face coordinate positive) exactly when no row is tight at every ray, and
+its cone's dimension is then the kernel's; a ray set is a face exactly when
+it is its own closure, the rays tight on every row its rays share.
+Realizability is tested once per isomorphism class. Assembly
 glues the cones along specialization, tests the simplicial ones for
 unimodularity, and reads the offsets off primitive ray generators.
 The data these functions read and the types they return are ``tropdata``'s.
@@ -17,8 +23,9 @@ The data these functions read and the types they return are ``tropdata``'s.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache, reduce
 from math import factorial
-from operator import add, gt, mul
+from operator import add, and_, gt, mul
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import tropdata
@@ -92,10 +99,13 @@ def canonical_key(t: TropicalType) -> tuple:
     return t.__dict__["_canonical"]
 
 
-def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=4096)
+def _walk(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int], ...]:
     """The vertices of the tree on 0..n-1 with edges ``ends``, parents first
     from vertex 0, as (vertex, parent, edge index); the root is (0, -1, -1).
-    Every tree traversal goes through it. Non-trees raise BalancingError."""
+    Every tree traversal goes through it. Non-trees raise BalancingError.
+    It is memoized: the type walk balances every labeling of one tree, one
+    after another, through the same walk."""
     if n == 0 or len(ends) != n - 1:
         raise BalancingError("not a tree: need n-1 edges on n >= 1 vertices")
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
@@ -113,13 +123,13 @@ def _walk(n: int, ends: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]
                 order.append((w, v, idx))
     if len(order) != n:
         raise BalancingError("not a tree: graph is disconnected")
-    return order
+    return tuple(order)
 
 
-def _order(t: TropicalType) -> list[tuple[int, int, int]]:
+def _order(t: TropicalType) -> tuple[tuple[int, int, int], ...]:
     """The walk of t's tree, listed once and kept on t."""
     if "_order" not in t.__dict__:
-        t.__dict__["_order"] = _walk(t.n_vertices, [e.ends for e in t.edges])
+        t.__dict__["_order"] = _walk(t.n_vertices, tuple(e.ends for e in t.edges))
     return t.__dict__["_order"]
 
 
@@ -142,7 +152,7 @@ def slopes_from_balancing(
     not the first end of exactly one edge is named.
     """
     n = len(vertices)
-    ends = [(int(a), int(b)) for a, b in edges]
+    ends = tuple((int(a), int(b)) for a, b in edges)
     order = _walk(n, ends)
     flow = []
     for vi, v in enumerate(vertices):
@@ -168,7 +178,9 @@ def slopes_from_balancing(
         c = child[idx]
         m = tuple(flow[c]) if a == c else tuple(-x for x in flow[c])
         out_edges.append(EdgeDecor((a, b), _edge_face(vertices[a], vertices[b], m), m))
-    return TropicalType(nd.k, tuple(vertices), tuple(out_edges))
+    t = TropicalType(nd.k, tuple(vertices), tuple(out_edges))
+    t.__dict__["_order"] = order
+    return t
 
 
 class TypeCone(_Record):
@@ -219,8 +231,13 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
     Variables are the root position (all k coordinates, those outside the
     root face pinned to zero) followed by one length per edge. Equations pin
     every vertex coordinate outside its face; inequalities keep lengths and
-    in-face coordinates nonnegative. Nothing is read from ``nd``, so the cone
-    is built once per type object and stored on it; it points nowhere back.
+    in-face coordinates nonnegative. Every variable is pinned or has its own
+    unit inequality row, so the cone is pointed, and ``_double_description``
+    finds its rays in the m-dimensional kernel of the equations, with each
+    ray's tight rows, kept on the cone as its incidence table. No row is
+    tight at every ray exactly when the type is realizable, and the
+    dimension is then m. Nothing is read from ``nd``, so the cone is built
+    once per type object and stored on it; it points nowhere back.
     """
     if "_cone" in t.__dict__:
         return t.__dict__["_cone"]
@@ -236,57 +253,111 @@ def cone_of_type(nd: NumericalData, t: TropicalType) -> TypeCone:
                 ineqs.append(tuple(row))
             else:
                 eqs.append(row)
+    # the root's rows come first, and a root coordinate's row is its unit row
+    unit = {j - 1: i for i, j in enumerate(sorted(t.vertices[0].face))}
     for idx in range(len(t.edges)):
         row = [0] * nv
         row[k + idx] = 1
+        unit[k + idx] = len(ineqs)
         ineqs.append(tuple(row))
     basis = kernel(eqs, nv)
-    m = len(basis)
-    found: set[tuple[int, ...]] = set()
-    if m:
-        proj = [[sum(map(mul, r, bv)) for bv in basis] for r in ineqs]
-        for subset in itertools.combinations(range(len(proj)), m - 1):
-            sub = [proj[i] for i in subset]
-            kern = kernel(sub, m)
-            if len(kern) != 1:
-                continue
-            # a row r takes the value proj_r . c at the point sum_c c * basis_c
-            c = kern[0]
-            signs = [sum(map(mul, r, c)) for r in proj]
-            if all(s >= 0 for s in signs):
-                pass
-            elif all(s <= 0 for s in signs):
-                c = [-x for x in c]
-            else:
-                continue
-            found.add(primitive([sum(map(mul, c, col)) for col in zip(*basis)]))
-    rays = sorted(found)
+    found = sorted(_double_description(basis, ineqs, unit))
+    rays = tuple(ray for ray, _ in found)
+    tight = tuple(mask for _, mask in found)
+    shared = reduce(and_, tight, (1 << len(ineqs)) - 1)
     variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
         f"l{i}" for i in range(len(t.edges))
     )
     positions = tuple(tuple(tuple(r) for r in pr) for pr in pos)
-    t.__dict__["_cone"] = TypeCone(
-        variables, tuple(rays), rank(rays, nv), tuple(ineqs), positions
+    cone = TypeCone(
+        variables, rays, rank(rays, nv) if shared else len(basis), tuple(ineqs), positions
     )
-    return t.__dict__["_cone"]
+    cone.__dict__["_tight"] = tight
+    t.__dict__["_cone"] = cone
+    return cone
+
+
+def _double_description(
+    basis: list[list[int]], ineqs: Sequence[Sequence[int]], unit: Mapping[int, int]
+) -> list[tuple[tuple[int, ...], int]]:
+    """The extreme rays of {z in span(basis) : row . z >= 0 for each row},
+    each primitive and with the bitmask of the rows tight at it, by the
+    double description method (Motzkin-Raiffa-Thompson-Thrall 1953;
+    Fukuda-Prodon 1996).
+
+    ``kernel`` gives one vector per free column, nonzero there and zero at
+    the other free columns; ``unit`` maps each column that a kernel vector
+    reaches to the index of its unit row. The first column where a vector
+    alone is nonzero gives its row, so those m rows cut the span to a
+    simplicial cone whose rays are the vectors, signed to be positive there.
+    Each further row h keeps the rays where h >= 0 and adds h(p) n - h(n) p
+    for each pair with h(p) > 0 > h(n) that spans a 2-face: their common
+    tight rows, at least m - 2 of them, are tight at no third ray
+    (Fukuda-Prodon, Proposition 7).
+    """
+    m = len(basis)
+    cols = [
+        next(c for c, x in enumerate(vec) if x and not any(b[c] for b in basis if b is not vec))
+        for vec in basis
+    ]
+    start = sum(1 << unit[c] for c in cols)
+    rays = [
+        (primitive(vec if vec[c] > 0 else [-x for x in vec]), start & ~(1 << unit[c]))
+        for vec, c in zip(basis, cols)
+    ]
+    for r, row in enumerate(ineqs):
+        if start >> r & 1:
+            continue
+        bit = 1 << r
+        vals = [sum(map(mul, row, ray)) for ray, _ in rays]
+        kept = [
+            (ray, mask | bit if not h else mask)
+            for (ray, mask), h in zip(rays, vals) if h >= 0
+        ]
+        for p, hp in enumerate(vals):
+            if hp <= 0:
+                continue
+            for n, hn in enumerate(vals):
+                if hn >= 0:
+                    continue
+                common = rays[p][1] & rays[n][1]
+                if common.bit_count() < m - 2 or any(
+                    mask & common == common
+                    for i, (_, mask) in enumerate(rays) if i != p and i != n
+                ):
+                    continue
+                joined = [hp * a - hn * b for a, b in zip(rays[n][0], rays[p][0])]
+                kept.append((primitive(joined), common | bit))
+        rays = kept
+    return rays
+
+
+def _tight(cone: TypeCone) -> tuple[int, ...]:
+    """The cone's incidence table: for each extreme ray, the bitmask of the
+    inequality rows tight at it. ``cone_of_type`` fills it while it finds
+    the rays; a cone built otherwise gets it here, once."""
+    if "_tight" not in cone.__dict__:
+        cone.__dict__["_tight"] = tuple(
+            sum(1 << r for r, row in enumerate(cone.ineq_rows) if not sum(map(mul, row, ray)))
+            for ray in cone.rays
+        )
+    return cone.__dict__["_tight"]
+
+
+def _shared(cone: TypeCone) -> int:
+    """The rows tight at every extreme ray, as a bitmask. The rays lie in
+    the cone, so a row is positive at a sum of rays exactly when it is
+    positive at one of them: the ray sum is positive on every row exactly
+    when this is 0."""
+    return reduce(and_, _tight(cone), (1 << len(cone.ineq_rows)) - 1)
 
 
 def realizable(nd: NumericalData, t: TropicalType) -> bool:
     """A type is realizable when its cone has a point with every edge length
-    and every in-face position coordinate strictly positive."""
-    cone = cone_of_type(nd, t)
-    return _interior(cone, _ray_sum(cone, range(len(cone.rays))))
-
-
-def _ray_sum(cone: TypeCone, subset: Sequence[int]) -> list[int]:
-    """The sum of the cone's extreme rays with indices in subset."""
-    z = [sum(col) for col in zip(*(cone.rays[i] for i in subset))]
-    return z or [0] * len(cone.variables)
-
-
-def _interior(cone: TypeCone, z: Sequence[int]) -> bool:
-    """Whether z is positive on every inequality row of the cone."""
-    return all(sum(map(mul, row, z)) > 0 for row in cone.ineq_rows)
+    and every in-face position coordinate strictly positive: exactly when no
+    inequality row is tight at every extreme ray, read off the cone's
+    incidence table."""
+    return not _shared(cone_of_type(nd, t))
 
 
 def _trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -518,33 +589,47 @@ def enumerate_types(
 
 
 def _faces_of_cone(cone: TypeCone) -> list[tuple[int, ...]]:
-    """Faces as subsets of extreme-ray indices: as rows are nonnegative on rays,
-    no other ray is tight on all the rows tight at every ray of a face."""
-    n, rows = len(cone.rays), range(len(cone.ineq_rows))
-    tight = [
-        {r for r in rows if sum(map(mul, cone.ineq_rows[r], ray)) == 0}
-        for ray in cone.rays
-    ]
-    out = []
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            common = set(rows).intersection(*(tight[i] for i in subset))
-            if not any(common <= tight[i] for i in range(n) if i not in subset):
-                out.append(subset)
-    return out
+    """Faces as subsets of extreme-ray indices, in (size, lex) order. As rows
+    are nonnegative on rays, a ray set is a face exactly when it is its own
+    closure, the rays tight on every row tight at all of its rays. The faces
+    are grown from the closure of the empty set: each face and one more ray
+    close to a face, and every face is reached so, one ray at a time."""
+    tight = _tight(cone)
+    n = len(tight)
+
+    def closure(common: int) -> tuple[int, ...]:
+        return tuple(i for i in range(n) if tight[i] & common == common)
+
+    full = (1 << len(cone.ineq_rows)) - 1
+    found = {closure(full): full}
+    queue = list(found.items())
+    for face, common in queue:
+        for i in range(n):
+            if i not in face:
+                grown = common & tight[i]
+                larger = closure(grown)
+                if larger not in found:
+                    found[larger] = grown
+                    queue.append((larger, grown))
+    return sorted(found, key=lambda s: (len(s), s))
 
 
 def _faces(t: TropicalType, cone: TypeCone) -> tuple[tuple, ...]:
     """Each face of t's cone as (extreme-ray subset, the type decoded at its
     ray sum, that type's canonical key), decoded once and stored on t beside
-    its cone. A ray sum positive on every row contracts nothing: that face
-    is t, not decoded and stored as None, so t holds no reference to itself;
-    callers read only the proper faces' types."""
+    its cone. A face whose rays share no tight row has its ray sum positive
+    on every row and contracts nothing; it is then the closure of all the
+    rays, the whole cone: that face is t, not decoded and stored as None, so
+    t holds no reference to itself; callers read only the proper faces'
+    types."""
     if "_faces" not in t.__dict__:
+        whole = not _shared(cone)
         out = []
         for s in _faces_of_cone(cone):
-            z = _ray_sum(cone, s)
-            face = None if _interior(cone, z) else _decode(t, cone, z)
+            face = None
+            if not (whole and len(s) == len(cone.rays)):
+                z = [sum(col) for col in zip(*(cone.rays[i] for i in s))]
+                face = _decode(t, cone, z or [0] * len(cone.variables))
             out.append((s, face, canonical_key(t if face is None else face)))
         t.__dict__["_faces"] = tuple(out)
     return t.__dict__["_faces"]

@@ -15,7 +15,7 @@ from punctref.chowring import reduce as chow_reduce
 from punctref.conecx import _fresh_ray_ids, build_complex, pl_function, pl_pullback
 from punctref.conecx import star_subdivide, Ray
 from punctref.fixtureio import load_fixture_file
-from punctref.lattice import primitive
+from punctref.lattice import kernel, primitive, rank
 from punctref.puncture import (
     PrincipalizationError,
     _segre_by_bending,
@@ -30,7 +30,7 @@ from punctref.tropdata import (
     numerical_data,
     target_model,
 )
-from punctref.tropmaps import _trees, slopes_from_balancing
+from punctref.tropmaps import TypeCone, _position_rows, _trees, slopes_from_balancing
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -487,3 +487,81 @@ def reference_level_types(nd, candidates, n):
                     chosen.pop()
 
             yield from assign(0, tuple([0] * nd.k))
+
+
+# the type cone before the double description method and its incidence table:
+# a kernel per (m - 1)-subset of inequality rows, faces by the tight rows at
+# each subset's ray sum, kept as the references they are checked against
+
+
+def reference_cone_of_type(t):
+    """The cone of a type, its rays from every (m - 1)-subset of inequality
+    rows whose kernel in the m-dimensional kernel of the equations is a line
+    on which every row has one sign; nothing is stored on t."""
+    k = t.k
+    nv = k + len(t.edges)
+    pos = _position_rows(t)
+    eqs, ineqs = [], []
+    for v, vd in enumerate(t.vertices):
+        for j in range(1, k + 1):
+            row = pos[v][j - 1]
+            if j in vd.face:
+                ineqs.append(tuple(row))
+            else:
+                eqs.append(row)
+    for idx in range(len(t.edges)):
+        row = [0] * nv
+        row[k + idx] = 1
+        ineqs.append(tuple(row))
+    basis = kernel(eqs, nv)
+    m = len(basis)
+    found = set()
+    if m:
+        proj = [[sum(a * b for a, b in zip(r, bv)) for bv in basis] for r in ineqs]
+        for subset in itertools.combinations(range(len(proj)), m - 1):
+            kern = kernel([proj[i] for i in subset], m)
+            if len(kern) != 1:
+                continue
+            c = kern[0]
+            signs = [sum(a * b for a, b in zip(r, c)) for r in proj]
+            if all(s >= 0 for s in signs):
+                pass
+            elif all(s <= 0 for s in signs):
+                c = [-x for x in c]
+            else:
+                continue
+            found.add(primitive([sum(a * b for a, b in zip(c, col)) for col in zip(*basis)]))
+    rays = sorted(found)
+    variables = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
+        f"l{i}" for i in range(len(t.edges))
+    )
+    positions = tuple(tuple(tuple(r) for r in pr) for pr in pos)
+    return TypeCone(variables, tuple(rays), rank(rays, nv), tuple(ineqs), positions)
+
+
+def reference_realizable(t):
+    """Whether the sum of the reference cone's rays is positive on every row."""
+    cone = reference_cone_of_type(t)
+    z = [sum(col) for col in zip(*cone.rays)] or [0] * len(cone.variables)
+    return all(sum(a * b for a, b in zip(row, z)) > 0 for row in cone.ineq_rows)
+
+
+def reference_faces_of_cone(cone):
+    """Faces as subsets of extreme-ray indices, by the tight-constraint test."""
+    rays = cone.rays
+    nv = len(cone.variables)
+    out = []
+    for size in range(len(rays) + 1):
+        for subset in itertools.combinations(range(len(rays)), size):
+            z = [sum(rays[i][c] for i in subset) for c in range(nv)]
+            tight = [
+                row for row in cone.ineq_rows if sum(a * b for a, b in zip(row, z)) == 0
+            ]
+            closure = tuple(
+                i
+                for i in range(len(rays))
+                if all(sum(a * b for a, b in zip(row, rays[i])) == 0 for row in tight)
+            )
+            if closure == subset:
+                out.append(subset)
+    return out

@@ -153,6 +153,16 @@ def test_enumerate_compiles_tropmaps_but_no_chow_layer():
     assert "tropmaps" in loaded and not loaded & CHOW_LAYERS
 
 
+def test_sensitivity_compiles_no_chow_layer_it_never_runs():
+    """``blowups`` imports ``refined_class`` inside the comparison that
+    calls it, so a slope-sensitivity check loads neither ``puncture`` nor
+    ``aluffi``."""
+    # p2-two-lines misses the slope (1, 1), so the check exits 1
+    loaded = modules_after_main(["sensitivity", fixture_path("p2-two-lines")], 1)
+    assert "blowups" in loaded and "tropmaps" in loaded
+    assert not loaded & {"aluffi", "puncture"}
+
+
 @pytest.mark.parametrize("command", ["segre", "twisted-check", "enumerate"])
 def test_a_malformed_document_compiles_no_layer_past_the_reader(command, tmp_path):
     path = tmp_path / "bad.json"

@@ -16,7 +16,7 @@ import punctref
 from punctref import tropmaps
 from punctref.blowups import _restrict_data, _restrict_model
 from punctref.conecx import Ray, _Record, build_complex
-from punctref.lattice import is_unimodular
+from punctref.lattice import is_unimodular, kernel
 from punctref.fixtureio import complex_to_json, types_to_json
 from punctref.puncture import puncturing_data
 from punctref.tropdata import (
@@ -49,7 +49,14 @@ from punctref.tropmaps import (
     specializations,
 )
 
-from conftest import p2_data_model, pr_data_model, reference_level_types
+from conftest import (
+    p2_data_model,
+    pr_data_model,
+    reference_cone_of_type,
+    reference_faces_of_cone,
+    reference_level_types,
+    reference_realizable,
+)
 
 
 def test_numerical_data_partition():
@@ -940,27 +947,6 @@ def reference_canonical_key(t):
     return best
 
 
-def reference_faces_of_cone(cone):
-    """Faces as subsets of extreme-ray indices, by the tight-constraint test."""
-    rays = cone.rays
-    nv = len(cone.variables)
-    out = []
-    for size in range(len(rays) + 1):
-        for subset in itertools.combinations(range(len(rays)), size):
-            z = [sum(rays[i][c] for i in subset) for c in range(nv)]
-            tight = [
-                row for row in cone.ineq_rows if sum(a * b for a, b in zip(row, z)) == 0
-            ]
-            closure = tuple(
-                i
-                for i in range(len(rays))
-                if all(sum(a * b for a, b in zip(row, rays[i])) == 0 for row in tight)
-            )
-            if closure == subset:
-                out.append(subset)
-    return out
-
-
 def reference_specializations(nd, t):
     cone = cone_of_type(nd, t)
     nv = len(cone.variables)
@@ -1090,11 +1076,44 @@ def keys_match_reference(index, rng):
     return relabelings
 
 
+# The type cone from the double description method and its incidence table
+# against the subset scan it replaced: the same rays, dimension,
+# realizability, faces in the same order and the same specializations.
+
+
+def cone_matches_reference(nd, t):
+    """Checks a fresh type's cone against the references; returns its
+    number of extreme rays."""
+    want = reference_cone_of_type(t)
+    cone = cone_of_type(nd, t)
+    # records compare all five fields: variables, rays, dim, rows, positions
+    assert cone == want
+    assert realizable(nd, t) == reference_realizable(t)
+    faces = reference_faces_of_cone(want)
+    assert _faces_of_cone(cone) == faces
+    # a cone built by hand gets the same table, so the same faces
+    by_hand = TypeCone(want.variables, want.rays, want.dim, want.ineq_rows, want.positions)
+    assert _faces_of_cone(by_hand) == faces
+    nv = len(want.variables)
+    assert specializations(nd, t) == [
+        _decode(t, want, [sum(want.rays[i][c] for i in s) for c in range(nv)])
+        for s in faces
+        if len(s) != len(want.rays)
+    ]
+    return len(want.rays)
+
+
+def fresh_types(nd, tm, bounds=None):
+    """The types of a datum, rebuilt so that no cone or face is cached."""
+    return [TropicalType(t.k, t.vertices, t.edges) for t in enumerate_types(nd, tm, bounds)]
+
+
 def faces_match_reference(index):
+    """Cones, realizability, faces and specializations equal the references
+    on every balanced labeling of the datum and on its types."""
     nd, ts, types = labelings(index)
     for t in ts + types:
-        cone = cone_of_type(nd, t)
-        assert _faces_of_cone(cone) == reference_faces_of_cone(cone)
+        cone_matches_reference(nd, TropicalType(t.k, t.vertices, t.edges))
 
 
 def assembly_matches_reference(index):
@@ -1159,6 +1178,60 @@ def test_canonical_key_matches_reference_on_repeated_vertex_data():
         with_run += runs >= 1
         with_two_runs += runs >= 2
     assert with_run >= 120 and with_two_runs >= 35
+
+
+def test_cones_match_reference_on_pr_degree_two():
+    # its cones include non-simplicial ones with (dim, rays) (3, 4), (4, 5)
+    # and (4, 6)
+    _, tm = pr_data_model()
+    nd = numerical_data(1, (2,), [(3,), (-1,)])
+    shapes = set()
+    for t in fresh_types(nd, tm):
+        shapes.add((cone_of_type(nd, t).dim, cone_matches_reference(nd, t)))
+    assert {(3, 4), (4, 5), (4, 6)} <= shapes
+
+
+def test_cones_match_reference_on_random_trees():
+    rng = random.Random(11)
+    rays = []
+    for _ in range(400):
+        nd, verts, edges = random_decorated_tree(rng)
+        t = outcome(slopes_from_balancing, nd, verts, edges)
+        if isinstance(t, TropicalType):
+            rays.append(cone_matches_reference(nd, t))
+    assert len(rays) >= 200 and max(rays) >= 4
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("degree, markings, count", [
+    (3, [(4,), (-1,)], 194),
+    (2, [(4,), (-1,), (-1,)], 186),
+])
+def test_cones_match_reference_at_ladder_scale(degree, markings, count):
+    # pr degree 3 with (4), (-1), and pr degree 2 with (4), (-1), (-1)
+    _, tm = pr_data_model()
+    nd = numerical_data(1, (degree,), markings)
+    types = fresh_types(nd, tm)
+    assert len(types) == count
+    for t in types:
+        cone_matches_reference(nd, t)
+
+
+def test_cone_building_makes_one_kernel_call_per_cone(monkeypatch):
+    """The double description method calls ``kernel`` once per cone, for
+    the equations: 26 cones for the 26 types. The subset scan also called
+    it once per (m - 1)-subset of inequality rows, 226 calls in all."""
+    calls = []
+
+    def counted(rows, n):
+        calls.append(n)
+        return kernel(rows, n)
+
+    monkeypatch.setattr(tropmaps, "kernel", counted)
+    _, tm = pr_data_model()
+    nd = numerical_data(1, (2,), [(3,), (-1,)])
+    assert len(enumerate_types(nd, tm)) == 26
+    assert len(calls) == 26
 
 
 @pytest.mark.parametrize("index", range(len(walk_data())))
